@@ -11,8 +11,8 @@
 //                     (identical RunMetrics required).
 // Plus the crossover sweep: a ladder of complex sizes timing both forced
 // update paths and recording which one the Auto heuristic picks — the
-// empirical basis for kDefaultCellCrossover / OPALSIM_CELL_CROSSOVER
-// (DESIGN.md, "Host execution engine").
+// empirical basis for kDefaultCellCrossover (DESIGN.md, "Host execution
+// engine").
 //
 // Emits a machine-readable BENCH_host.json (path: OPALSIM_BENCH_JSON, or
 // ./BENCH_host.json) — including a MetricsRegistry snapshot of the host-path

@@ -1,9 +1,10 @@
 // Linked-cell spatial grid for cut-off pair-list updates.
 //
 // A host-performance structure only: it accelerates the *wall-clock* cost of
-// ServerDomain::update by enumerating candidate pairs from neighboring cells
-// instead of distance-checking the full pair triangle.  Virtual time is
-// unaffected — the paper's model charges the update phase per assigned pair
+// rebuilding the serial engine's Verlet list by enumerating neighbors from
+// adjacent cells instead of distance-checking the full pair triangle.
+// Virtual time is unaffected — the paper's model charges the update phase
+// per assigned pair
 // (O(n^2/p)), and that accounting is kept by the callers.  See DESIGN.md,
 // "Host execution engine".
 #pragma once
@@ -34,60 +35,13 @@ class CellGrid {
     return static_cast<std::size_t>(nx_) * ny_ * nz_;
   }
 
-  /// Invokes fn(a, b) exactly once for every unordered candidate pair
-  /// a < b whose cells are identical or adjacent (26-neighborhood walked
-  /// with a half stencil).  Every pair within the build cutoff is
-  /// enumerated; pairs farther apart than two cell edges are not.
-  template <typename Fn>
-  void for_each_candidate(Fn&& fn) const {
-    for (std::int32_t cz = 0; cz < nz_; ++cz) {
-      for (std::int32_t cy = 0; cy < ny_; ++cy) {
-        for (std::int32_t cx = 0; cx < nx_; ++cx) {
-          const std::size_t c = cell_index(cx, cy, cz);
-          const std::uint32_t* base = items_.data() + start_[c];
-          const std::uint32_t cnt =
-              static_cast<std::uint32_t>(start_[c + 1] - start_[c]);
-          // Pairs within the cell (items are in ascending index order).
-          for (std::uint32_t t = 0; t + 1 < cnt; ++t) {
-            for (std::uint32_t u = t + 1; u < cnt; ++u) fn(base[t], base[u]);
-          }
-          // Pairs against the 13 forward neighbors.
-          for (const auto& off : kHalfStencil) {
-            const std::int32_t ox = cx + off[0];
-            const std::int32_t oy = cy + off[1];
-            const std::int32_t oz = cz + off[2];
-            if (ox < 0 || ox >= nx_ || oy < 0 || oy >= ny_ || oz < 0 ||
-                oz >= nz_) {
-              continue;
-            }
-            const std::size_t o = cell_index(ox, oy, oz);
-            const std::uint32_t* obase = items_.data() + start_[o];
-            const std::uint32_t ocnt =
-                static_cast<std::uint32_t>(start_[o + 1] - start_[o]);
-            for (std::uint32_t t = 0; t < cnt; ++t) {
-              for (std::uint32_t u = 0; u < ocnt; ++u) {
-                const std::uint32_t a = base[t];
-                const std::uint32_t b = obase[u];
-                if (a < b) {
-                  fn(a, b);
-                } else {
-                  fn(b, a);
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
   /// Invokes fn(j) for every stored index j > i within `sqrt(c2)` of the
   /// point (xi, yi, zi), in no particular order.  The squared distance is
   /// computed as (xi-xj)*(xi-xj) + (yi-yj)*(yi-yj) + (zi-zj)*(zi-zj) — the
   /// exact expression within_cutoff evaluates, so the accept decision is
   /// bit-identical to the brute-force sweep.  The point must be center i's
-  /// own build position.  This is the hot path of the serial (full
-  /// triangle) update: per-row emission, no candidate materialization.
+  /// own build position.  This drives the serial (full-triangle) Verlet
+  /// rebuild: per-row emission, no candidate materialization.
   template <typename Fn>
   void for_each_near_above(std::uint32_t i, double xi, double yi, double zi,
                            double c2, Fn&& fn) const {
@@ -129,13 +83,6 @@ class CellGrid {
                          std::int32_t cz) const noexcept {
     return (static_cast<std::size_t>(cz) * ny_ + cy) * nx_ + cx;
   }
-
-  // The 13 forward offsets of the half stencil: together with the self cell
-  // they visit each unordered cell pair of the 27-neighborhood once.
-  static constexpr std::int32_t kHalfStencil[13][3] = {
-      {1, 0, 0},  {-1, 1, 0}, {0, 1, 0},  {1, 1, 0},  {-1, -1, 1},
-      {0, -1, 1}, {1, -1, 1}, {-1, 0, 1}, {0, 0, 1},  {1, 0, 1},
-      {-1, 1, 1}, {0, 1, 1},  {1, 1, 1}};
 
   std::int32_t nx_ = 0, ny_ = 0, nz_ = 0;
   double lo_[3] = {0.0, 0.0, 0.0};

@@ -3,49 +3,35 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cctype>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "opal/forcefield.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace opalsim::opal {
 
 namespace {
 
-/// Lexicographic rank of pair (i,j) in the full triangle over n centers.
-std::uint64_t pair_rank(std::uint32_t i, std::uint32_t j,
-                        std::uint32_t n) noexcept {
-  // Row i starts after sum_{r<i} (n-1-r) = i*(2n-i-1)/2 pairs (the product
-  // is always even: i or 2n-i-1 is).
-  return static_cast<std::uint64_t>(i) * (2ull * n - i - 1) / 2 +
-         (j - i - 1);
-}
-
 bool lex_less(const PairIdx& a, const PairIdx& b) noexcept {
   return a.i < b.i || (a.i == b.i && a.j < b.j);
 }
 
-/// OPALSIM_CELL_LIST=0 (or false/off/no) forces the brute-force update path
-/// everywhere — the escape hatch documented in README.  Read once.
-bool cell_list_enabled() {
-  static const bool enabled = [] {
-    const auto s = util::env_string("OPALSIM_CELL_LIST");
-    if (!s) return true;
-    std::string v = *s;
-    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-      return static_cast<char>(std::tolower(c));
-    });
-    return !(v == "0" || v == "false" || v == "off" || v == "no");
-  }();
-  return enabled;
+/// True when `domain` is the full pair triangle over n centers in lex
+/// order: strictly increasing distinct pairs, as many as exist.  This is the
+/// serial engine's domain, whose Verlet list is built row by row.
+bool is_lex_triangle(const std::vector<PairIdx>& domain,
+                     std::uint32_t n) noexcept {
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  if (domain.size() != total) return false;
+  return std::adjacent_find(domain.begin(), domain.end(),
+                            [](const PairIdx& a, const PairIdx& b) {
+                              return !lex_less(a, b);
+                            }) == domain.end();
 }
 
 /// Below this many assigned pairs the brute sweep is already cheap and any
-/// grid bookkeeping would dominate.
+/// list bookkeeping would dominate.
 constexpr std::size_t kMinPairsForCells = 1024;
 
 /// Default Auto-path crossover in centers.  The bench_host_speed crossover
@@ -53,38 +39,29 @@ constexpr std::size_t kMinPairsForCells = 1024;
 /// parity up to the size where the skin-padded grid first fits the box
 /// (~1.1k centers at that density) and a >10x cells win from there up — so
 /// the binding constraint at realistic sizes is the grid estimate below,
-/// and this floor only guards the small-n regime where grid bookkeeping
+/// and this floor only guards the small-n regime where list bookkeeping
 /// costs more than the whole O(n^2) sweep.  See DESIGN.md.
 constexpr std::uint32_t kDefaultCellCrossover = 256;
 
-/// Cost of one neighbor-candidate visit on the domain-subset path relative
-/// to one brute-force distance check: the candidate pays the same distance
-/// test plus a membership lookup (binary search) and bitset mark, and the
-/// per-update grid build is amortized over the candidates.  Measured ~2x
-/// on the bench complex.
-constexpr double kSubsetCandidateCost = 2.0;
-
-std::atomic<std::uint32_t> g_cell_crossover{0};  // 0 = not yet resolved
+std::atomic<std::uint32_t> g_cell_crossover{0};  // 0 = default
 
 /// Verlet-list skin as a fraction of the cut-off.  Larger skins pad the
 /// candidate list (more distance checks per update) but survive more
-/// motion before a grid rebuild; 0.3 balances the two for the step sizes
-/// the integrator takes.
+/// motion before a rebuild; 0.3 balances the two for the step sizes the
+/// integrator takes.
 constexpr double kVerletSkinFactor = 0.3;
 
-constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
+/// Prefetch distance, in list entries, of the domain-subset filter.
+constexpr std::size_t kPrefetchAhead = 64;
+/// Mask words the domain-subset filter decodes per block (at most 2048
+/// positions: 24 KB of stack for the position and survivor buffers).
+constexpr std::size_t kBlockWords = 32;
 
 }  // namespace
 
 std::uint32_t cell_crossover_centers() {
-  std::uint32_t v = g_cell_crossover.load(std::memory_order_relaxed);
-  if (v == 0) {
-    v = kDefaultCellCrossover;
-    const long e = util::env_long("OPALSIM_CELL_CROSSOVER", 0);
-    if (e > 0) v = static_cast<std::uint32_t>(e);
-    g_cell_crossover.store(v, std::memory_order_relaxed);
-  }
-  return v;
+  const std::uint32_t v = g_cell_crossover.load(std::memory_order_relaxed);
+  return v == 0 ? kDefaultCellCrossover : v;
 }
 
 void set_cell_crossover_centers(std::uint32_t n) {
@@ -193,9 +170,8 @@ std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
       try_cells = true;
       break;
     case PairUpdatePath::Auto:
-      try_cells = cell_list_enabled() &&
-                  domain_.size() >= kMinPairsForCells &&
-                  cells_profitable(mc, cutoff);
+      try_cells =
+          domain_.size() >= kMinPairsForCells && cells_profitable(mc, cutoff);
       break;
   }
   if (try_cells && update_cells(mc, c2, cutoff)) {
@@ -210,20 +186,16 @@ bool ServerDomain::cells_profitable(const MolecularComplex& mc,
                                     double cutoff) const {
   const auto n = static_cast<std::uint32_t>(mc.n());
   if (n < cell_crossover_centers()) return false;
-  const double total =
-      0.5 * static_cast<double>(n) * (static_cast<double>(n) - 1.0);
-  const bool full_triangle =
-      domain_.size() == static_cast<std::size_t>(total);
-  // Grid edge the build would actually use: the full-triangle (Verlet)
-  // path builds with the skin-padded cut-off, the subset path with the
-  // bare cut-off.  Using the wrong edge here predicts a buildable grid
-  // that then degenerates — every update would pay a doomed build attempt.
-  const double edge =
-      full_triangle ? cutoff * (1.0 + kVerletSkinFactor) : cutoff;
-  // Estimate the grid the build would produce from the bounding box (O(n),
-  // negligible next to the O(n^2/p) sweep being decided on).  The estimate
-  // mirrors CellGrid::build: floor(span/edge) cells per axis, product
-  // capped near 8n (past that the grid is sparse and build() shrinks it).
+  // Estimate the grid a build with the skin-padded edge would produce from
+  // the bounding box (O(n), negligible next to the O(n^2/p) sweep being
+  // decided on).  The estimate mirrors CellGrid::build: floor(span/edge)
+  // cells per axis, product capped near 8n (past that the grid is sparse
+  // and build() shrinks it).  At least 8 cells means the box spans two
+  // padded cut-offs on every axis, so the padded list prunes the domain
+  // for either list shape — and the full-triangle build will not
+  // degenerate (a model that predicts a buildable grid which then
+  // degenerates buys a doomed build attempt every update).
+  const double edge = cutoff * (1.0 + kVerletSkinFactor);
   double lo[3], hi[3];
   const Vec3& r0 = mc.centers[0].position;
   lo[0] = hi[0] = r0.x;
@@ -246,22 +218,7 @@ bool ServerDomain::cells_profitable(const MolecularComplex& mc,
     ncells *= d < 1.0 ? 1.0 : d;
   }
   ncells = std::min(ncells, 8.0 * n + 64.0);
-  if (ncells < 8.0) return false;  // build() would refuse anyway
-
-  if (full_triangle) {
-    // Full-triangle domain: the Verlet-list steady state re-filters only
-    // the padded neighbor list per update, which wins from the crossover
-    // size up regardless of grid shape.
-    return true;
-  }
-  // Domain subset (p > 1 servers): the grid enumerates candidates from the
-  // WHOLE complex — roughly the 27-cell neighborhood fraction of all pairs
-  // — and each candidate costs ~kSubsetCandidateCost brute checks (distance
-  // + membership lookup), while the brute sweep only touches this server's
-  // domain_.  Cells win when the pruned candidate volume undercuts that.
-  const double candidates = std::min(total, total * 27.0 / ncells);
-  return candidates * kSubsetCandidateCost <
-         static_cast<double>(domain_.size());
+  return ncells >= 8.0;
 }
 
 void ServerDomain::update_brute(const MolecularComplex& mc, double c2) {
@@ -269,6 +226,22 @@ void ServerDomain::update_brute(const MolecularComplex& mc, double c2) {
   for (const PairIdx& pr : domain_) {
     if (within_cutoff(mc, pr.i, pr.j, c2)) active_.push_back(pr);
   }
+}
+
+bool ServerDomain::verlet_fresh(double cutoff, double skin) const noexcept {
+  const std::size_t n = sx_.size();
+  if (!verlet_ready_ || verlet_cutoff_ != cutoff || rx_.size() != n) {
+    return false;
+  }
+  const double half_skin2 = (0.5 * skin) * (0.5 * skin);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dx = sx_[i] - rx_[i];
+    const double dy = sy_[i] - ry_[i];
+    const double dz = sz_[i] - rz_[i];
+    // Negated so a non-finite displacement counts as moved.
+    if (!(dx * dx + dy * dy + dz * dz <= half_skin2)) return false;
+  }
+  return true;
 }
 
 bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
@@ -283,73 +256,41 @@ bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
     sy_[i] = r.y;
     sz_[i] = r.z;
   }
-  ensure_membership(n);
 
-  if (membership_ == Membership::LexComplete) {
-    // Serial full-triangle domain: every pair is assigned, so the active
-    // list is just "all cut-off pairs in lex order".  Keep a Verlet list —
-    // candidate j's per row i within cutoff + skin of reference positions —
-    // and rebuild it from the cell grid only when some center has moved
-    // more than skin/2 since the reference.  While the list is valid (every
-    // pair now within the cut-off was within cutoff + skin at reference
-    // time), exactly re-filtering it against the current positions yields
-    // the brute-force active list bit for bit, in the same lex order, at
-    // O(list) instead of O(n^2) cost per update.
-    const double skin = kVerletSkinFactor * cutoff;
-    bool fresh = verlet_ready_ && verlet_cutoff_ == cutoff && rx_.size() == n;
-    if (fresh) {
-      const double half_skin2 = (0.5 * skin) * (0.5 * skin);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const double dx = sx_[i] - rx_[i];
-        const double dy = sy_[i] - ry_[i];
-        const double dz = sz_[i] - rz_[i];
-        if (dx * dx + dy * dy + dz * dz > half_skin2) {
-          fresh = false;
-          break;
-        }
-      }
+  // The list holds every pair within cutoff + skin at the reference
+  // positions and is rebuilt only when some center has moved more than
+  // skin/2 since then.  While it is valid, every pair now within the
+  // cut-off is on it, so exactly re-filtering it against the current
+  // positions yields the brute-force active list bit for bit, in the same
+  // order, at O(list) instead of O(domain) cost per update.
+  const double skin = kVerletSkinFactor * cutoff;
+  const double padded2 = (cutoff + skin) * (cutoff + skin);
+  if (!verlet_fresh(cutoff, skin)) {
+    verlet_triangle_ = is_lex_triangle(domain_, n);
+    if (verlet_triangle_) {
+      if (!rebuild_triangle(cutoff + skin)) return false;
+    } else {
+      rebuild_subset(padded2, c2);
     }
-    if (!fresh) {
-      if (!grid_.build(sx_, sy_, sz_, cutoff + skin)) return false;
-      ++stats_.verlet_rebuilds;
-      const double padded2 = (cutoff + skin) * (cutoff + skin);
-      const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-      marks_.assign(words, 0);
-      vstart_.assign(n + 1, 0);
-      vitems_.clear();
-      // Per-row bitset over j (a few hundred bytes, L1-resident): the sweep
-      // both orders the row ascending and clears the bits it consumes.
-      for (std::uint32_t i = 0; i + 1 < n; ++i) {
-        grid_.for_each_near_above(i, sx_[i], sy_[i], sz_[i], padded2,
-                                  [&](std::uint32_t j) {
-                                    marks_[j >> 6] |= 1ull << (j & 63);
-                                  });
-        for (std::size_t w = static_cast<std::size_t>(i + 1) >> 6; w < words;
-             ++w) {
-          std::uint64_t word = marks_[w];
-          if (word == 0) continue;
-          marks_[w] = 0;
-          do {
-            const auto bit =
-                static_cast<std::uint32_t>(std::countr_zero(word));
-            word &= word - 1;
-            vitems_.push_back(static_cast<std::uint32_t>(w << 6) + bit);
-          } while (word != 0);
-        }
-        vstart_[i + 1] = static_cast<std::uint32_t>(vitems_.size());
-      }
-      vstart_[n] = static_cast<std::uint32_t>(vitems_.size());
-      rx_ = sx_;
-      ry_ = sy_;
-      rz_ = sz_;
-      verlet_cutoff_ = cutoff;
-      verlet_ready_ = true;
+    ++stats_.verlet_rebuilds;
+    rx_ = sx_;
+    ry_ = sy_;
+    rz_ = sz_;
+    verlet_cutoff_ = cutoff;
+    verlet_ready_ = true;
+    if (!verlet_triangle_) {  // the rebuild sweep emitted active_ already
+      used_cells_ = true;
+      return true;
     }
-    // Exact filter of the padded list against the *current* positions: the
-    // same squared-distance expression within_cutoff evaluates, over rows
-    // in lex order, j ascending within a row.  The write is branchless
-    // (store every candidate, advance only on accept) — at the ~40% accept
-    // rate of the padded list a conditional push mispredicts constantly.
+  }
+
+  // Exact filter of the padded list against the *current* positions: the
+  // same squared-distance expression within_cutoff evaluates, in domain
+  // order.  The writes are branchless (store every candidate, advance only
+  // on accept) — at the ~40% accept rate of the padded list a conditional
+  // push mispredicts constantly.
+  if (verlet_triangle_) {
+    // Rows in lex order, j ascending within a row.
     active_.resize(vitems_.size());
     PairIdx* out = active_.data();
     std::size_t cnt = 0;
@@ -366,101 +307,93 @@ bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
       }
     }
     active_.resize(cnt);
-    used_cells_ = true;
-    return true;
-  }
-
-  if (!grid_.build(sx_, sy_, sz_, cutoff)) return false;
-
-  // Domain-subset memberships: mark assigned candidates within the cut-off
-  // in a bitset over domain positions, then sweep it in order — the active
-  // list comes out exactly as the brute-force sweep would emit it.
-  marks_.assign((domain_.size() + 63) / 64, 0);
-  grid_.for_each_candidate([&](std::uint32_t a, std::uint32_t b) {
-    const Vec3 d{sx_[a] - sx_[b], sy_[a] - sy_[b], sz_[a] - sz_[b]};
-    if (!(d.norm2() <= c2)) return;
-    const std::size_t pos = find_position(a, b, n);
-    if (pos == kNoPosition) return;
-    marks_[pos >> 6] |= 1ull << (pos & 63);
-  });
-
-  active_.clear();
-  for (std::size_t w = 0; w < marks_.size(); ++w) {
-    std::uint64_t word = marks_[w];
-    while (word != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      active_.push_back(domain_[(w << 6) + bit]);
+  } else {
+    // Set bits of vmask_, ascending, are the listed positions in domain_.
+    // Each block of mask words is decoded into positions first and then
+    // filtered: the gather loop has no data-dependent branch, so many
+    // domain_ loads stay in flight, and a prefetch a fixed distance ahead
+    // hides the rest of their latency.  Survivors are staged on the stack,
+    // so active_ grows to the active pairs only, not to the padded list.
+    active_.clear();
+    const std::size_t words = vmask_.size();
+    std::uint32_t pos[kBlockWords * 64];
+    PairIdx buf[kBlockWords * 64];
+    for (std::size_t w0 = 0; w0 < words; w0 += kBlockWords) {
+      const std::size_t w1 = std::min(words, w0 + kBlockWords);
+      std::size_t m = 0;
+      for (std::size_t w = w0; w < w1; ++w) {
+        const auto base = static_cast<std::uint32_t>((w - w0) << 6);
+        for (std::uint64_t word = vmask_[w]; word != 0; word &= word - 1) {
+          pos[m++] = base + static_cast<std::uint32_t>(std::countr_zero(word));
+        }
+      }
+      const PairIdx* dom = domain_.data() + (w0 << 6);
+      std::size_t cnt = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        if (k + kPrefetchAhead < m) {
+          __builtin_prefetch(dom + pos[k + kPrefetchAhead]);
+        }
+        const PairIdx pr = dom[pos[k]];
+        const double dx = sx_[pr.i] - sx_[pr.j];
+        const double dy = sy_[pr.i] - sy_[pr.j];
+        const double dz = sz_[pr.i] - sz_[pr.j];
+        buf[cnt] = pr;
+        cnt += dx * dx + dy * dy + dz * dz <= c2 ? 1 : 0;
+      }
+      active_.insert(active_.end(), buf, buf + cnt);
     }
   }
   used_cells_ = true;
   return true;
 }
 
-void ServerDomain::ensure_membership(std::uint32_t n) {
-  if (membership_ready_ && membership_n_ == n) return;
-  bool sorted = true;
-  for (std::size_t t = 1; t < domain_.size(); ++t) {
-    if (!lex_less(domain_[t - 1], domain_[t])) {
-      sorted = false;
-      break;
+bool ServerDomain::rebuild_triangle(double padded) {
+  if (!grid_.build(sx_, sy_, sz_, padded)) return false;
+  const double padded2 = padded * padded;
+  const auto n = static_cast<std::uint32_t>(sx_.size());
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  marks_.assign(words, 0);
+  vstart_.assign(n + 1, 0);
+  vitems_.clear();
+  // Per-row bitset over j (a few hundred bytes, L1-resident): the sweep
+  // both orders the row ascending and clears the bits it consumes.
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    grid_.for_each_near_above(i, sx_[i], sy_[i], sz_[i], padded2,
+                              [&](std::uint32_t j) {
+                                marks_[j >> 6] |= 1ull << (j & 63);
+                              });
+    for (std::size_t w = static_cast<std::size_t>(i + 1) >> 6; w < words;
+         ++w) {
+      std::uint64_t word = marks_[w];
+      if (word == 0) continue;
+      marks_[w] = 0;
+      do {
+        const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+        word &= word - 1;
+        vitems_.push_back(static_cast<std::uint32_t>(w << 6) + bit);
+      } while (word != 0);
     }
+    vstart_[i + 1] = static_cast<std::uint32_t>(vitems_.size());
   }
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (sorted && domain_.size() == total) {
-    // Strictly increasing distinct pairs, as many as exist: the full
-    // triangle in lex order, so position == pair_rank.  This is the serial
-    // engine's domain — no index needed at all.
-    membership_ = Membership::LexComplete;
-    perm_.clear();
-    perm_.shrink_to_fit();
-  } else if (sorted) {
-    // Freshly built domains are lex-sorted (build_domains appends in
-    // enumeration order): binary-search the domain itself.
-    membership_ = Membership::SortedDomain;
-    perm_.clear();
-    perm_.shrink_to_fit();
-  } else {
-    // Post-adopt(): sorted runs concatenated.  Search an index permutation
-    // ordered by pair instead.
-    membership_ = Membership::Permuted;
-    perm_.resize(domain_.size());
-    std::iota(perm_.begin(), perm_.end(), 0u);
-    std::sort(perm_.begin(), perm_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return lex_less(domain_[a], domain_[b]);
-              });
-  }
-  membership_n_ = n;
-  membership_ready_ = true;
+  vstart_[n] = static_cast<std::uint32_t>(vitems_.size());
+  return true;
 }
 
-std::size_t ServerDomain::find_position(std::uint32_t i, std::uint32_t j,
-                                        std::uint32_t n) const noexcept {
-  switch (membership_) {
-    case Membership::LexComplete:
-      return static_cast<std::size_t>(pair_rank(i, j, n));
-    case Membership::SortedDomain: {
-      const PairIdx key{i, j};
-      const auto it =
-          std::lower_bound(domain_.begin(), domain_.end(), key, lex_less);
-      if (it == domain_.end() || it->i != i || it->j != j) return kNoPosition;
-      return static_cast<std::size_t>(it - domain_.begin());
-    }
-    case Membership::Permuted: {
-      const PairIdx key{i, j};
-      const auto it = std::lower_bound(
-          perm_.begin(), perm_.end(), key,
-          [this](std::uint32_t t, const PairIdx& v) {
-            return lex_less(domain_[t], v);
-          });
-      if (it == perm_.end()) return kNoPosition;
-      const PairIdx& found = domain_[*it];
-      if (found.i != i || found.j != j) return kNoPosition;
-      return static_cast<std::size_t>(*it);
+void ServerDomain::rebuild_subset(double padded2, double c2) {
+  const std::size_t m = domain_.size();
+  vmask_.assign((m + 63) / 64, 0);
+  active_.clear();
+  for (std::size_t t = 0; t < m; ++t) {
+    const PairIdx pr = domain_[t];
+    const double dx = sx_[pr.i] - sx_[pr.j];
+    const double dy = sy_[pr.i] - sy_[pr.j];
+    const double dz = sz_[pr.i] - sz_[pr.j];
+    const double d2 = dx * dx + dy * dy + dz * dz;
+    if (d2 <= padded2) {
+      vmask_[t >> 6] |= std::uint64_t{1} << (t & 63);
+      if (d2 <= c2) active_.push_back(pr);
     }
   }
-  return kNoPosition;
 }
 
 }  // namespace opalsim::opal

@@ -8,12 +8,12 @@
 //
 // Two host execution paths rebuild the active list (DESIGN.md, "Host
 // execution engine"): the brute-force sweep over the assigned pairs (the
-// paper's algorithm, O(n^2/p) distance checks) and a linked-cell path that
-// enumerates only neighbor-cell candidates and filters them through a
-// membership index of the static domain.  Both produce the identical active
-// list (same pairs, same order); only host wall time differs.  Virtual-time
-// accounting is unchanged: update() always reports domain_size() pairs
-// checked, the paper's O(n^2) model.
+// paper's algorithm, O(n^2/p) distance checks) and a skin-padded Verlet
+// list over the static domain that is exact-filtered per update and
+// rebuilt only when some center has moved more than half the skin.  Both
+// produce the identical active list (same pairs, same order); only host
+// wall time differs.  Virtual-time accounting is unchanged: update() always
+// reports domain_size() pairs checked, the paper's O(n^2) model.
 #pragma once
 
 #include <cstdint>
@@ -53,28 +53,28 @@ enum class DistributionStrategy {
 std::string to_string(DistributionStrategy s);
 
 /// Host path used by ServerDomain::update to rebuild the active list.
-/// Auto picks the cell list when the crossover model says it pays off
-/// (cut-off set, enough centers/pairs, grid dense enough to prune) unless
-/// disabled via OPALSIM_CELL_LIST=0; Brute and CellList force a path
-/// (CellList still falls back when the grid degenerates, e.g. the cut-off
-/// exceeds the bounding box).
+/// Auto picks the Verlet list when the crossover model says it pays off
+/// (cut-off set, enough centers/pairs, box wide enough for the padded
+/// cut-off to prune); Brute and CellList force a path (CellList still falls
+/// back when the full-triangle grid degenerates, e.g. the cut-off exceeds
+/// the bounding box).  Brute is the in-process oracle the tests compare
+/// against.
 enum class PairUpdatePath { Auto, Brute, CellList };
 
-/// Auto-path crossover: minimum center count before the cell-list path is
+/// Auto-path crossover: minimum center count before the Verlet list is
 /// considered.  Default from the bench_host_speed crossover sweep
-/// (DESIGN.md, "Host execution engine"); OPALSIM_CELL_CROSSOVER overrides
-/// it (read once, cached).
+/// (DESIGN.md, "Host execution engine").
 std::uint32_t cell_crossover_centers();
-/// Overrides the cached crossover (tests steer the Auto heuristic
-/// in-process; 0 restores the env/default resolution on next read).
+/// Overrides the crossover (tests steer the Auto heuristic in-process; 0
+/// restores the default).
 void set_cell_crossover_centers(std::uint32_t n);
 
 /// Host-path counters for one ServerDomain (bench/metrics introspection;
 /// not serialized — checkpointed runs omit the derived metrics keys).
 struct PairUpdateStats {
   std::uint64_t updates = 0;          ///< update() calls with a cut-off
-  std::uint64_t cell_updates = 0;     ///< of which the cell path served
-  std::uint64_t verlet_rebuilds = 0;  ///< grid builds of the Verlet list
+  std::uint64_t cell_updates = 0;     ///< of which the Verlet list served
+  std::uint64_t verlet_rebuilds = 0;  ///< rebuilds of the Verlet list
 };
 
 /// Owner server of pair number `k` = (i,j) under the given strategy.
@@ -116,7 +116,6 @@ class ServerDomain {
   /// domain (guaranteed by the disjoint distribution).
   void adopt(std::span<const PairIdx> extra) {
     domain_.insert(domain_.end(), extra.begin(), extra.end());
-    membership_ready_ = false;
     verlet_ready_ = false;
   }
 
@@ -128,17 +127,17 @@ class ServerDomain {
   std::size_t list_bytes() const noexcept {
     return active_size() * sizeof(PairIdx);
   }
-  /// True when the last update() went through the cell-list path (bench
-  /// and test introspection).
+  /// True when the last update() was served by the Verlet list (bench and
+  /// test introspection).
   bool last_update_used_cells() const noexcept { return used_cells_; }
   /// Cumulative host-path counters since construction/restore.
   const PairUpdateStats& stats() const noexcept { return stats_; }
 
   // -- checkpoint/restart (src/ckpt) ---------------------------------------
   // Only the result state is serialized: static domain, materialized active
-  // list, materialization flag.  The membership/cell/Verlet structures are
-  // lazy caches rebuilt on demand, and both host paths produce the identical
-  // active list — so a resumed server replays the golden run's lists exactly.
+  // list, materialization flag.  The grid and Verlet list are lazy caches
+  // rebuilt on demand, and both host paths produce the identical active
+  // list — so a resumed server replays the golden run's lists exactly.
 
   const std::vector<PairIdx>& domain() const noexcept { return domain_; }
   const std::vector<PairIdx>& active_list() const noexcept { return active_; }
@@ -152,26 +151,24 @@ class ServerDomain {
     materialized_ = materialized;
     used_cells_ = false;
     stats_ = {};
-    membership_ready_ = false;
     verlet_ready_ = false;
   }
 
  private:
-  /// How candidate pairs map back to positions in domain_.
-  enum class Membership : unsigned char {
-    LexComplete,   ///< full triangle in lex order: position == pair rank
-    SortedDomain,  ///< domain_ lex-sorted: binary search on it directly
-    Permuted,      ///< post-adopt: binary search the rank-sorted perm_
-  };
-
   void update_brute(const MolecularComplex& mc, double c2);
   bool update_cells(const MolecularComplex& mc, double c2, double cutoff);
-  /// Crossover model for the Auto path: does the cell list pay off here?
+  /// Crossover model for the Auto path: does the Verlet list pay off here?
   bool cells_profitable(const MolecularComplex& mc, double cutoff) const;
-  void ensure_membership(std::uint32_t n);
-  /// Position of (i,j) in domain_, or npos when not assigned here.
-  std::size_t find_position(std::uint32_t i, std::uint32_t j,
-                            std::uint32_t n) const noexcept;
+  /// Does the Verlet list built for `cutoff` still cover every pair within
+  /// it?  True while no center of the current positions sx_/sy_/sz_ has
+  /// moved more than skin/2 from its reference position.
+  bool verlet_fresh(double cutoff, double skin) const noexcept;
+  /// Rebuilds the full-triangle rows through a grid with edge `padded`;
+  /// false (list untouched) when the grid degenerates.
+  bool rebuild_triangle(double padded);
+  /// Rebuilds the domain-subset list by one sweep of domain_, emitting the
+  /// active list for the current positions on the way.
+  void rebuild_subset(double padded2, double c2);
 
   std::vector<PairIdx> domain_;
   std::vector<PairIdx> active_;
@@ -179,27 +176,28 @@ class ServerDomain {
   bool used_cells_ = false;
   PairUpdateStats stats_;
 
-  // Membership index over the static domain (built lazily, invalidated by
-  // adopt()).
-  bool membership_ready_ = false;
-  Membership membership_ = Membership::SortedDomain;
-  std::uint32_t membership_n_ = 0;
-  std::vector<std::uint32_t> perm_;
-
   // Per-update scratch, reused across calls.
   CellGrid grid_;
   std::vector<double> sx_, sy_, sz_;
   std::vector<std::uint64_t> marks_;
 
-  // Verlet (skin-padded) neighbor list for the serial full-triangle domain:
-  // CSR rows of candidate j's per i within cutoff + skin of the reference
-  // positions rx_/ry_/rz_.  Valid while no center has moved more than
-  // skin/2 from its reference — then exact distance-filtering the list
-  // reproduces the brute-force active list bit for bit.  See DESIGN.md,
-  // "Host execution engine".
+  // Verlet (skin-padded) list: every pair that lay within cutoff + skin at
+  // the reference positions rx_/ry_/rz_.  Valid while no center has moved
+  // more than skin/2 from its reference — then exact distance-filtering
+  // the list reproduces the brute-force active list bit for bit.  Two
+  // shapes (DESIGN.md, "Host execution engine"):
+  //  - full triangle in lex order (the serial engine's domain): CSR rows,
+  //    vitems_[vstart_[i]..vstart_[i+1]) are the j's of row i, built
+  //    through the cell grid;
+  //  - any other domain (p > 1 servers, post-failover domains): vmask_ is
+  //    a bitmask over domain_ positions, built by one brute sweep.  One
+  //    bit per assigned pair, where PairIdx copies would cost 64 per
+  //    listed pair (DESIGN.md, "Memory rule").
   bool verlet_ready_ = false;
+  bool verlet_triangle_ = false;
   double verlet_cutoff_ = -1.0;
   std::vector<std::uint32_t> vstart_, vitems_;
+  std::vector<std::uint64_t> vmask_;
   std::vector<double> rx_, ry_, rz_;
 };
 

@@ -245,11 +245,13 @@ ParallelRunResult ParallelOpal::run() {
 
   const auto n = static_cast<std::uint32_t>(mc_.n());
   auto domains = build_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
-  // Client-side copy of the pair assignment, kept only in fault-tolerant
+  // Client-side copy of the pair assignment, used only in fault-tolerant
   // mode: the failover source of truth for redistributing a dead server's
-  // work among the survivors.
+  // work among the survivors.  Until the first failover no server has
+  // adopted anything, so each server's domain still is its initial share:
+  // the copy is taken from the servers on the first heal (or restored from
+  // a checkpoint), and a failover-free run never holds it.
   std::vector<std::vector<PairIdx>> assignment;
-  if (middleware_.retry.enabled) assignment = domains;
   std::vector<ServerState> servers;
   servers.reserve(num_servers_);
   for (int s = 0; s < num_servers_; ++s) {
@@ -377,9 +379,12 @@ ParallelRunResult ParallelOpal::run() {
     s.physics = result.physics;
     s.metrics = metrics;
     s.failover_epoch = failover_epoch;
-    s.assignment.reserve(assignment.size());
-    for (const std::vector<PairIdx>& a : assignment) {
-      s.assignment.push_back(flatten_pairs(a));
+    if (middleware_.retry.enabled) {
+      s.assignment.reserve(servers.size());
+      for (std::size_t sv = 0; sv < servers.size(); ++sv) {
+        s.assignment.push_back(flatten_pairs(
+            assignment.empty() ? servers[sv].domain.domain() : assignment[sv]));
+      }
     }
     for (const ServerState& st : servers) {
       ckpt::ServerSnap ss;
@@ -467,6 +472,12 @@ ParallelRunResult ParallelOpal::run() {
     // during the handoff itself, in which case its (already enlarged) share
     // is what the next pass redistributes.
     auto heal = [&](pvm::PvmTask& cl) -> sim::Task<void> {
+      if (assignment.empty()) {
+        assignment.reserve(servers.size());
+        for (const ServerState& st : servers) {
+          assignment.push_back(st.domain.domain());
+        }
+      }
       for (;;) {
         std::vector<int> dead, survivors;
         for (int s = 0; s < num_servers_; ++s) {

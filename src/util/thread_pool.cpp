@@ -168,8 +168,10 @@ DispatchStats ThreadPool::dispatch_stats() const noexcept {
 bool ThreadPool::in_dispatch() noexcept { return t_in_dispatch; }
 
 unsigned ThreadPool::default_threads() {
-  const long v = env_long("OPALSIM_THREADS", 0);
-  if (v > 0) return static_cast<unsigned>(v);
+  if (env_string("OPALSIM_THREADS")) {
+    const long v = env_long("OPALSIM_THREADS", 1);
+    return v > 0 ? static_cast<unsigned>(v) : 1u;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

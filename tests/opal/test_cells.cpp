@@ -1,20 +1,28 @@
-// Cell-list update path: the linked-cell grid and the equivalence guarantee
-// that ServerDomain::update produces the *identical* active list (same
-// pairs, same order) on both host paths, across distribution strategies,
-// server counts, post-failover domains and degenerate geometries.
+// Verlet-list update path: the linked-cell grid and the equivalence
+// guarantee that ServerDomain::update produces the *identical* active list
+// (same pairs, same order) on both host paths, across distribution
+// strategies, server counts, post-failover domains, moving positions and
+// degenerate geometries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "mach/platforms_db.hpp"
 #include "opal/cells.hpp"
 #include "opal/complex.hpp"
 #include "opal/forcefield.hpp"
 #include "opal/pairs.hpp"
+#include "opal/parallel.hpp"
 #include "opal/serial.hpp"
 #include "util/rng.hpp"
 
@@ -35,19 +43,36 @@ std::vector<opal::PairIdx> snapshot(const opal::ServerDomain& dom) {
   return {dom.active().begin(), dom.active().end()};
 }
 
+struct Coords {
+  std::vector<double> x, y, z;
+};
+
+Coords coords(const opal::MolecularComplex& mc) {
+  Coords c;
+  for (const auto& m : mc.centers) {
+    c.x.push_back(m.position.x);
+    c.y.push_back(m.position.y);
+    c.z.push_back(m.position.z);
+  }
+  return c;
+}
+
 /// A cutoff guaranteed to give the grid >= 4 cells per axis for these
 /// positions (the synthetic boxes of small test complexes are only ~20 A
 /// across, so fixed cutoffs can degenerate the grid).
-double grid_friendly_cutoff(const std::vector<double>& x,
-                            const std::vector<double>& y,
-                            const std::vector<double>& z) {
+double grid_friendly_cutoff(const opal::MolecularComplex& mc) {
+  const Coords c = coords(mc);
   double span = std::numeric_limits<double>::max();
-  for (const auto* c : {&x, &y, &z}) {
-    const auto [lo, hi] = std::minmax_element(c->begin(), c->end());
+  for (const auto* v : {&c.x, &c.y, &c.z}) {
+    const auto [lo, hi] = std::minmax_element(v->begin(), v->end());
     span = std::min(span, *hi - *lo);
   }
   return span / 4.0;
 }
+
+/// Half the Verlet skin for `cutoff`, computed as the list does
+/// (kVerletSkinFactor = 0.3).
+double half_skin(double cutoff) { return 0.5 * (0.3 * cutoff); }
 
 /// Runs both paths on the same domain and requires element-for-element
 /// equality (order included — the FP accumulation order downstream depends
@@ -72,13 +97,8 @@ TEST(CellGrid, RejectsDegenerateGeometry) {
   EXPECT_FALSE(grid.build(one, one, one, 1.0));
   // Cutoff exceeding the bounding box: fewer than 8 cells (no splittable
   // axis), so the grid cannot prune anything.
-  auto mc = test_complex(50, 100, 7);
-  std::vector<double> x, y, z;
-  for (const auto& c : mc.centers) {
-    x.push_back(c.position.x);
-    y.push_back(c.position.y);
-    z.push_back(c.position.z);
-  }
+  const Coords c = coords(test_complex(50, 100, 7));
+  const auto& [x, y, z] = c;
   EXPECT_FALSE(grid.build(x, y, z, 1e6));
   // Non-positive cutoff.
   EXPECT_FALSE(grid.build(x, y, z, 0.0));
@@ -88,63 +108,32 @@ TEST(CellGrid, RejectsDegenerateGeometry) {
   EXPECT_FALSE(grid.build(bad, y, z, 3.0));
 }
 
-TEST(CellGrid, CandidatesCoverAllPairsWithinCutoff) {
-  const auto mc = test_complex(120, 240, 11);
-  std::vector<double> x, y, z;
-  for (const auto& c : mc.centers) {
-    x.push_back(c.position.x);
-    y.push_back(c.position.y);
-    z.push_back(c.position.z);
-  }
-  const double cutoff = grid_friendly_cutoff(x, y, z);
+TEST(CellGrid, NearAboveMatchesCandidatesWithinCutoff) {
+  // Against the O(n^2) reference: every pair (i, j > i) within the cut-off,
+  // each exactly once, and nothing else.
+  const auto mc = test_complex(100, 200, 3);
+  const Coords c = coords(mc);
+  const auto& [x, y, z] = c;
+  const double cutoff = grid_friendly_cutoff(mc);
+  const double c2 = cutoff * cutoff;
   opal::CellGrid grid;
   ASSERT_TRUE(grid.build(x, y, z, cutoff));
 
-  std::set<std::pair<std::uint32_t, std::uint32_t>> candidates;
-  grid.for_each_candidate([&](std::uint32_t a, std::uint32_t b) {
-    ASSERT_LT(a, b);
-    const bool inserted = candidates.insert({a, b}).second;
-    ASSERT_TRUE(inserted) << "pair (" << a << "," << b << ") emitted twice";
-  });
-
-  const double c2 = cutoff * cutoff;
   const auto n = static_cast<std::uint32_t>(mc.n());
+  std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
   for (std::uint32_t i = 0; i + 1 < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j) {
-      if (opal::within_cutoff(mc, i, j, c2)) {
-        EXPECT_TRUE(candidates.count({i, j}))
-            << "in-cutoff pair (" << i << "," << j << ") not enumerated";
-      }
+      if (opal::within_cutoff(mc, i, j, c2)) expected.insert({i, j});
     }
   }
-}
-
-TEST(CellGrid, NearAboveMatchesCandidatesWithinCutoff) {
-  const auto mc = test_complex(100, 200, 3);
-  std::vector<double> x, y, z;
-  for (const auto& c : mc.centers) {
-    x.push_back(c.position.x);
-    y.push_back(c.position.y);
-    z.push_back(c.position.z);
-  }
-  const double cutoff = grid_friendly_cutoff(x, y, z);
-  const double c2 = cutoff * cutoff;
-  opal::CellGrid grid;
-  ASSERT_TRUE(grid.build(x, y, z, cutoff));
-
-  std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
-  grid.for_each_candidate([&](std::uint32_t a, std::uint32_t b) {
-    const double dx = x[a] - x[b], dy = y[a] - y[b], dz = z[a] - z[b];
-    if (dx * dx + dy * dy + dz * dz <= c2) expected.insert({a, b});
-  });
+  ASSERT_FALSE(expected.empty());
 
   std::set<std::pair<std::uint32_t, std::uint32_t>> got;
-  const auto n = static_cast<std::uint32_t>(mc.n());
   for (std::uint32_t i = 0; i < n; ++i) {
     grid.for_each_near_above(i, x[i], y[i], z[i], c2, [&](std::uint32_t j) {
       ASSERT_GT(j, i);
       const bool inserted = got.insert({i, j}).second;
-      ASSERT_TRUE(inserted);
+      ASSERT_TRUE(inserted) << "pair (" << i << "," << j << ") emitted twice";
     });
   }
   EXPECT_EQ(expected, got);
@@ -161,7 +150,7 @@ TEST(CellListEquivalence, AllStrategiesAllServerCounts) {
       opal::DistributionStrategy::EvenMultiplierBug,
   };
   for (const auto strategy : strategies) {
-    for (int p : {1, 2, 5}) {
+    for (int p : {1, 2, 5, 7}) {
       auto domains = opal::build_domains(n, p, strategy, 1);
       for (int s = 0; s < p; ++s) {
         if (domains[s].empty()) continue;
@@ -169,6 +158,12 @@ TEST(CellListEquivalence, AllStrategiesAllServerCounts) {
         SCOPED_TRACE(opal::to_string(strategy) + ", p=" + std::to_string(p) +
                      ", server " + std::to_string(s));
         expect_paths_identical(dom, mc, 8.0);
+        // Subset domains need no grid: the list always serves them.  (The
+        // even-multiplier bug hands one server the whole triangle, which
+        // takes the grid path and degenerates at this cut-off.)
+        if (dom.domain_size() < std::uint64_t{n} * (n - 1) / 2) {
+          EXPECT_TRUE(dom.last_update_used_cells());
+        }
       }
     }
   }
@@ -195,38 +190,56 @@ TEST(CellListEquivalence, PostAdoptFailoverDomain) {
   auto domains = opal::build_domains(
       n, 3, opal::DistributionStrategy::PseudoRandomUniform, 2);
   // Server 0 adopts server 2's share (the failover path): its domain is now
-  // two concatenated sorted runs, exercising the Permuted membership index.
+  // two concatenated sorted runs, and the list must follow that order.
   opal::ServerDomain dom(std::move(domains[0]));
-  dom.update(mc, 8.0);
+  dom.update(mc, 8.0, opal::PairUpdatePath::CellList);
+  dom.update(mc, 8.0, opal::PairUpdatePath::CellList);
+  EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);  // nothing moved
   dom.adopt(domains[2]);
   expect_paths_identical(dom, mc, 8.0);
+  EXPECT_EQ(dom.stats().verlet_rebuilds, 2u);  // adopt() invalidates
   // A second adoption on top (two failovers).
   dom.adopt(domains[1]);
   expect_paths_identical(dom, mc, 8.0);
+  EXPECT_EQ(dom.stats().verlet_rebuilds, 3u);
+  EXPECT_TRUE(dom.last_update_used_cells());
 }
 
 TEST(CellListEquivalence, MovingPositionsRevalidateVerletList) {
-  // Exercise the Verlet displacement logic of the serial (LexComplete)
-  // path: move centers between updates, both within and beyond skin/2, and
-  // require exact equality with brute force after every move.
-  auto mc = test_complex(120, 240, 8);
-  const auto n = static_cast<std::uint32_t>(mc.n());
-  auto domains = opal::build_domains(n, 1,
-                                     opal::DistributionStrategy::RowCyclic, 1);
-  opal::ServerDomain dom(std::move(domains[0]));
-  util::Xoshiro256 rng(123);
-  expect_paths_identical(dom, mc, 8.0);
-  for (int round = 0; round < 6; ++round) {
-    // Rounds alternate small jitter (list stays valid) and a large kick
-    // (forces a rebuild).
-    const double amp = round % 2 == 0 ? 0.05 : 3.0;
-    for (auto& c : mc.centers) {
-      c.position.x += rng.uniform(-amp, amp);
-      c.position.y += rng.uniform(-amp, amp);
-      c.position.z += rng.uniform(-amp, amp);
+  // Exercise the Verlet displacement logic of both list shapes — the
+  // serial full triangle (p = 1) and a domain subset (p = 3): move centers
+  // between updates, both within and beyond skin/2, and require exact
+  // equality with brute force after every move.
+  for (int p : {1, 3}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    auto mc = test_complex(120, 240, 8);
+    const auto n = static_cast<std::uint32_t>(mc.n());
+    // Small enough that the padded full-triangle grid does not degenerate.
+    const double cutoff = grid_friendly_cutoff(mc) / 1.3;
+    const double h = half_skin(cutoff);
+    auto domains =
+        opal::build_domains(n, p, opal::DistributionStrategy::RowCyclic, 1);
+    opal::ServerDomain dom(std::move(domains[0]));
+    util::Xoshiro256 rng(123);
+    expect_paths_identical(dom, mc, cutoff);
+    ASSERT_TRUE(dom.last_update_used_cells());
+    ASSERT_EQ(dom.stats().verlet_rebuilds, 1u);
+    for (int round = 0; round < 6; ++round) {
+      // Rounds alternate small jitter (|move| <= sqrt(3)/4 * skin/2, the
+      // list stays valid) and a large kick (forces a rebuild).
+      const bool kick = round % 2 == 1;
+      const double amp = kick ? 4.0 * h : 0.25 * h;
+      for (auto& c : mc.centers) {
+        c.position.x += rng.uniform(-amp, amp);
+        c.position.y += rng.uniform(-amp, amp);
+        c.position.z += rng.uniform(-amp, amp);
+      }
+      SCOPED_TRACE("round " + std::to_string(round));
+      const std::uint64_t before = dom.stats().verlet_rebuilds;
+      expect_paths_identical(dom, mc, cutoff);
+      EXPECT_TRUE(dom.last_update_used_cells());
+      EXPECT_EQ(dom.stats().verlet_rebuilds, before + (kick ? 1u : 0u));
     }
-    SCOPED_TRACE("round " + std::to_string(round));
-    expect_paths_identical(dom, mc, 8.0);
   }
 }
 
@@ -314,43 +327,48 @@ TEST(CellListEquivalence, ExactSkinBoundaryDisplacement) {
   // The Verlet list stays valid while every center is within skin/2 of its
   // reference; the rebuild trigger is strictly "moved MORE than skin/2".
   // Park one center exactly at the boundary, then a hair past it — the
-  // active list must equal brute force on both sides of the trigger.
-  auto mc = test_complex(110, 220, 23);
-  const double cutoff = 8.0;
-  const double half_skin = 0.5 * 0.3 * cutoff;  // kVerletSkinFactor = 0.3
-  auto domains = opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
-                                     opal::DistributionStrategy::RowCyclic, 1);
-  opal::ServerDomain dom(std::move(domains[0]));
-  expect_paths_identical(dom, mc, cutoff);  // builds the reference list
+  // active list must equal brute force on both sides of the trigger, and
+  // only the second move may rebuild.  Both list shapes.
+  for (int p : {1, 3}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    auto mc = test_complex(110, 220, 23);
+    const double cutoff = grid_friendly_cutoff(mc) / 1.3;
+    const double h = half_skin(cutoff);
+    auto domains =
+        opal::build_domains(static_cast<std::uint32_t>(mc.n()), p,
+                            opal::DistributionStrategy::RowCyclic, 1);
+    opal::ServerDomain dom(std::move(domains[0]));
+    // Reference x = 0 makes the boundary displacement exactly h.
+    mc.centers[5].position.x = 0.0;
+    expect_paths_identical(dom, mc, cutoff);  // builds the reference list
+    ASSERT_TRUE(dom.last_update_used_cells());
+    ASSERT_EQ(dom.stats().verlet_rebuilds, 1u);
 
-  mc.centers[5].position.x += half_skin;  // exactly at the boundary
-  expect_paths_identical(dom, mc, cutoff);
+    mc.centers[5].position.x = h;  // exactly at the boundary
+    expect_paths_identical(dom, mc, cutoff);
+    EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
 
-  mc.centers[5].position.x += 1e-9;  // past it: rebuild must fire
-  expect_paths_identical(dom, mc, cutoff);
+    mc.centers[5].position.x += 1e-9;  // past it: rebuild must fire
+    expect_paths_identical(dom, mc, cutoff);
+    EXPECT_EQ(dom.stats().verlet_rebuilds, 2u);
 
-  // A displacement spanning several skins (a center leaves its old cell
-  // neighborhood entirely).
-  mc.centers[7].position.y += 4.0 * half_skin;
-  expect_paths_identical(dom, mc, cutoff);
+    // A displacement spanning several skins (a center leaves its old cell
+    // neighborhood entirely).
+    mc.centers[7].position.y += 4.0 * h;
+    expect_paths_identical(dom, mc, cutoff);
+    EXPECT_EQ(dom.stats().verlet_rebuilds, 3u);
+  }
 }
 
 TEST(CellListEquivalence, CrossoverOverrideKnobSteersAutoPath) {
-  // OPALSIM_CELL_CROSSOVER's in-process mirror: a huge crossover forces
-  // Auto to brute force; a tiny one re-enables the cell list where the
-  // grid fits.  Results are identical either way — the knob trades host
-  // time only.
+  // A huge crossover forces Auto to brute force; a tiny one re-enables the
+  // Verlet list where the padded grid fits.  Results are identical either
+  // way — the crossover trades host time only.
   const auto mc = test_complex(400, 800, 31);
   const auto n = static_cast<std::uint32_t>(mc.n());
   // A cut-off small enough that even the skin-padded grid has >= 2 cells
   // per axis on the synthetic box.
-  std::vector<double> x, y, z;
-  for (const auto& c : mc.centers) {
-    x.push_back(c.position.x);
-    y.push_back(c.position.y);
-    z.push_back(c.position.z);
-  }
-  const double cutoff = grid_friendly_cutoff(x, y, z) / 1.3;
+  const double cutoff = grid_friendly_cutoff(mc) / 1.3;
 
   auto domains = opal::build_domains(n, 1,
                                      opal::DistributionStrategy::RowCyclic, 1);
@@ -368,7 +386,7 @@ TEST(CellListEquivalence, CrossoverOverrideKnobSteersAutoPath) {
   ASSERT_EQ(brute.size(), cells.size());
   EXPECT_TRUE(std::equal(brute.begin(), brute.end(), cells.begin()));
 
-  opal::set_cell_crossover_centers(0);  // restore env/default resolution
+  opal::set_cell_crossover_centers(0);  // restore the default
   EXPECT_GT(opal::cell_crossover_centers(), 0u);
 }
 
@@ -395,11 +413,15 @@ TEST(CellListEquivalence, UpdateStatsCountPathsTaken) {
   dom.update(mc, -1.0, opal::PairUpdatePath::Brute);
   EXPECT_EQ(dom.stats().updates, 2u);
 
-  // restore() resets the counters (resumed runs cannot reproduce them).
-  dom.restore({}, {}, false);
+  // restore() resets the counters (resumed runs cannot reproduce them)
+  // and invalidates the list: the next update rebuilds it.
+  dom.restore(dom.domain(), {}, false);
   EXPECT_EQ(dom.stats().updates, 0u);
   EXPECT_EQ(dom.stats().cell_updates, 0u);
   EXPECT_EQ(dom.stats().verlet_rebuilds, 0u);
+  dom.update(mc, cutoff, opal::PairUpdatePath::CellList);
+  EXPECT_EQ(dom.stats().cell_updates, 1u);
+  EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
 }
 
 TEST(CellListEquivalence, VirtualTimeAccountingUnchanged) {
@@ -436,6 +458,55 @@ TEST(CellListEquivalence, SerialEngineBitIdenticalAcrossPaths) {
   EXPECT_EQ(results[0].ecoul, results[1].ecoul);
   EXPECT_EQ(results[0].kinetic, results[1].kinetic);
   EXPECT_EQ(results[0].total_energy(), results[1].total_energy());
+}
+
+/// Reads counter `key` from a MetricsRegistry JSON snapshot.
+std::uint64_t json_counter(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = json.find(needle);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no counter " << key;
+    return 0;
+  }
+  return std::stoull(json.substr(at + needle.size()));
+}
+
+TEST(CellListEquivalence, DistributedRunBitIdenticalAcrossPaths) {
+  // A p = 7 cut-off run: every server's list update goes through its
+  // domain-subset Verlet list under Auto, and the run's physics and
+  // virtual-time metrics are bit-identical to the brute-force oracle's.
+  const auto mc = test_complex(150, 300, 61);
+  const double cutoff = grid_friendly_cutoff(mc) / 1.3;
+  const auto dir = std::filesystem::temp_directory_path();
+  opal::ParallelRunResult results[2];
+  std::string metrics[2];
+  int idx = 0;
+  for (auto path : {opal::PairUpdatePath::Brute, opal::PairUpdatePath::Auto}) {
+    opal::SimulationConfig cfg;
+    cfg.steps = 5;
+    cfg.cutoff = cutoff;
+    cfg.pair_path = path;
+    cfg.metrics_out =
+        (dir / ("opalsim_cells_p7_" + std::to_string(idx) + ".json")).string();
+    std::filesystem::remove(cfg.metrics_out);
+    opal::ParallelOpal par(mach::fast_cops(), mc, 7, cfg);
+    results[idx] = par.run();
+    std::ifstream in(cfg.metrics_out);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    metrics[idx] = ss.str();
+    std::filesystem::remove(cfg.metrics_out);
+    ++idx;
+  }
+  EXPECT_EQ(0, std::memcmp(&results[0].physics, &results[1].physics,
+                           sizeof(opal::SimResult)));
+  EXPECT_EQ(0, std::memcmp(&results[0].metrics, &results[1].metrics,
+                           sizeof(opal::RunMetrics)));
+  EXPECT_EQ(json_counter(metrics[0], "cells.updates"), 35u);  // 7 x 5 steps
+  EXPECT_EQ(json_counter(metrics[0], "cells.path_taken"), 0u);
+  EXPECT_EQ(json_counter(metrics[1], "cells.path_taken"),
+            json_counter(metrics[1], "cells.updates"));
+  EXPECT_EQ(json_counter(metrics[1], "cells.updates"), 35u);
 }
 
 }  // namespace
