@@ -1,12 +1,8 @@
 #include "opal/soa.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cctype>
 #include <cmath>
-
-#include "util/env.hpp"
 
 namespace opalsim::opal {
 
@@ -102,50 +98,10 @@ void nonbonded_math_block(PairBlock& b, std::size_t m, const double* x,
   }
 }
 
-/// Reference batch loop (the pre-blocking implementation), kept as the
-/// in-process bit-identity oracle and the OPALSIM_NB_KERNEL=scalar path.
-void nonbonded_batch_scalar(const CentersSoA& soa,
-                            std::span<const PairIdx> pairs, double& evdw,
-                            double& ecoul, std::span<Vec3> grad) {
-  double vdw = evdw, coul = ecoul;
-  Vec3* g = grad.data();
-  for (const PairIdx& pr : pairs) {
-    nonbonded_soa_pair(soa, pr.i, pr.j, vdw, coul, g);
-  }
-  evdw = vdw;
-  ecoul = coul;
-}
-
-std::atomic<int> g_nb_mode{-1};  // -1 = not yet read from the environment
-
 }  // namespace
-
-NbKernelMode nb_kernel_mode() {
-  int m = g_nb_mode.load(std::memory_order_relaxed);
-  if (m < 0) {
-    m = static_cast<int>(NbKernelMode::Blocked);
-    if (const auto s = util::env_string("OPALSIM_NB_KERNEL")) {
-      std::string v = *s;
-      std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-        return static_cast<char>(std::tolower(c));
-      });
-      if (v == "scalar") m = static_cast<int>(NbKernelMode::Scalar);
-    }
-    g_nb_mode.store(m, std::memory_order_relaxed);
-  }
-  return static_cast<NbKernelMode>(m);
-}
-
-void set_nb_kernel_mode(NbKernelMode mode) {
-  g_nb_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
                      double& evdw, double& ecoul, std::span<Vec3> grad) {
-  if (nb_kernel_mode() == NbKernelMode::Scalar) {
-    nonbonded_batch_scalar(soa, pairs, evdw, ecoul, grad);
-    return;
-  }
   // Lane-blocked evaluation in three passes per block:
   //   index   — copy the block's pair indices into lane arrays;
   //   math    — the SIMD loop above, lanes fully independent, operands

@@ -46,17 +46,6 @@ struct CentersSoA {
   }
 };
 
-/// Batch-kernel implementation selector: Blocked is the lane-blocked
-/// vectorized form (the default), Scalar the plain per-pair reference loop.
-/// Both produce bit-identical output — the scalar path exists as the
-/// equivalence oracle and as an escape hatch (OPALSIM_NB_KERNEL=scalar).
-enum class NbKernelMode { Blocked, Scalar };
-
-/// Active mode: OPALSIM_NB_KERNEL (blocked|scalar), read once.
-NbKernelMode nb_kernel_mode();
-/// Overrides the cached mode (tests compare the two paths in-process).
-void set_nb_kernel_mode(NbKernelMode mode);
-
 /// SoA twin of nonbonded_pair: same operations in the same order on the
 /// same values, loading from the mirrored arrays.
 inline void nonbonded_soa_pair(const CentersSoA& s, std::uint32_t i,

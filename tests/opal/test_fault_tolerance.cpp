@@ -94,6 +94,9 @@ TEST(OpalFaultTolerance, PureLossPreservesPhysics) {
   const ParallelRunResult got = par.run();
 
   expect_physics_match(got.physics, want);
+  // Corruptions did happen (4 with this seed), so the physics match above
+  // also proves the delivery checksum caught every corrupted body.
+  EXPECT_GT(got.metrics.msgs_corrupted, 0u);
   EXPECT_EQ(got.metrics.servers_failed, 0u);
   EXPECT_EQ(got.metrics.failovers, 0u);
 }

@@ -1,9 +1,9 @@
 // SoA nonbonded kernel: the lane-blocked batch must be bit-identical to
 // the AoS per-pair loop — same energies, same gradients, to the last ulp —
 // for every pair-count shape (empty, single, partial tail blocks, exact
-// multiples of the lane block) and in both kernel modes.  The batch feeds
-// positions, which feed pair lists, which feed virtual time: one flipped
-// bit here would fan out into every golden oracle.
+// multiples of the lane block).  The batch feeds positions, which feed
+// pair lists, which feed virtual time: one flipped bit here would fan out
+// into every golden oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,24 +48,20 @@ void reference(const opal::MolecularComplex& mc,
   }
 }
 
-/// Runs the batch in the given mode and requires exact equality with the
-/// AoS loop — EXPECT_EQ on doubles deliberately: bit identity is the
-/// contract, not closeness.
+/// Runs the batch and requires exact equality with the AoS loop —
+/// EXPECT_EQ on doubles deliberately: bit identity is the contract, not
+/// closeness.
 void expect_batch_identical(const opal::MolecularComplex& mc,
-                            const std::vector<opal::PairIdx>& pairs,
-                            opal::NbKernelMode mode) {
+                            const std::vector<opal::PairIdx>& pairs) {
   double evdw_ref = 0.0, ecoul_ref = 0.0;
   std::vector<opal::Vec3> grad_ref(mc.n());
   reference(mc, pairs, evdw_ref, ecoul_ref, grad_ref);
 
   opal::CentersSoA soa;
   soa.refresh(mc);
-  const opal::NbKernelMode before = opal::nb_kernel_mode();
-  opal::set_nb_kernel_mode(mode);
   double evdw = 0.0, ecoul = 0.0;
   std::vector<opal::Vec3> grad(mc.n());
   opal::nonbonded_batch(soa, pairs, evdw, ecoul, grad);
-  opal::set_nb_kernel_mode(before);
 
   EXPECT_EQ(evdw, evdw_ref);
   EXPECT_EQ(ecoul, ecoul_ref);
@@ -79,8 +75,7 @@ void expect_batch_identical(const opal::MolecularComplex& mc,
 TEST(SoABatch, BitIdenticalOnFullPairList) {
   const auto mc = test_complex(60, 120, 7);
   const auto pairs = all_pairs(static_cast<std::uint32_t>(mc.n()));
-  expect_batch_identical(mc, pairs, opal::NbKernelMode::Blocked);
-  expect_batch_identical(mc, pairs, opal::NbKernelMode::Scalar);
+  expect_batch_identical(mc, pairs);
 }
 
 TEST(SoABatch, BitIdenticalAtEveryTailShape) {
@@ -99,7 +94,7 @@ TEST(SoABatch, BitIdenticalAtEveryTailShape) {
     const std::vector<opal::PairIdx> pairs(full.begin(),
                                            full.begin() + count);
     SCOPED_TRACE("pairs = " + std::to_string(count));
-    expect_batch_identical(mc, pairs, opal::NbKernelMode::Blocked);
+    expect_batch_identical(mc, pairs);
   }
 }
 
@@ -124,8 +119,7 @@ TEST(SoABatch, TinyComplexes) {
     }
     SCOPED_TRACE("n = " + std::to_string(n));
     const auto pairs = all_pairs(static_cast<std::uint32_t>(n));
-    expect_batch_identical(mc, pairs, opal::NbKernelMode::Blocked);
-    expect_batch_identical(mc, pairs, opal::NbKernelMode::Scalar);
+    expect_batch_identical(mc, pairs);
   }
 }
 
@@ -138,7 +132,7 @@ TEST(SoABatch, GradientsAccumulateAcrossSharedCenters) {
   std::vector<opal::PairIdx> pairs;
   for (std::uint32_t j = 1; j < n; ++j) pairs.push_back({0, j});  // star
   for (std::uint32_t j = 2; j < n; ++j) pairs.push_back({1, j});
-  expect_batch_identical(mc, pairs, opal::NbKernelMode::Blocked);
+  expect_batch_identical(mc, pairs);
 }
 
 TEST(SoABatch, RefreshSplitMatchesCombinedRefresh) {
@@ -185,17 +179,6 @@ TEST(SoABatch, PositionsRefreshAloneTracksMovement) {
     EXPECT_EQ(ecoul, ecoul_ref);
     EXPECT_TRUE(std::equal(grad.begin(), grad.end(), grad_ref.begin()));
   }
-}
-
-TEST(SoABatch, KernelModeDefaultsToBlocked) {
-  // Without OPALSIM_NB_KERNEL the blocked kernel is the production path;
-  // the setter steers it for tests and restores cleanly.
-  const opal::NbKernelMode before = opal::nb_kernel_mode();
-  opal::set_nb_kernel_mode(opal::NbKernelMode::Scalar);
-  EXPECT_EQ(opal::nb_kernel_mode(), opal::NbKernelMode::Scalar);
-  opal::set_nb_kernel_mode(opal::NbKernelMode::Blocked);
-  EXPECT_EQ(opal::nb_kernel_mode(), opal::NbKernelMode::Blocked);
-  opal::set_nb_kernel_mode(before);
 }
 
 }  // namespace

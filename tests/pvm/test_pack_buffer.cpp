@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 namespace {
@@ -153,13 +155,38 @@ TEST(PackBuffer, CorruptedStringLengthThrows) {
 }
 
 TEST(PackBuffer, ChecksumDetectsSingleByteCorruption) {
-  opalsim::pvm::PackBuffer b;
-  b.pack_f64_array(std::vector<double>{1.0, -2.5, 4.0});
-  const std::uint64_t clean = b.checksum();
-  for (std::size_t pos = 0; pos < b.raw_size(); ++pos) {
-    opalsim::pvm::PackBuffer c = b;
-    c.corrupt_byte(pos);
-    EXPECT_NE(c.checksum(), clean) << "missed corruption at byte " << pos;
+  // The checksum hashes 8-byte words in four 32-byte-stride lanes, then up
+  // to three leftover words, then up to seven tail bytes.  String bodies of
+  // 0..120 chars give raw sizes 10..130: inline (<= 64 B) and heap bodies,
+  // 0-4 full lane strides, every leftover word count and every tail length.
+  // Inverting any one byte must change the checksum, and rebuilding the
+  // same bytes with from_raw must not (only the bytes matter).
+  std::vector<PackBuffer> bodies;
+  {
+    PackBuffer b;
+    b.pack_f64_array(std::vector<double>{1.0, -2.5, 4.0});
+    bodies.push_back(b);
+  }
+  for (std::size_t len = 0; len <= 120; ++len) {
+    std::string text(len, '\0');
+    for (std::size_t k = 0; k < len; ++k)
+      text[k] = static_cast<char>(k * 37 + len);
+    PackBuffer b;
+    b.pack_string(text);
+    bodies.push_back(b);
+  }
+  ASSERT_TRUE(bodies[1].is_inline());
+  ASSERT_FALSE(bodies.back().is_inline());
+  for (const PackBuffer& b : bodies) {
+    SCOPED_TRACE("raw size " + std::to_string(b.raw_size()));
+    const std::uint64_t clean = b.checksum();
+    EXPECT_EQ(PackBuffer::from_raw(b.raw_bytes(), b.byte_size()).checksum(),
+              clean);
+    for (std::size_t pos = 0; pos < b.raw_size(); ++pos) {
+      PackBuffer c = b;
+      c.corrupt_byte(pos);
+      EXPECT_NE(c.checksum(), clean) << "missed corruption at byte " << pos;
+    }
   }
 }
 

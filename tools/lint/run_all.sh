@@ -8,15 +8,13 @@
 #   4. run_clang_tidy.sh      changed-files clang-tidy vs the baseline
 #                             (self-gating: skips when clang-tidy or the
 #                             compile database is absent)
-#   5. ast_rules/*.cql        clang-query double-check, advisory only,
-#                             when clang-query is installed
 #
 # Usage: tools/lint/run_all.sh [build-dir]
 #
 # Every checker prints a  LINT-SUMMARY <name> files=<n> findings=<n>  line;
 # this script tabulates them (and appends the table to the GitHub Actions
 # job summary when $GITHUB_STEP_SUMMARY is set).  Exit: nonzero if any
-# gating check failed; the clang-query pass never gates.
+# gating check failed.
 set -uo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -59,23 +57,6 @@ if [ -f "$BUILD_DIR/compile_commands.json" ]; then
     tools/lint/run_clang_tidy.sh "${LINT_BASE_REF:-origin/main}" "$BUILD_DIR"
 else
   echo "=== clang-tidy: skipped (no $BUILD_DIR/compile_commands.json)"
-fi
-
-# clang-query double-check of the AST rules: advisory.  The Python
-# implementations above are the gate; this pass exists so an environment
-# with real clang tooling cross-checks the textual matchers against the
-# AST, without a clang-query version skew ever failing CI.
-if command -v clang-query >/dev/null 2>&1 && \
-   [ -f "$BUILD_DIR/compile_commands.json" ]; then
-  echo "=== clang-query (advisory)"
-  for cql in tools/lint/ast_rules/*.cql; do
-    echo "--- $(basename "$cql")"
-    # shellcheck disable=SC2046
-    clang-query -f "$cql" -p "$BUILD_DIR" \
-      $(git ls-files 'src/**/*.cpp') 2>&1 | tail -5 || true
-  done
-else
-  echo "=== clang-query: skipped (not installed or no compile database)"
 fi
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,9 @@ DESIGN.md, "Static analysis layer"):
       plain member is a data race waiting for the round protocol to shift
       under it.
 
-Backends: these checks are implemented textually (comment/string-stripped
-scanning with brace tracking) so they run on any Python; each rule also
-ships a clang-query matcher in tools/lint/ast_rules/*.cql that the clang
-CI leg can run for AST-precise, advisory double-checking.
+Backend: these checks are implemented textually (comment/string-stripped
+scanning with brace tracking) so they run on any Python with no clang
+tooling installed.
 
 Suppression: // lint:allow(<rule>): <justification> on the offending line
 or the line above (same syntax as the other lints; the justification is
