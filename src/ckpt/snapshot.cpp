@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "sim/engine.hpp"
 #include "util/binio.hpp"
 #include "util/crc32.hpp"
 #include "util/fatal.hpp"
@@ -133,13 +132,7 @@ std::vector<std::uint8_t> encode(const RunSnapshot& s) {
   w.put_u64(s.q_pops);
   w.put_u64(s.q_cancels);
   w.put_u64(s.q_peak);
-  w.put_u64(s.lp_clocks.size());
-  for (const LpClockSnap& c : s.lp_clocks) {
-    w.put_u32(c.lp);
-    w.put_f64(c.now);
-    w.put_u64(c.next_seq);
-    w.put_u64(c.processed);
-  }
+  w.put_u64(0);  // retired per-LP clock count; see decode()
 
   w.put_i32(s.step);
   w.put_f64(s.t_start);
@@ -279,15 +272,13 @@ RunSnapshot decode(const std::vector<std::uint8_t>& image) {
     s.q_pops = r.get_u64();
     s.q_cancels = r.get_u64();
     s.q_peak = r.get_u64();
+    // Version-2 images carry a per-LP clock count here.  Only the retired
+    // parallel engines ever wrote a non-zero one, and this engine has no
+    // LPs to restore them into.
     const std::uint64_t n_lp_clocks = r.get_u64();
-    s.lp_clocks.reserve(n_lp_clocks);
-    for (std::uint64_t i = 0; i < n_lp_clocks; ++i) {
-      LpClockSnap c;
-      c.lp = r.get_u32();
-      c.now = r.get_f64();
-      c.next_seq = r.get_u64();
-      c.processed = r.get_u64();
-      s.lp_clocks.push_back(c);
+    if (n_lp_clocks != 0) {
+      return bad(std::to_string(n_lp_clocks) +
+                 " per-LP clocks; only single-LP images resume");
     }
 
     s.step = r.get_i32();
@@ -406,14 +397,6 @@ RunSnapshot decode(const std::vector<std::uint8_t>& image) {
   } catch (const util::DecodeError& e) {
     return bad(e.what());
   }
-}
-
-void require_fully_committed(const sim::Engine& engine) {
-  if (engine.fully_committed()) return;
-  util::fatal("ckpt",
-              "snapshot requested across an uncommitted horizon: the engine "
-              "still holds speculative (rollback-eligible) state; snapshot "
-              "boundaries must follow a completed run()/run_until()");
 }
 
 }  // namespace opalsim::ckpt

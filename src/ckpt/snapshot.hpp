@@ -31,10 +31,6 @@
 
 #include "opal/metrics.hpp"
 
-namespace opalsim::sim {
-class Engine;
-}  // namespace opalsim::sim
-
 namespace opalsim::ckpt {
 
 inline constexpr char kMagic[8] = {'O', 'P', 'A', 'L', 'C', 'K', 'P', 'T'};
@@ -79,18 +75,6 @@ struct NodeFaultSnap {
 
 using RngState = std::array<std::uint64_t, 4>;
 
-/// Clock/sequencing state of one extra logical process of the parallel
-/// engine (sim/parallel_engine.hpp).  Activity-gated at capture: an LP that
-/// never ran an event is omitted, so a parallel run of a coroutine-only
-/// program (all work on the base LP) snapshots byte-identically to the
-/// serial engine — the cross-engine resume matrix depends on it.
-struct LpClockSnap {
-  std::uint32_t lp = 0;
-  double now = 0.0;
-  std::uint64_t next_seq = 0;
-  std::uint64_t processed = 0;
-};
-
 struct RunSnapshot {
   /// Identity of the run configuration this image belongs to; resuming
   /// under a different config is refused.
@@ -101,8 +85,8 @@ struct RunSnapshot {
   std::uint64_t next_event_seq = 0;
   std::uint64_t events_processed = 0;
   std::uint64_t q_pushes = 0, q_pops = 0, q_cancels = 0, q_peak = 0;
-  /// Extra-LP clocks (parallel engine; empty for serial or LP-idle runs).
-  std::vector<LpClockSnap> lp_clocks;
+  // (The image follows q_peak with a u64 that is always 0: the per-LP clock
+  // count of the retired parallel engines, kept so the layout is stable.)
 
   // -- client progress ------------------------------------------------------
   std::int32_t step = 0;       ///< next step index to execute
@@ -175,13 +159,5 @@ std::vector<std::uint8_t> encode(const RunSnapshot& s);
 /// Decodes and verifies an image; throws util::FatalError (subsystem
 /// "ckpt") on bad magic, version mismatch, CRC failure, or truncation.
 RunSnapshot decode(const std::vector<std::uint8_t>& image);
-
-/// Commit-horizon gate: refuses (util::FatalError, subsystem "ckpt") to
-/// capture state from an engine that still holds uncommitted speculative
-/// work — a snapshot taken mid-speculation could encode state a later
-/// rollback revokes.  Always passes on the serial and conservative engines
-/// (fully_committed() is constitutively true there); the optimistic engine
-/// is fully committed exactly at run()/run_until() boundaries.
-void require_fully_committed(const sim::Engine& engine);
 
 }  // namespace opalsim::ckpt

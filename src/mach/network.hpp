@@ -44,19 +44,6 @@ struct NetSpec {
   double intra_bytes_per_second() const noexcept {
     return intra_observed_MBps * 1e6;
   }
-
-  /// Minimum latency any message can experience on this interconnect — the
-  /// parallel engine's conservative lookahead (sim/parallel_engine.hpp): no
-  /// cross-node effect can propagate faster than this, so LPs may safely
-  /// advance a full window of it.  For hierarchical topologies the intra-box
-  /// figure bounds from below when boxes exist.
-  double min_latency_s() const noexcept {
-    if (kind == Kind::Hierarchical && box_size > 1 && intra_latency_s > 0.0 &&
-        intra_latency_s < latency_s) {
-      return intra_latency_s;
-    }
-    return latency_s;
-  }
 };
 
 /// Abstract transport bound to an Engine.

@@ -12,10 +12,6 @@ Machine::Machine(sim::Engine& engine, const PlatformSpec& spec, int nodes)
     cpus_.push_back(std::make_unique<Cpu>(engine, spec.cpu));
   network_ = make_network(engine, spec.net, nodes);
   network_->set_fault_model(&fault_);
-  // Conservative lookahead for the parallel engine: no cross-node effect
-  // propagates faster than the interconnect's minimum latency.  The serial
-  // engine ignores the hint.
-  engine.set_lookahead_hint(spec.net.min_latency_s());
 }
 
 }  // namespace opalsim::mach

@@ -125,38 +125,6 @@ class MemorySink final : public TraceSink {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Speculative trace buffer of one optimistic-engine LP.  Unlike MemorySink
-/// it assigns no seq numbers — events are provisional until the engine's
-/// commit horizon (GVT) passes them, at which point flush_prefix moves them
-/// into the committed sink (which assigns its seqs in commit order).  A
-/// rollback truncates the uncommitted tail; committed events are never
-/// truncated.  The committed stream is therefore exactly as deterministic
-/// as the engine's commit order.
-class SpecBuffer final : public TraceSink {
- public:
-  void record(const TraceEvent& e) override { events_.push_back(e); }
-
-  const std::vector<TraceEvent>& events() const noexcept { return events_; }
-  std::size_t size() const noexcept { return events_.size(); }
-
-  /// Rollback: discards every event from index `n` on.
-  void truncate(std::size_t n) {
-    if (n < events_.size()) events_.resize(n);
-  }
-
-  /// Commit: records the first `n` events into `committed` and drops them
-  /// from the buffer.
-  void flush_prefix(std::size_t n, TraceSink& committed) {
-    if (n > events_.size()) n = events_.size();
-    for (std::size_t i = 0; i < n; ++i) committed.record(events_[i]);
-    events_.erase(events_.begin(),
-                  events_.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
 namespace detail {
 inline thread_local TraceSink* tl_sink = nullptr;
 }  // namespace detail

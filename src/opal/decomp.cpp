@@ -185,10 +185,7 @@ ParallelRunResult run_decomposed(Method method,
   if (num_servers <= 0)
     throw std::invalid_argument("run_decomposed: need at least one server");
 
-  // Process-default engine (OPALSIM_ENGINE / OPALSIM_LPS); output bytes are
-  // engine-independent — see sim/parallel_engine.hpp.
-  const std::unique_ptr<sim::Engine> engine_ptr = sim::make_engine();
-  sim::Engine& engine = *engine_ptr;
+  sim::Engine engine;
   mach::Machine machine(engine, platform, num_servers + 1);
   pvm::PvmSystem pvm(machine);
   sciddle::Rpc rpc(pvm, num_servers, middleware);

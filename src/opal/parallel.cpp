@@ -18,7 +18,6 @@
 #include "opal/serial.hpp"
 #include "pvm/pvm_system.hpp"
 #include "sim/engine.hpp"
-#include "sim/optimistic_engine.hpp"
 #include "util/binio.hpp"
 #include "util/crc32.hpp"
 #include "util/env.hpp"
@@ -231,11 +230,7 @@ ParallelRunResult ParallelOpal::run() {
     trace_scope.emplace(*trace_sink);
   }
 
-  // Process-default engine: OPALSIM_ENGINE=parallel swaps in the LP-sharded
-  // engine (OPALSIM_LPS logical processes) with byte-identical output — the
-  // coroutine stack is pinned to its base LP.
-  const std::unique_ptr<sim::Engine> engine_ptr = sim::make_engine();
-  sim::Engine& engine = *engine_ptr;
+  sim::Engine engine;
   mach::Machine machine(engine, platform_, num_servers_ + 1);
   pvm::PvmSystem pvm(machine);
   sciddle::Rpc rpc(pvm, num_servers_, middleware_);
@@ -344,10 +339,6 @@ ParallelRunResult ParallelOpal::run() {
                            const std::vector<double>& update_coords,
                            const SteepestDescent& minimizer, double t_start,
                            bool force_update) {
-    // Commit-horizon gate: on the optimistic engine a boundary is only
-    // snapshot-safe once every speculative event has committed (always true
-    // here — boundaries follow run_until — but enforced, not assumed).
-    ckpt::require_fully_committed(engine);
     ckpt::RunSnapshot s;
     s.config_fingerprint = fingerprint;
     s.now = engine.now();
@@ -358,10 +349,6 @@ ParallelRunResult ParallelOpal::run() {
     s.q_pops = ec.queue.pops;
     s.q_cancels = ec.queue.cancels;
     s.q_peak = ec.queue.peak_size;
-    for (const sim::LpClock& c : engine.lp_clock_snaps()) {
-      s.lp_clocks.push_back(
-          ckpt::LpClockSnap{c.lp, c.now, c.next_seq, c.processed});
-    }
     s.step = step;
     s.t_start = t_start;
     s.force_update = force_update;
@@ -726,14 +713,6 @@ ParallelRunResult ParallelOpal::run() {
     engine.restore_counters(
         s.next_event_seq, s.events_processed,
         sim::EventQueueStats{s.q_pushes, s.q_pops, s.q_cancels, s.q_peak});
-    if (!s.lp_clocks.empty()) {
-      std::vector<sim::LpClock> lp_clocks;
-      lp_clocks.reserve(s.lp_clocks.size());
-      for (const ckpt::LpClockSnap& c : s.lp_clocks) {
-        lp_clocks.push_back(sim::LpClock{c.lp, c.now, c.next_seq, c.processed});
-      }
-      engine.restore_lp_clocks(lp_clocks);
-    }
     for (int node = 0; node <= num_servers_; ++node) {
       const ckpt::CpuSnap& c = s.cpus.at(static_cast<std::size_t>(node));
       machine.cpu(node).counter().restore(
@@ -876,26 +855,6 @@ ParallelRunResult ParallelOpal::run() {
     reg.add("rpc.timeouts", rt.timeouts);
     reg.add("rpc.heartbeats", rt.heartbeats);
     reg.add("rpc.servers_failed", rt.servers_failed);
-    if (const auto* oe =
-            dynamic_cast<const sim::OptimisticEngine*>(&engine)) {
-      // Emitted only when speculation actually happened: pure-coroutine
-      // programs ride the solo base-LP path with all-zero stats, and
-      // omitting the keys keeps their metrics JSON byte-identical to a
-      // serial run of the same configuration.
-      const sim::OptimisticStats os = oe->stats();
-      if (os.speculated != 0 || os.gvt_rounds != 0) {
-        reg.add("optimistic.gvt_rounds", os.gvt_rounds);
-        reg.add("optimistic.speculated", os.speculated);
-        reg.add("optimistic.committed", os.committed);
-        reg.add("optimistic.stragglers", os.stragglers);
-        reg.add("optimistic.rollbacks", os.rollbacks);
-        reg.add("optimistic.rolled_back", os.rolled_back);
-        reg.add("optimistic.antis_sent", os.antis_sent);
-        reg.add("optimistic.annihilations", os.annihilations);
-        reg.add("optimistic.state_saves", os.state_saves);
-        reg.set("optimistic.gvt", os.gvt);
-      }
-    }
     if (ckpt_active) {
       reg.add("ckpt.images_written", ckpt_images);
       reg.add("ckpt.bytes_written", ckpt_bytes);

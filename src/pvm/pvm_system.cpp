@@ -22,7 +22,6 @@ VT_PURE sim::Task<Message> PvmTask::recv(int src, int tag) {
   auto& mb = system_->mailbox(tid_);
   mb.audit_discipline().note_consume(static_cast<std::uint64_t>(tid_),
                                      engine().now());
-  mb.audit_discipline().note_consume_lp(sim::current_lp(), engine().now());
   Message m = co_await mb.get(
       [src, tag](const Message& x) { return x.matches(src, tag); });
   if (obs::enabled()) {
@@ -133,7 +132,6 @@ sim::Task<std::optional<Message>> PvmTask::recv_timeout(int src, int tag,
   auto& mb = system_->mailbox(tid_);
   mb.audit_discipline().note_consume(static_cast<std::uint64_t>(tid_),
                                      engine().now());
-  mb.audit_discipline().note_consume_lp(sim::current_lp(), engine().now());
   sim::Mailbox<Message>::Predicate pred = [src, tag](const Message& x) {
     return x.matches(src, tag);
   };
@@ -154,21 +152,10 @@ sim::Task<std::optional<Message>> PvmTask::recv_timeout(int src, int tag,
   co_return m;
 }
 
-void PvmTask::unreceive(Message m) {
-  if (obs::enabled()) {
-    obs::instant(obs::Cat::kPvm, "unrecv", engine().now(), node_,
-                 {"src", static_cast<double>(m.src)},
-                 {"tag", static_cast<double>(m.tag)});
-  }
-  system_->mailbox(tid_).unconsume(std::move(m),
-                                   static_cast<std::uint64_t>(tid_));
-}
-
 std::optional<Message> PvmTask::try_recv(int src, int tag) {
   auto& mb = system_->mailbox(tid_);
   mb.audit_discipline().note_consume(static_cast<std::uint64_t>(tid_),
                                      engine().now());
-  mb.audit_discipline().note_consume_lp(sim::current_lp(), engine().now());
   return mb.try_get(
       [src, tag](const Message& x) { return x.matches(src, tag); });
 }
@@ -285,9 +272,7 @@ sim::Task<PackBuffer> PvmTask::bcast(const std::vector<int>& members,
 }
 
 PvmSystem::PvmSystem(mach::Machine& machine)
-    : machine_(&machine),
-      node_partition_(static_cast<std::uint32_t>(machine.num_nodes()),
-                      machine.engine().lps()) {}
+    : machine_(&machine) {}
 
 PvmSystem::~PvmSystem() = default;
 
@@ -311,11 +296,6 @@ int PvmSystem::spawn(int node, TaskBody body) {
   entry.task.reset(new PvmTask(this, tid, node));
   entry.mailbox = std::make_unique<sim::Mailbox<Message>>(engine());
   entry.mailbox->audit_discipline().set_owner(static_cast<std::uint64_t>(tid));
-  // Execution LP, not data-partition LP: coroutine tasks are pinned to the
-  // base LP in this revision (see the LP partitioning note in the header),
-  // so a consume observed from any other LP is state leaking across an LP
-  // boundary outside an inter-LP link.
-  entry.mailbox->audit_discipline().set_owner_lp(0);
   tasks_.push_back(std::move(entry));
   // entry.task is a stable unique_ptr: the pointer survives vector growth.
   PvmTask* task_ptr = tasks_.back().task.get();

@@ -26,7 +26,6 @@
 #include "pvm/message.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
-#include "sim/lp.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/task.hpp"
 #include "util/domains.hpp"
@@ -59,16 +58,6 @@ class PvmTask {
 
   /// Non-blocking probe-and-receive.
   std::optional<Message> try_recv(int src = kAny, int tag = kAny);
-
-  /// Rollback-side inverse of a receive: returns `m` to the HEAD of this
-  /// task's mailbox, so a re-executed receive matches the identical message
-  /// again.  Audited as mailbox-unconsume (never more unreceives than
-  /// receives, and only by the owning task).  Staged API for optimistic
-  /// PDES: PVM tasks are coroutines pinned to the base LP today, which the
-  /// optimistic engine commits in place of speculating — so the engine
-  /// never calls this yet; state-saver-based handler workloads and the
-  /// rollback property tests drive it directly.
-  void unreceive(Message m);
 
   /// Sends the same body to every task in `dsts`, one message each,
   /// serialized at this sender (PVM mcast semantics on real networks).
@@ -133,26 +122,6 @@ class PvmSystem {
   sim::Engine& engine() noexcept { return machine_->engine(); }
   int num_tasks() const noexcept { return static_cast<int>(tasks_.size()); }
 
-  // -- LP partitioning (sim/lp.hpp) ----------------------------------------
-  // Simulated nodes are partitioned into contiguous blocks over the
-  // engine's logical processes; a task belongs to its node's LP.  In this
-  // revision every PVM task is a coroutine and coroutines are pinned to the
-  // base LP (LP 0), so the partition describes data ownership — handler
-  // workloads (bench_pdes) shard by it — while task *execution* stays on
-  // LP 0; mailboxes are therefore tagged with their execution LP and the
-  // auditor flags any consume from a different LP.
-
-  /// The node -> LP owner map (identity when the engine is serial).
-  const sim::OwnerPartition& node_partition() const noexcept {
-    return node_partition_;
-  }
-  sim::LpId lp_of_node(int node) const noexcept {
-    return node_partition_.owner(static_cast<std::uint32_t>(node));
-  }
-  sim::LpId lp_of_task(int tid) const {
-    return lp_of_node(tasks_.at(tid).task->node());
-  }
-
   /// Total bytes moved / messages sent (delegates to the network model).
   std::uint64_t bytes_sent() const noexcept {
     return machine_->network().bytes_sent();
@@ -208,7 +177,6 @@ class PvmSystem {
   sim::Task<void> do_barrier(const std::string& group, int count);
 
   mach::Machine* machine_;
-  sim::OwnerPartition node_partition_;
   std::vector<TaskEntry> tasks_;
   std::map<std::string, BarrierState> barriers_;
   std::uint64_t next_send_seq_ = 1;

@@ -54,16 +54,6 @@ const char* invariant_name(Invariant inv) noexcept {
       return "run-isolation";
     case Invariant::kResourceBalance:
       return "resource-balance";
-    case Invariant::kLpLookahead:
-      return "lp-lookahead";
-    case Invariant::kLpMergedOrder:
-      return "lp-merged-order";
-    case Invariant::kCommittedTime:
-      return "committed-time";
-    case Invariant::kAntiPairing:
-      return "anti-pairing";
-    case Invariant::kMailboxUnconsume:
-      return "mailbox-unconsume";
   }
   return "unknown";
 }

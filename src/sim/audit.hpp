@@ -19,25 +19,6 @@
 //                      fresh run id via audit::RunScope)
 //   resource-balance   every Resource unit acquired is released and no
 //                      waiter is still parked when the resource dies
-//   lp-lookahead       a cross-LP post must arrive at least one lookahead
-//                      window after the sender's local clock — the
-//                      conservative synchronization contract of the
-//                      parallel engine (sim/parallel_engine.hpp)
-//   lp-merged-order    per-LP event/trace streams are time-monotone and
-//                      the (t, lp, local seq) keys of the merged stream
-//                      are strictly increasing — the determinism contract
-//                      of the observation-boundary merge
-//   committed-time     the optimistic engine never rolls back below the
-//                      commit horizon (GVT): once an event is committed
-//                      and fossil-collected no straggler or anti-message
-//                      may target its past
-//   anti-pairing       every anti-message annihilates exactly one matching
-//                      positive (same uid); an unmatched anti means the
-//                      rollback machinery emitted or routed a cancellation
-//                      for a message that never existed
-//   mailbox-unconsume  rollback returns to a mailbox only messages that
-//                      were actually consumed from it, by the same owner:
-//                      unconsumes never outnumber consumes
 //
 // Checks are observation-only: enabling the auditor never changes virtual
 // time, RNG consumption or any output byte.  A violation aborts the process
@@ -61,11 +42,6 @@ enum class Invariant {
   kMailboxConsumer,
   kRunIsolation,
   kResourceBalance,
-  kLpLookahead,
-  kLpMergedOrder,
-  kCommittedTime,
-  kAntiPairing,
-  kMailboxUnconsume,
 };
 
 /// Stable kebab-case name used in violation reports ("time-monotonic", ...).
@@ -144,33 +120,11 @@ void check_run(std::uint64_t owner_tag, double vtime);
 /// tids offset by +1 so that 0 means "unowned".
 struct MailboxDiscipline {
   std::uint64_t owner = 0;
-  /// LP the consuming task executes on, offset by +1 (0 = untagged).  Set
-  /// by the PVM layer from its owner partition (pvm::PvmSystem); consuming
-  /// a mailbox from a different LP means a task's state crossed an LP
-  /// boundary outside an inter-LP link.
-  std::uint64_t owner_lp = 0;
-  /// Rollback-balance accounting (mailbox-unconsume): every unconsume — a
-  /// rolled-back receive returning its message to the mailbox head — must
-  /// pair with an earlier consume by the same owner.
-  std::uint64_t consumes = 0;
-  std::uint64_t unconsumes = 0;
 
   void set_owner(std::uint64_t id) noexcept { owner = id + 1; }
-  void set_owner_lp(std::uint64_t lp) noexcept { owner_lp = lp + 1; }
-
-  void note_consume_lp(std::uint64_t lp, double vtime) {
-    if (!enabled() || owner_lp == 0) return;
-    if (owner_lp != lp + 1) {
-      fail(Invariant::kMailboxConsumer,
-           "mailbox partitioned to LP " + std::to_string(owner_lp - 1) +
-               " consumed from LP " + std::to_string(lp),
-           vtime);
-    }
-  }
 
   void note_consume(std::uint64_t id, double vtime) {
     if (!enabled()) return;
-    ++consumes;
     if (owner == 0) {
       owner = id + 1;
       return;
@@ -181,29 +135,6 @@ struct MailboxDiscipline {
                " consumed by " + std::to_string(id),
            vtime);
     }
-  }
-
-  /// A rollback returned one consumed message to the mailbox.  Violations:
-  /// more unconsumes than consumes (the rollback invented a message), or an
-  /// unconsume by someone other than the owning consumer.
-  void note_unconsume(std::uint64_t id, double vtime) {
-    if (!enabled()) return;
-    if (unconsumes >= consumes) {
-      fail(Invariant::kMailboxUnconsume,
-           "mailbox unconsume without a matching consume (consumes=" +
-               std::to_string(consumes) + ", unconsumes=" +
-               std::to_string(unconsumes) + ")",
-           vtime);
-      return;  // only reached under ViolationCapture
-    }
-    if (owner != 0 && owner != id + 1) {
-      fail(Invariant::kMailboxUnconsume,
-           "mailbox owned by consumer " + std::to_string(owner - 1) +
-               " unconsumed by " + std::to_string(id),
-           vtime);
-      return;  // only reached under ViolationCapture
-    }
-    ++unconsumes;
   }
 };
 

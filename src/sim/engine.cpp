@@ -3,38 +3,11 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "sim/lp.hpp"
 #include "util/domains.hpp"
 
 namespace opalsim::sim {
 
 namespace {
-
-// LpRuntime adapter of the serial engine: the whole simulation is one LP,
-// so local scheduling and cross-LP posting both land in the single
-// (t, seq)-ordered queue.  That collapse is the point — running a
-// partitioned handler workload on the serial engine yields the global
-// total order the parallel engine's merge must reproduce.
-class SerialLpRuntime final : public LpRuntime {
- public:
-  explicit SerialLpRuntime(Engine* e) noexcept : e_(e) {}
-
-  SimTime now() const noexcept override { return e_->now(); }
-  LpId lp() const noexcept override { return 0; }
-  std::uint32_t lps() const noexcept override { return 1; }
-  SimTime lookahead() const noexcept override { return 0.0; }
-  void schedule(SimTime t, LpHandler fn, void* ctx,
-                std::uint64_t payload) override {
-    e_->schedule_handler(t, fn, ctx, payload);
-  }
-  void post(LpId, SimTime t, LpHandler fn, void* ctx,
-            std::uint64_t payload) override {
-    e_->schedule_handler(t, fn, ctx, payload);
-  }
-
- private:
-  Engine* e_;
-};
 
 // Driver coroutine: awaits the user task, records completion/exception in the
 // shared state, and wakes joiners through the engine queue.
@@ -114,66 +87,25 @@ void Engine::audit_pop(SimTime t) {
   }
 }
 
-VT_PURE void Engine::schedule_handler(SimTime t, LpHandler fn, void* ctx,
-                                      std::uint64_t payload) {
-  if (audit::enabled()) {
-    audit::check_run(audit_run_tag_, now_);
-    if (t < now_) {
-      audit::fail(audit::Invariant::kTimeMonotonic,
-                  "handler event scheduled at t=" + std::to_string(t) +
-                      " in the virtual past of now=" + std::to_string(now_),
-                  now_);
-    }
-  }
+VT_PURE void Engine::dispatch_next() {
+  ScheduledEvent ev = queue_->pop();
+  if (audit::enabled()) audit_pop(ev.t);
+  now_ = ev.t;
+  ++processed_;
   if (obs::enabled()) {
-    obs::instant(obs::Cat::kEngine, "schedule", now_, -1,
-                 {"t", t}, {"eseq", static_cast<double>(next_seq_)});
+    obs::instant(obs::Cat::kEngine, "pop", ev.t, -1,
+                 {"eseq", static_cast<double>(ev.seq)});
   }
-  queue_->push(ScheduledEvent{t, next_seq_++, {}, fn, ctx, payload});
-}
-
-VT_PURE void Engine::post_handler(LpId, SimTime t, LpHandler fn, void* ctx,
-                                  std::uint64_t payload) {
-  schedule_handler(t, fn, ctx, payload);
+  ev.handle.resume();
 }
 
 VT_PURE void Engine::run() {
-  SerialLpRuntime rt(this);
-  while (!queue_->empty()) {
-    ScheduledEvent ev = queue_->pop();
-    if (audit::enabled()) audit_pop(ev.t);
-    now_ = ev.t;
-    ++processed_;
-    if (obs::enabled()) {
-      obs::instant(obs::Cat::kEngine, "pop", ev.t, -1,
-                   {"eseq", static_cast<double>(ev.seq)});
-    }
-    if (ev.fn != nullptr) {
-      ev.fn(rt, ev.ctx, ev.payload);
-    } else {
-      ev.handle.resume();
-    }
-  }
+  while (!queue_->empty()) dispatch_next();
   rethrow_pending_failure();
 }
 
 VT_PURE void Engine::run_until(SimTime t_end) {
-  SerialLpRuntime rt(this);
-  while (!queue_->empty() && queue_->next_time() <= t_end) {
-    ScheduledEvent ev = queue_->pop();
-    if (audit::enabled()) audit_pop(ev.t);
-    now_ = ev.t;
-    ++processed_;
-    if (obs::enabled()) {
-      obs::instant(obs::Cat::kEngine, "pop", ev.t, -1,
-                   {"eseq", static_cast<double>(ev.seq)});
-    }
-    if (ev.fn != nullptr) {
-      ev.fn(rt, ev.ctx, ev.payload);
-    } else {
-      ev.handle.resume();
-    }
-  }
+  while (!queue_->empty() && queue_->next_time() <= t_end) dispatch_next();
   if (now_ < t_end) now_ = t_end;
   rethrow_pending_failure();
 }

@@ -119,16 +119,6 @@ struct EngineCounters {
   FramePool::Stats frame_pool;  ///< the engine thread's pool counters
 };
 
-/// Per-LP clock snapshot (checkpoint hook).  The serial engine reports an
-/// empty set, and so does a parallel engine whose extra LPs never saw an
-/// event — which keeps app checkpoint images byte-identical across engines.
-struct LpClock {
-  std::uint32_t lp = 0;
-  SimTime now = 0.0;
-  std::uint64_t next_seq = 0;
-  std::uint64_t processed = 0;
-};
-
 class Engine {
  public:
   /// Uses the process-default queue kind (OPALSIM_EVENT_QUEUE / setter).
@@ -137,7 +127,7 @@ class Engine {
       : queue_(make_event_queue(queue_kind)) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  virtual ~Engine();
+  ~Engine();
 
   /// Current virtual time in seconds.
   VT_PURE SimTime now() const noexcept { return now_; }
@@ -168,55 +158,11 @@ class Engine {
   /// Runs until the event queue drains.  Rethrows the first exception that
   /// escaped any spawned process (after the queue drains or immediately if
   /// no joiner will observe it — policy: rethrow after drain).
-  VT_PURE virtual void run();
+  VT_PURE void run();
 
   /// Runs until the queue drains or virtual time would exceed `t_end`.
   /// Events scheduled later than t_end remain pending.
-  VT_PURE virtual void run_until(SimTime t_end);
-
-  // -- logical-process surface (sim/lp.hpp, sim/parallel_engine.hpp) ---------
-  // The serial engine is a one-LP machine: handler events share the single
-  // (t, seq)-ordered queue with coroutine events, which is exactly what
-  // makes it the serial/parallel equivalence oracle.
-
-  /// Number of logical processes (1 on the serial engine).
-  virtual std::uint32_t lps() const noexcept { return 1; }
-
-  /// Schedules a handler event on the base LP's queue at time t.
-  VT_PURE void schedule_handler(SimTime t, LpHandler fn, void* ctx,
-                                std::uint64_t payload);
-
-  /// Seeds a handler event onto LP `lp` (call outside run()).  The serial
-  /// engine collapses every destination into its single queue.
-  VT_PURE virtual void post_handler(LpId lp, SimTime t, LpHandler fn,
-                                    void* ctx, std::uint64_t payload);
-
-  /// Lookahead hint from the platform layer (the active network model's
-  /// minimum latency).  The serial engine ignores it; the parallel engine
-  /// derives its conservative window width from it.
-  virtual void set_lookahead_hint(SimTime lookahead) noexcept {
-    (void)lookahead;
-  }
-
-  /// Events processed across all LPs (== events_processed() when lps()==1).
-  virtual std::uint64_t total_events_processed() const noexcept {
-    return processed_;
-  }
-
-  /// True when every executed event is committed — always, on the serial
-  /// and conservative engines.  The optimistic engine returns false while
-  /// speculative history or staged cross-LP messages are pending; the
-  /// checkpoint layer refuses to snapshot across an uncommitted horizon
-  /// (ckpt::require_fully_committed).
-  virtual bool fully_committed() const noexcept { return true; }
-
-  /// Per-LP clocks for the checkpoint layer; empty unless a parallel
-  /// engine's extra LPs actually ran events (see LpClock).
-  virtual std::vector<LpClock> lp_clock_snaps() const { return {}; }
-  /// Restores per-LP clocks (resume only; no-op on the serial engine).
-  virtual void restore_lp_clocks(const std::vector<LpClock>& clocks) {
-    (void)clocks;
-  }
+  VT_PURE void run_until(SimTime t_end);
 
   /// Number of events processed since construction (for tests/diagnostics).
   std::uint64_t events_processed() const noexcept { return processed_; }
@@ -263,10 +209,14 @@ class Engine {
     queue_->restore_stats(queue_stats);
   }
 
- protected:
-  // The parallel engine derives from Engine and reuses the base members as
-  // LP 0 (queue, clock, seq counter), so they are protected rather than
-  // private; everything else in the tree still goes through the public API.
+ private:
+  struct Root {
+    detail::RootCoro coro;
+    std::shared_ptr<detail::ProcessState> state;
+  };
+
+  /// Pops the next live event, advances the clock and resumes it.
+  VT_PURE void dispatch_next();
   void rethrow_pending_failure();
 
   /// Audit hooks for one event pop (time monotonicity + run isolation).
@@ -279,35 +229,8 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::unique_ptr<EventQueue> queue_;
-
- private:
-  struct Root {
-    detail::RootCoro coro;
-    std::shared_ptr<detail::ProcessState> state;
-  };
   std::vector<Root> roots_;
 };
-
-// -- engine factory ----------------------------------------------------------
-
-enum class EngineKind { kSerial, kParallel, kOptimistic };
-
-/// Process-wide default engine kind, initialized once from OPALSIM_ENGINE
-/// (serial | parallel | optimistic; unset = serial); overridable for
-/// tests/benches.
-EngineKind default_engine() noexcept;
-void set_default_engine(EngineKind kind) noexcept;
-
-/// Process-wide default LP count for the parallel engine, initialized once
-/// from OPALSIM_LPS (clamped to [1, 64]; unset = 1).
-std::uint32_t default_lps() noexcept;
-void set_default_lps(std::uint32_t lps) noexcept;
-
-/// Builds an engine of the given kind (`lps` is ignored by the serial
-/// kind; parallel with lps == 1 degenerates to the serial run loop).
-std::unique_ptr<Engine> make_engine(EngineKind kind, std::uint32_t lps);
-/// Builds the process-default engine (OPALSIM_ENGINE / OPALSIM_LPS).
-std::unique_ptr<Engine> make_engine();
 
 inline ProcessHandle::JoinAwaiter ProcessHandle::join() const {
   return JoinAwaiter{engine_, state_};

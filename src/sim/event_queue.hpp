@@ -23,12 +23,12 @@
 //
 // Cancellation is lazy: cancel(seq) records a tombstone and pops skip it.
 // Lazy tombstones are only reclaimed when they reach the top of the order,
-// which is fine for the rare timer cancellation but pathological under the
-// optimistic engine's rollback churn (every annihilated anti-message pair
-// leaves one).  cancel() therefore compacts when tombstones come to
-// outnumber live events: the backing store is drained in (t, seq) order,
-// tombstoned entries dropped, survivors re-pushed — identical pop order,
-// bounded memory.
+// so a workload that arms many long timers and cancels most of them early
+// (recv_timeout under a generous timeout) would keep them all stored.
+// cancel() therefore compacts when tombstones come to outnumber live
+// events: the backing store is drained in (t, seq) order, tombstoned
+// entries dropped, survivors re-pushed — identical pop order, bounded
+// memory.
 #pragma once
 
 #include <coroutine>
@@ -43,29 +43,14 @@
 
 namespace opalsim::sim {
 
-/// Identifies one logical process of the parallel engine.  LP 0 is the
-/// base LP: the serial engine is a one-LP machine, and on the parallel
-/// engine LP 0 hosts every coroutine process (see sim/lp.hpp).
-using LpId = std::uint32_t;
-
-class LpRuntime;  // sim/lp.hpp — the surface a handler event may touch
-
-/// Handler-event callback.  Unlike coroutine events, handler events carry
-/// no frame and may execute on any LP of the parallel engine; they interact
-/// with virtual time only through the LpRuntime they are handed.
-using LpHandler = void (*)(LpRuntime&, void* ctx, std::uint64_t payload);
-
 /// One scheduled resumption.  Total order: (t, seq) lexicographic.
-/// Exactly one of `handle` (coroutine event) and `fn` (handler event) is
-/// set; the engine dispatches on `fn != nullptr`.
 struct ScheduledEvent {
   SimTime t = 0.0;
   std::uint64_t seq = 0;
   std::coroutine_handle<> handle;
-  LpHandler fn = nullptr;
-  void* ctx = nullptr;
-  std::uint64_t payload = 0;
 };
+static_assert(sizeof(ScheduledEvent) == 24,
+              "ScheduledEvent is copied on every queue move; keep it small");
 
 /// Lifetime operation counters of one queue instance.
 struct EventQueueStats {

@@ -114,17 +114,6 @@ class Mailbox {
   /// never scheduled).
   void restore_item(T value) { items_.push_back(std::move(value)); }
 
-  /// Returns a previously consumed message to the FRONT of the store — the
-  /// rollback-side inverse of a consume, so a re-executed receive matches
-  /// the identical message again.  The optimistic engine's rollback path
-  /// calls this when undoing a speculative receive; the auditor verifies
-  /// unconsumes never outnumber consumes and come from the mailbox's owner
-  /// (audit: mailbox-unconsume).
-  void unconsume(T value, std::uint64_t consumer_id) {
-    audit_.note_unconsume(consumer_id, engine_->now());
-    items_.push_front(std::move(value));
-  }
-
   /// Non-blocking matching receive.
   std::optional<T> try_get(const Predicate& pred) {
     for (auto it = items_.begin(); it != items_.end(); ++it) {

@@ -57,12 +57,6 @@ class FramePool {
   /// Allocates `n` bytes from the calling thread's pool (16-byte aligned).
   static void* allocate_raw(std::size_t n) { return local().allocate(n); }
 
-  /// Allocates from THIS pool instance (16-byte aligned).  Used by per-LP
-  /// arenas (sim/lp.hpp): an Lp owns a private pool that is touched by one
-  /// thread at a time, with round barriers ordering the handoffs.  Free
-  /// with the static deallocate() — the header routes back here.
-  void* allocate(std::size_t n);
-
   /// Frees a block from allocate_raw, routing via the block header.  Must
   /// run on the allocating thread for pooled blocks (debug-asserted).
   static void deallocate(void* p) noexcept;
@@ -78,6 +72,10 @@ class FramePool {
   static Stats local_stats() { return local().stats_; }
 
  private:
+  /// Allocates from this pool instance (16-byte aligned).  Free with the
+  /// static deallocate() — the header routes back here.
+  void* allocate(std::size_t n);
+
   struct Header {
     FramePool* pool = nullptr;      ///< nullptr = global-heap fallback
     std::uint32_t size_class = 0;

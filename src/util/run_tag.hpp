@@ -23,25 +23,6 @@ inline thread_local std::uint64_t t_run_tag = 0;
 /// The run tag of the calling thread (0 = default scope, outside any sweep).
 inline std::uint64_t current_run_tag() noexcept { return detail::t_run_tag; }
 
-/// RAII: re-tags the calling thread with an EXISTING run id.  The parallel
-/// engine's LP rounds use this: a round job executes on a pool worker but
-/// belongs to the run that owns the engine, so the job adopts the engine's
-/// tag instead of opening a fresh scope — the audit layer's run-isolation
-/// check then sees the worker as part of the owning run rather than a
-/// foreign driver (the single-queue assumption RunTagScope baked in).
-class RunTagAdopt {
- public:
-  explicit RunTagAdopt(std::uint64_t tag) noexcept : prev_(detail::t_run_tag) {
-    detail::t_run_tag = tag;
-  }
-  ~RunTagAdopt() { detail::t_run_tag = prev_; }
-  RunTagAdopt(const RunTagAdopt&) = delete;
-  RunTagAdopt& operator=(const RunTagAdopt&) = delete;
-
- private:
-  std::uint64_t prev_;
-};
-
 /// RAII: tags the calling thread with a fresh run id for one sweep index.
 class RunTagScope {
  public:

@@ -240,6 +240,17 @@ void expect_bad_image(const std::vector<std::uint8_t>& img,
   }
 }
 
+/// Recomputes the CRC trailer after a deliberate payload edit, so decode
+/// gets past the CRC check and reaches the field under test.
+void reseal(std::vector<std::uint8_t>& img) {
+  const std::size_t body = img.size() - 4;
+  const std::uint32_t crc = crc32(img.data(), body);
+  for (int i = 0; i < 4; ++i) {
+    img[body + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
 TEST(SnapshotCodec, DetectsTruncation) {
   std::vector<std::uint8_t> img = encode(sample_snapshot());
   img.resize(img.size() / 2);
@@ -264,13 +275,23 @@ TEST(SnapshotCodec, DetectsVersionMismatch) {
   // Bump the version and re-seal the CRC so only the version check fires.
   std::vector<std::uint8_t> img = encode(sample_snapshot());
   img[8] = 99;
-  const std::size_t body = img.size() - 4;
-  const std::uint32_t crc = crc32(img.data(), body);
-  for (int i = 0; i < 4; ++i) {
-    img[body + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
+  reseal(img);
   expect_bad_image(img, "version 99");
+}
+
+TEST(SnapshotCodec, EncodesZeroLpClockCountAndRejectsNonZero) {
+  // The per-LP clock count sits after the engine block: magic (8), version
+  // (4), fingerprint, now, next seq, processed and four queue counters
+  // (8 each).  Images always carry 0 there; a sealed image claiming a
+  // clock must be refused, not read as one.
+  constexpr std::size_t kLpCountOffset = 8 + 4 + 8 * 8;
+  std::vector<std::uint8_t> img = encode(sample_snapshot());
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(img[kLpCountOffset + i], 0u) << "byte " << i;
+  }
+  img[kLpCountOffset] = 1;
+  reseal(img);
+  expect_bad_image(img, "per-LP clocks");
 }
 
 TEST(SnapshotCodec, DetectsTrailingBytes) {
@@ -278,12 +299,7 @@ TEST(SnapshotCodec, DetectsTrailingBytes) {
   std::vector<std::uint8_t> img = encode(s);
   // Insert a byte before the CRC and re-seal, so the payload over-runs.
   img.insert(img.end() - 4, 0x00);
-  const std::size_t body = img.size() - 4;
-  const std::uint32_t crc = crc32(img.data(), body);
-  for (int i = 0; i < 4; ++i) {
-    img[body + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
+  reseal(img);
   expect_bad_image(img, "trailing bytes");
 }
 

@@ -6,7 +6,6 @@
 // the PVM transport, the sciddle RPC rounds and the opal physics.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdlib>
 #include <algorithm>
 #include <fstream>
@@ -153,90 +152,6 @@ TEST(TracingEquivalence, CsvExtensionSelectsCsvExport) {
   run_case_traced(2, 8.0, path);
   const std::string csv = read_file(path);
   EXPECT_EQ(csv.rfind("t,seq,node,cat,ph,name", 0), 0u);
-}
-
-/// RAII guard restoring the process-default engine kind and LP count.
-struct EngineGuard {
-  sim::EngineKind kind = sim::default_engine();
-  std::uint32_t lps = sim::default_lps();
-  ~EngineGuard() {
-    sim::set_default_engine(kind);
-    sim::set_default_lps(lps);
-  }
-};
-
-// The tentpole acceptance gate: OPALSIM_ENGINE=parallel at any LP count must
-// render the full sweep — through the PVM transport, the sciddle RPC rounds
-// and the opal physics — byte-for-byte identically to the serial engine,
-// under either event-queue kind.
-TEST(EngineEquivalence, CsvBytesIdenticalAcrossEngineKindsAndLpCounts) {
-  ConfigGuard qguard;
-  EngineGuard eguard;
-  sim::set_default_engine(sim::EngineKind::kSerial);
-  const std::string serial_csv = sweep_csv();
-  for (sim::EngineKind ekind :
-       {sim::EngineKind::kParallel, sim::EngineKind::kOptimistic}) {
-    sim::set_default_engine(ekind);
-    for (std::uint32_t lps : {1u, 2u, 4u}) {
-      sim::set_default_lps(lps);
-      for (sim::EventQueueKind kind :
-           {sim::EventQueueKind::kLadder, sim::EventQueueKind::kHeap}) {
-        sim::set_default_event_queue(kind);
-        EXPECT_EQ(sweep_csv(), serial_csv)
-            << "engine=" << static_cast<int>(ekind) << " lps=" << lps;
-      }
-    }
-  }
-}
-
-// Same gate for the trace exporter: the parallel engine's observation-
-// boundary merge must hand the sink the exact serial event stream.
-TEST(TracingEquivalence, TraceBytesIdenticalAcrossEngineKinds) {
-  EngineGuard eguard;
-  const std::string dir = ::testing::TempDir();
-  sim::set_default_engine(sim::EngineKind::kSerial);
-  run_case_traced(3, 8.0, dir + "equiv-engine-serial.json");
-  const std::string serial_trace = read_file(dir + "equiv-engine-serial.json");
-  ASSERT_FALSE(serial_trace.empty());
-  sim::set_default_engine(sim::EngineKind::kParallel);
-  sim::set_default_lps(4);
-  run_case_traced(3, 8.0, dir + "equiv-engine-parallel.json");
-  EXPECT_EQ(read_file(dir + "equiv-engine-parallel.json"), serial_trace);
-  sim::set_default_engine(sim::EngineKind::kOptimistic);
-  run_case_traced(3, 8.0, dir + "equiv-engine-optimistic.json");
-  EXPECT_EQ(read_file(dir + "equiv-engine-optimistic.json"), serial_trace);
-}
-
-// And for the checkpoint layer: a mid-run image taken under the parallel
-// engine must be byte-identical to the serial one (idle LPs are omitted from
-// the snapshot precisely so this holds for coroutine programs).
-TEST(EngineEquivalence, CheckpointImageBytesIdenticalAcrossEngineKinds) {
-  EngineGuard eguard;
-  const std::string dir = ::testing::TempDir();
-  auto run_ckpt = [&](const std::string& image) {
-    opal::SimulationConfig cfg;
-    cfg.steps = 4;
-    cfg.cutoff = 8.0;
-    cfg.strategy = opal::DistributionStrategy::PseudoRandomUniform;
-    cfg.checkpoint_out = image;
-    cfg.checkpoint_at_step = 2;
-    opal::ParallelOpal run(mach::cray_j90(), equivalence_complex(), 3, cfg);
-    run.run();
-  };
-  sim::set_default_engine(sim::EngineKind::kSerial);
-  run_ckpt(dir + "equiv-serial.ckpt");
-  const std::string serial_image = read_file(dir + "equiv-serial.ckpt");
-  ASSERT_FALSE(serial_image.empty());
-  sim::set_default_engine(sim::EngineKind::kParallel);
-  sim::set_default_lps(4);
-  run_ckpt(dir + "equiv-parallel.ckpt");
-  EXPECT_EQ(read_file(dir + "equiv-parallel.ckpt"), serial_image);
-  // The optimistic engine routes pure-coroutine programs through the solo
-  // base-LP path (nothing ever speculates), and the commit-horizon gate in
-  // make_snapshot passes because run_until boundaries are fully committed.
-  sim::set_default_engine(sim::EngineKind::kOptimistic);
-  run_ckpt(dir + "equiv-optimistic.ckpt");
-  EXPECT_EQ(read_file(dir + "equiv-optimistic.ckpt"), serial_image);
 }
 
 TEST(EngineEquivalence, SeedConfigurationMatchesNewDefault) {

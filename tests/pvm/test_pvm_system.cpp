@@ -133,33 +133,6 @@ TEST_F(PvmSystemTest, TryRecvNonBlocking) {
   EXPECT_TRUE(checked);
 }
 
-TEST_F(PvmSystemTest, UnreceiveRestoresMessageForIdenticalRereceive) {
-  // The rollback-side inverse of recv: unreceive returns the message to
-  // the HEAD of the mailbox, so a re-executed receive matches the same
-  // message again — even when a younger message is already queued behind
-  // it.  (The optimistic engine's mailbox-unconsume audit rides on this.)
-  bool checked = false;
-  pvm.spawn(0, [&](PvmTask& t) -> Task<void> {
-    PackBuffer a;
-    a.pack_i32(1);
-    co_await t.send(0, 5, std::move(a));  // self-send: oldest
-    PackBuffer b;
-    b.pack_i32(2);
-    co_await t.send(0, 5, std::move(b));  // self-send: younger
-    Message first = co_await t.recv(kAny, 5);
-    PackBuffer peek = first.body;  // read cursor is per-copy
-    EXPECT_EQ(peek.unpack_i32(), 1);
-    t.unreceive(std::move(first));
-    Message again = co_await t.recv(kAny, 5);
-    EXPECT_EQ(again.body.unpack_i32(), 1);  // same message, not the younger
-    Message second = co_await t.recv(kAny, 5);
-    EXPECT_EQ(second.body.unpack_i32(), 2);
-    checked = true;
-  });
-  engine.run();
-  EXPECT_TRUE(checked);
-}
-
 TEST_F(PvmSystemTest, McastSerializesAtSender) {
   std::vector<double> recv_times;
   pvm.spawn(0, [&](PvmTask& t) -> Task<void> {

@@ -157,9 +157,9 @@ TEST(EventQueueProperty, MultipleSeeds) {
   }
 }
 
-// Rollback-churn profile: bursts of speculative pushes followed by bursts
-// of annihilating cancels (the optimistic engine's rollback pattern), with
-// only occasional pops — so tombstones cannot ride out on the pop-side
+// Cancel-churn profile: bursts of pushes followed by bursts of cancels
+// (many armed timers, most cancelled before they fire), with only
+// occasional pops — so tombstones cannot ride out on the pop-side
 // purge and must outgrow the live count.  Compaction must actually fire,
 // keep the tombstone count bounded by max(threshold, live), and never
 // perturb the pop order — ~10k ops checked against the heap oracle with
@@ -189,7 +189,7 @@ TEST(EventQueueProperty, CancelChurnCompactsAndStaysExact) {
     };
 
     for (int cycle = 0; cycle < 26; ++cycle) {
-      // Speculation burst: 200 pushes across near-future ties and far
+      // Push burst: 200 pushes across near-future ties and far
       // outliers (so cancelled entries are NOT all at the top of the order,
       // where pops would purge them lazily).
       for (int i = 0; i < 200; ++i) {
@@ -203,7 +203,7 @@ TEST(EventQueueProperty, CancelChurnCompactsAndStaysExact) {
         ++ops;
         check_bound();
       }
-      // Rollback burst: annihilate ~65% of everything pending.
+      // Cancel burst: cancel ~65% of everything pending.
       const std::size_t victims = (pending.size() * 13) / 20;
       for (std::size_t i = 0; i < victims; ++i) {
         const std::size_t victim =
@@ -215,7 +215,7 @@ TEST(EventQueueProperty, CancelChurnCompactsAndStaysExact) {
         ++ops;
         check_bound();
       }
-      // A few committed pops: order must agree exactly.
+      // A few pops: order must agree exactly.
       for (int i = 0; i < 40 && !heap->empty(); ++i) {
         ASSERT_DOUBLE_EQ(ladder->next_time(), heap->next_time());
         const ScheduledEvent a = ladder->pop();

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """AST rule pack: structural bug classes the compiler accepts silently.
 
-Five rules, each born from a real failure mode of this codebase (see
+Four rules, each born from a real failure mode of this codebase (see
 DESIGN.md, "Static analysis layer"):
 
   awaiter-trivial-dtor
@@ -28,19 +28,6 @@ DESIGN.md, "Static analysis layer"):
       (GUARDED_BY annotation), or thread_local.  Anything else is shared
       mutable state invisible to both the thread-safety analysis and the
       run-isolation audit.
-  lp-shared-state
-      In the LP sharding layer (src/sim/lp.*, src/sim/parallel_engine.*,
-      src/sim/optimistic_engine.*, src/sim/state_save.*), every private
-      (trailing-underscore) member of a class that does not declare an
-      ownership marker — OPALSIM_LP_CONFINED (single-owner, handed between
-      threads at round barriers), OPALSIM_CROSS_LP_SAFE (reviewed
-      internally synchronized link type) or OPALSIM_SPECULATIVE
-      (rollback-managed state owned by exactly one LP) — must be const,
-      std::atomic, GUARDED_BY an annotated mutex, or one of the owned
-      confined types (unique_ptr<Lp / OptLp / InterLpLink /
-      util::ThreadPool>).  These files run on pool workers; an unmarked
-      plain member is a data race waiting for the round protocol to shift
-      under it.
 
 Backend: these checks are implemented textually (comment/string-stripped
 scanning with brace tracking) so they run on any Python with no clang
@@ -218,55 +205,6 @@ def check_no_mutable_statics(stripped: str, raw: list[str], rel: str,
 
 
 # ---------------------------------------------------------------------------
-# lp-shared-state
-
-LP_MARKER = re.compile(r"\bOPALSIM_LP_CONFINED\b|\bOPALSIM_CROSS_LP_SAFE\b|"
-                       r"\bOPALSIM_SPECULATIVE\b")
-# A private member declaration by this codebase's trailing-underscore
-# convention: type tokens, then `name_`, then an optional initializer.
-LP_MEMBER_DECL = re.compile(
-    r"^\s*(?:mutable\s+)?[A-Za-z_][\w:<>,\s&*]*[\s&*]\w+_\s*"
-    r"(?:=[^=].*|\{[^;{}]*\})?;")
-LP_SAFE_MEMBER = re.compile(
-    r"\bconst\b|\bconstexpr\b|\batomic\b|\bGUARDED_BY\b|\bMutex\b|"
-    r"\bCondVar\b|\bthread_local\b|"
-    r"unique_ptr<\s*(?:Lp\b|OptLp\b|InterLpLink\b|util::ThreadPool\b)")
-LP_STATEMENT = re.compile(r"^\s*(?:return|if|for|while|throw|delete)\b")
-
-
-def check_lp_shared_state(stripped: str, raw: list[str], rel: str,
-                          findings: list[Finding]) -> None:
-    spans = _struct_spans(stripped)
-    for name, head, body_start, body_end in spans:
-        # Only the immediate body: blank nested named structs so members of
-        # an inner (possibly marked) class are not attributed to the outer.
-        body = stripped[body_start:body_end]
-        for n2, h2, s2, e2 in spans:
-            if h2 > head and e2 <= body_end:
-                body = (body[:h2 - body_start] +
-                        " " * (e2 - h2) + body[e2 - body_start:])
-        if LP_MARKER.search(body):
-            continue  # ownership declared; the marker is the contract
-        base_line = _offset_to_line(stripped, body_start)
-        for off, line in enumerate(body.split("\n")):
-            if LP_STATEMENT.match(line):
-                continue
-            if not LP_MEMBER_DECL.match(line):
-                continue
-            if LP_SAFE_MEMBER.search(line):
-                continue
-            lineno = base_line + off
-            if "lp-shared-state" in allowed_rules(raw, lineno - 1):
-                continue
-            findings.append(Finding(
-                rel, lineno, "lp-shared-state",
-                f"unguarded mutable member in unmarked class '{name}' of "
-                "the LP sharding layer; make it const/atomic/GUARDED_BY, "
-                "declare the class OPALSIM_LP_CONFINED or "
-                "OPALSIM_CROSS_LP_SAFE, or justify with lint:allow"))
-
-
-# ---------------------------------------------------------------------------
 # uninit-aggregate (delegates to check_determinism's brace tracker, but
 # over every header in the event/message plumbing trees rather than the
 # curated file list)
@@ -298,11 +236,6 @@ RULES = {
     "no-mutable-statics": (
         lambda rel: rel.startswith(("src/sim/", "src/opal/")),
         check_no_mutable_statics),
-    "lp-shared-state": (
-        lambda rel: rel.startswith(("src/sim/lp", "src/sim/parallel_engine",
-                                    "src/sim/optimistic_engine",
-                                    "src/sim/state_save")),
-        check_lp_shared_state),
 }
 
 
