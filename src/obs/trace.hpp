@@ -17,7 +17,8 @@
 // Cost discipline: no sink is installed by default.  Every emission site
 // guards on obs::enabled(), a thread-local pointer test, and event payloads
 // are PODs with static-string names — the disabled path performs no
-// allocation and no virtual call (bench_des_core gates the overhead).
+// allocation and no virtual call (bench_e2e's untraced wall_s holds the
+// cost).
 #pragma once
 
 #include <cstdint>

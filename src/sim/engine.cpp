@@ -71,7 +71,7 @@ VT_PURE void Engine::schedule(SimTime t, std::coroutine_handle<> h) {
     obs::instant(obs::Cat::kEngine, "schedule", now_, -1,
                  {"t", t}, {"eseq", static_cast<double>(next_seq_)});
   }
-  queue_->push(ScheduledEvent{t, next_seq_++, h});
+  queue_.push(ScheduledEvent{t, next_seq_++, h});
 }
 
 void Engine::audit_pop(SimTime t) {
@@ -88,7 +88,7 @@ void Engine::audit_pop(SimTime t) {
 }
 
 VT_PURE void Engine::dispatch_next() {
-  ScheduledEvent ev = queue_->pop();
+  ScheduledEvent ev = queue_.pop();
   if (audit::enabled()) audit_pop(ev.t);
   now_ = ev.t;
   ++processed_;
@@ -100,12 +100,12 @@ VT_PURE void Engine::dispatch_next() {
 }
 
 VT_PURE void Engine::run() {
-  while (!queue_->empty()) dispatch_next();
+  while (!queue_.empty()) dispatch_next();
   rethrow_pending_failure();
 }
 
 VT_PURE void Engine::run_until(SimTime t_end) {
-  while (!queue_->empty() && queue_->next_time() <= t_end) dispatch_next();
+  while (!queue_.empty() && queue_.next_time() <= t_end) dispatch_next();
   if (now_ < t_end) now_ = t_end;
   rethrow_pending_failure();
 }

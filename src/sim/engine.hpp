@@ -8,9 +8,8 @@
 // monotone sequence number — runs are bit-for-bit deterministic.
 //
 // Hot-path machinery (see DESIGN.md, "DES core internals"):
-//  - the event queue is pluggable (sim/event_queue.hpp): a ladder-style
-//    queue by default, the seed binary heap as reference — both pop the
-//    identical (t, seq) total order;
+//  - the event queue (sim/event_queue.hpp) is one binary heap over the
+//    (t, seq) total order, held by value;
 //  - per-spawn ProcessState blocks and every coroutine frame come from the
 //    thread's FramePool slab arena (sim/pool.hpp), so steady-state spawning
 //    and event dispatch perform no global-heap allocation.
@@ -111,20 +110,17 @@ class ProcessHandle {
   std::shared_ptr<detail::ProcessState> state_;
 };
 
-/// Snapshot of the engine's hot-path counters (see bench_des_core).
+/// Snapshot of the engine's hot-path counters (the engine.* metrics that
+/// ParallelOpal writes and checkpoints carry).
 struct EngineCounters {
   std::uint64_t events_processed = 0;
-  const char* queue_name = "";
   EventQueueStats queue;
   FramePool::Stats frame_pool;  ///< the engine thread's pool counters
 };
 
 class Engine {
  public:
-  /// Uses the process-default queue kind (OPALSIM_EVENT_QUEUE / setter).
-  Engine() : Engine(default_event_queue()) {}
-  explicit Engine(EventQueueKind queue_kind)
-      : queue_(make_event_queue(queue_kind)) {}
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   ~Engine();
@@ -171,8 +167,7 @@ class Engine {
   EngineCounters counters() const {
     EngineCounters c;
     c.events_processed = processed_;
-    c.queue_name = queue_->name();
-    c.queue = queue_->stats();
+    c.queue = queue_.stats();
     c.frame_pool = FramePool::local_stats();
     return c;
   }
@@ -188,10 +183,10 @@ class Engine {
   VT_PURE std::uint64_t next_event_seq() const noexcept { return next_seq_; }
   /// Cancels a pending scheduled event by its sequence number (must be
   /// pending and not yet cancelled — see EventQueue::cancel's contract).
-  VT_PURE void cancel_scheduled(std::uint64_t seq) { queue_->cancel(seq); }
+  VT_PURE void cancel_scheduled(std::uint64_t seq) { queue_.cancel(seq); }
   /// Live (pending, uncancelled) events — the checkpoint quiescence test:
   /// a run boundary is quiescent iff this is zero.
-  std::size_t pending_events() const noexcept { return queue_->size(); }
+  std::size_t pending_events() const noexcept { return queue_.size(); }
 
   // -- Checkpoint/restart hooks (src/ckpt) -----------------------------------
   // Only meaningful on a freshly constructed engine that is being rebuilt
@@ -206,7 +201,7 @@ class Engine {
                         const EventQueueStats& queue_stats) {
     next_seq_ = next_seq;
     processed_ = processed;
-    queue_->restore_stats(queue_stats);
+    queue_.restore_stats(queue_stats);
   }
 
  private:
@@ -228,7 +223,7 @@ class Engine {
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;
   std::vector<Root> roots_;
 };
 

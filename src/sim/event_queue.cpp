@@ -1,235 +1,14 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <cassert>
-#include <cmath>
-#include <limits>
-#include <queue>
-#include <vector>
-
-#include "util/env.hpp"
-
 namespace opalsim::sim {
 
-namespace {
-
-bool event_less(const ScheduledEvent& a, const ScheduledEvent& b) noexcept {
-  if (a.t != b.t) return a.t < b.t;
-  return a.seq < b.seq;
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation: the seed engine's binary heap.  This file (with
-// event_queue.hpp) is the only place in src/sim allowed to name
-// std::priority_queue — the determinism lint enforces that every other use
-// goes through the EventQueue interface.
-
-class BinaryHeapEventQueue final : public EventQueue {
- public:
-  const char* name() const noexcept override { return "heap"; }
-
- protected:
-  struct Greater {
-    bool operator()(const ScheduledEvent& a,
-                    const ScheduledEvent& b) const noexcept {
-      return event_less(b, a);
-    }
-  };
-
-  void do_push(const ScheduledEvent& ev) override { queue_.push(ev); }
-
-  ScheduledEvent do_pop() override {
-    ScheduledEvent ev = queue_.top();
-    queue_.pop();
-    return ev;
-  }
-
-  const ScheduledEvent& do_peek() override { return queue_.top(); }
-
- private:
-  std::priority_queue<ScheduledEvent, std::vector<ScheduledEvent>, Greater>
-      queue_;
-};
-
-// ---------------------------------------------------------------------------
-// Ladder queue.  Three bands, nearest first:
-//
-//   bottom_  sorted ascending by (t, seq), served by head index — the only
-//            band pops touch.  Kept small (~kBottomTarget events) so the
-//            occasional sorted insert is a short memmove.
-//   rung     fixed-width time buckets spanning [rung_start_, far_start_),
-//            built by splitting the far band when the bottom drains.
-//            Buckets are unsorted; a bucket is sorted only when it becomes
-//            the bottom.  Bucket membership is a pure function of t
-//            (monotone in t), so events can never be ordered incorrectly
-//            across buckets, floating-point rounding included.
-//   far_     unsorted append-only vector holding everything with
-//            t >= far_start_ — the common case for a DES push, making the
-//            hot-path push O(1).
-//
-// Routing invariant: far_start_ only ever increases, and an event is pushed
-// into the nearest band whose range covers its timestamp.  Pops therefore
-// see the exact global (t, seq) order: bottom < remaining buckets < far,
-// with each bucket sorted before serving.
-//
-// All three bands live in reused std::vectors: after warm-up the queue
-// performs no allocation per event (the pooled analogue of free-listing
-// scheduled-event nodes).
-
-class LadderEventQueue final : public EventQueue {
- public:
-  const char* name() const noexcept override { return "ladder"; }
-
- protected:
-  void do_push(const ScheduledEvent& ev) override {
-    if (ev.t >= far_start_) {
-      far_.push_back(ev);
-      return;
-    }
-    if (rung_active_) {
-      const std::size_t idx = bucket_index(ev.t);
-      if (idx >= next_bucket_) {
-        buckets_[idx].push_back(ev);
-        return;
-      }
-    }
-    // Below every unconsumed bucket: belongs in the sorted bottom band.  A
-    // new event's seq exceeds every pending seq, so its slot is at or after
-    // the head — searching the live suffix suffices.
-    const auto it = std::upper_bound(bottom_.begin() + head_, bottom_.end(),
-                                     ev, &event_less);
-    bottom_.insert(it, ev);
-  }
-
-  ScheduledEvent do_pop() override {
-    refill();
-    ScheduledEvent ev = bottom_[head_++];
-    if (head_ == bottom_.size()) {
-      bottom_.clear();
-      head_ = 0;
-    }
-    return ev;
-  }
-
-  const ScheduledEvent& do_peek() override {
-    refill();
-    return bottom_[head_];
-  }
-
- private:
-  static constexpr std::size_t kBottomTarget = 64;
-  static constexpr std::size_t kMaxBuckets = 1024;
-
-  std::size_t bucket_index(SimTime t) const noexcept {
-    const double d = (t - rung_start_) / bucket_width_;
-    if (d <= 0.0) return 0;
-    const auto idx = static_cast<std::size_t>(d);
-    return idx < buckets_.size() ? idx : buckets_.size() - 1;
-  }
-
-  /// Ensures the bottom band holds the next live event.  Precondition
-  /// (enforced by EventQueue::pop): at least one event is pending.
-  void refill() {
-    while (head_ == bottom_.size()) {
-      bottom_.clear();
-      head_ = 0;
-      if (rung_active_) {
-        while (next_bucket_ < buckets_.size() &&
-               buckets_[next_bucket_].empty()) {
-          ++next_bucket_;
-        }
-        if (next_bucket_ < buckets_.size()) {
-          bottom_.swap(buckets_[next_bucket_]);
-          ++next_bucket_;
-          std::sort(bottom_.begin(), bottom_.end(), &event_less);
-          continue;
-        }
-        rung_active_ = false;
-      }
-      assert(!far_.empty() && "refill on an empty queue");
-      split_far();
-    }
-  }
-
-  /// Splits the far band: all of it into a fresh rung (one sort-free O(n)
-  /// distribution pass), or straight into the bottom when the band is small
-  /// or spans a single timestamp.
-  void split_far() {
-    SimTime fmin = far_.front().t;
-    SimTime fmax = fmin;
-    for (const ScheduledEvent& ev : far_) {
-      if (ev.t < fmin) fmin = ev.t;
-      if (ev.t > fmax) fmax = ev.t;
-    }
-    // The new threshold sits just above the far band's maximum so that later
-    // pushes at exactly fmax still land inside the rung/bottom, not in far_.
-    const SimTime threshold =
-        std::nextafter(fmax, std::numeric_limits<SimTime>::infinity());
-
-    const std::size_t want_buckets = far_.size() / kBottomTarget;
-    if (want_buckets < 2 || fmax == fmin ||
-        (fmax - fmin) / static_cast<double>(std::min(
-                            want_buckets, kMaxBuckets)) <= 0.0) {
-      bottom_.swap(far_);
-      std::sort(bottom_.begin(), bottom_.end(), &event_less);
-      far_start_ = threshold;
-      rung_active_ = false;
-      return;
-    }
-
-    const std::size_t nb = std::min(want_buckets, kMaxBuckets);
-    if (buckets_.size() < nb) buckets_.resize(nb);
-    for (auto& b : buckets_) b.clear();
-    buckets_.resize(nb);
-    rung_start_ = fmin;
-    bucket_width_ = (fmax - fmin) / static_cast<double>(nb);
-    far_start_ = threshold;
-    rung_active_ = true;
-    next_bucket_ = 0;
-    for (const ScheduledEvent& ev : far_) {
-      buckets_[bucket_index(ev.t)].push_back(ev);
-    }
-    far_.clear();
-  }
-
-  std::vector<ScheduledEvent> bottom_;
-  std::size_t head_ = 0;
-  std::vector<std::vector<ScheduledEvent>> buckets_;
-  std::size_t next_bucket_ = 0;
-  SimTime rung_start_ = 0.0;
-  double bucket_width_ = 1.0;
-  bool rung_active_ = false;
-  std::vector<ScheduledEvent> far_;
-  SimTime far_start_ = -std::numeric_limits<SimTime>::infinity();
-};
-
-EventQueueKind initial_default() {
-  if (const auto v = util::env_string("OPALSIM_EVENT_QUEUE")) {
-    if (*v == "heap") return EventQueueKind::kHeap;
-  }
-  return EventQueueKind::kLadder;
-}
-
-std::atomic<EventQueueKind>& default_kind() noexcept {
-  static std::atomic<EventQueueKind> kind{initial_default()};
-  return kind;
-}
-
-}  // namespace
-
-EventQueueKind default_event_queue() noexcept {
-  return default_kind().load(std::memory_order_relaxed);
-}
-
-void set_default_event_queue(EventQueueKind kind) noexcept {
-  default_kind().store(kind, std::memory_order_relaxed);
-}
-
-std::unique_ptr<EventQueue> make_event_queue(EventQueueKind kind) {
-  if (kind == EventQueueKind::kHeap)
-    return std::make_unique<BinaryHeapEventQueue>();
-  return std::make_unique<LadderEventQueue>();
+void EventQueue::compact() {
+  std::erase_if(heap_, [this](const ScheduledEvent& ev) {
+    return cancelled_.count(ev.seq) != 0;
+  });
+  cancelled_.clear();
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  ++compactions_;
 }
 
 }  // namespace opalsim::sim

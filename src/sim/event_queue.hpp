@@ -1,40 +1,25 @@
-// Pluggable event queue for the DES engine.
+// The DES engine's event queue: one binary heap over (time, seq).
 //
 // The engine's contract is a strict total order on (time, seq): seq is a
-// monotone counter assigned at schedule time, so any queue that pops the
-// exact same (t, seq) order is a legal drop-in replacement — virtual-time
-// results stay bit-for-bit identical.  Two implementations live behind this
-// interface:
-//
-//   heap    — std::priority_queue reference implementation (the seed
-//             engine's queue).  O(log n) push/pop, always correct, used as
-//             the oracle in the randomized equivalence tests.
-//   ladder  — a ladder-style (calendar) queue tuned for the engine's
-//             mostly-near-future schedule pattern: O(1) appends into an
-//             unsorted far band, on-demand splitting of the far band into
-//             rung buckets, and a small sorted bottom band served by index.
-//             Events are stored by value in reused vectors, so the steady
-//             state performs no per-event allocation at all.
-//
-// The active implementation is selected per engine (Engine ctor) with the
-// process default from OPALSIM_EVENT_QUEUE (ladder | heap; default ladder),
-// overridable programmatically for tests/benches via
-// set_default_event_queue().
+// monotone counter assigned at schedule time and unique per event, so the
+// heap's pop order is fully determined and virtual-time results are
+// bit-for-bit reproducible.  Paper runs keep at most about p+1 events
+// pending, so a plain heap over a reused vector is all the queue needs.
 //
 // Cancellation is lazy: cancel(seq) records a tombstone and pops skip it.
 // Lazy tombstones are only reclaimed when they reach the top of the order,
 // so a workload that arms many long timers and cancels most of them early
 // (recv_timeout under a generous timeout) would keep them all stored.
 // cancel() therefore compacts when tombstones come to outnumber live
-// events: the backing store is drained in (t, seq) order, tombstoned
-// entries dropped, survivors re-pushed — identical pop order, bounded
-// memory.
+// events: tombstoned entries are erased and the survivors re-heaped.  The
+// total order makes any heap of the same entries pop the same sequence, so
+// compaction never perturbs the pop order.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -60,20 +45,18 @@ struct EventQueueStats {
   std::uint64_t peak_size = 0;
 };
 
-class EventQueue {
+class EventQueue final {
  public:
-  virtual ~EventQueue() = default;
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  virtual const char* name() const noexcept = 0;
 
   VT_PURE void push(const ScheduledEvent& ev) {
     ++stats_.pushes;
     ++live_;
     if (live_ > stats_.peak_size) stats_.peak_size = live_;
-    do_push(ev);
+    heap_.push_back(ev);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   /// Pops the live event with the smallest (t, seq).  Precondition: !empty().
@@ -81,13 +64,13 @@ class EventQueue {
     purge_cancelled();
     ++stats_.pops;
     --live_;
-    return do_pop();
+    return pop_top();
   }
 
   /// Time of the next live event.  Precondition: !empty().
   VT_PURE SimTime next_time() {
     purge_cancelled();
-    return do_peek().t;
+    return heap_.front().t;
   }
 
   /// Lazily removes the pending event with sequence number `seq`.  The
@@ -98,7 +81,10 @@ class EventQueue {
     cancelled_.insert(seq);
     ++stats_.cancels;
     --live_;
-    maybe_compact();
+    if (cancelled_.size() >= kCompactMinTombstones &&
+        cancelled_.size() > live_) {
+      compact();
+    }
   }
 
   bool empty() const noexcept { return live_ == 0; }
@@ -114,58 +100,43 @@ class EventQueue {
   /// the queue is empty in both the golden and the resumed run.
   void restore_stats(const EventQueueStats& s) noexcept { stats_ = s; }
 
- protected:
-  virtual void do_push(const ScheduledEvent& ev) = 0;
-  virtual ScheduledEvent do_pop() = 0;
-  /// May mutate internal bands (the ladder materializes its bottom band);
-  /// the returned reference is valid until the next queue operation.
-  virtual const ScheduledEvent& do_peek() = 0;
-
  private:
+  static constexpr std::size_t kCompactMinTombstones = 64;
+
+  /// Heap order: the front is the event no other event is Later than.
+  struct Later {
+    bool operator()(const ScheduledEvent& a,
+                    const ScheduledEvent& b) const noexcept {
+      if (a.t != b.t) return a.t > b.t;
+      return a.seq > b.seq;
+    }
+  };
+
+  ScheduledEvent pop_top() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const ScheduledEvent ev = heap_.back();
+    heap_.pop_back();
+    return ev;
+  }
+
   void purge_cancelled() {
     while (!cancelled_.empty()) {
-      const auto it = cancelled_.find(do_peek().seq);
+      const auto it = cancelled_.find(heap_.front().seq);
       if (it == cancelled_.end()) break;
       cancelled_.erase(it);
-      do_pop();
+      pop_top();
     }
   }
 
-  /// Physical entries = live_ + tombstones: the cancel contract (pending,
-  /// not yet cancelled) makes every tombstone account for exactly one
-  /// stored event, so a full drain-filter-rebuild is exact.
-  void maybe_compact() {
-    static constexpr std::size_t kCompactMinTombstones = 64;
-    if (cancelled_.size() < kCompactMinTombstones) return;
-    if (cancelled_.size() <= live_) return;
-    const std::size_t phys = live_ + cancelled_.size();
-    compact_scratch_.clear();
-    compact_scratch_.reserve(live_);
-    for (std::size_t i = 0; i < phys; ++i) {
-      ScheduledEvent ev = do_pop();
-      if (cancelled_.erase(ev.seq) == 0) compact_scratch_.push_back(ev);
-    }
-    cancelled_.clear();
-    for (const ScheduledEvent& ev : compact_scratch_) do_push(ev);
-    compact_scratch_.clear();
-    ++compactions_;
-  }
+  /// The cancel contract (pending, not yet cancelled) makes every tombstone
+  /// name exactly one stored event, so erasing them leaves the live set.
+  void compact();
 
+  std::vector<ScheduledEvent> heap_;
   std::size_t live_ = 0;
   std::set<std::uint64_t> cancelled_;
-  std::vector<ScheduledEvent> compact_scratch_;
   std::uint64_t compactions_ = 0;
   EventQueueStats stats_;
 };
-
-enum class EventQueueKind { kLadder, kHeap };
-
-/// Process-wide default used by Engine's default constructor.  Initialized
-/// once from OPALSIM_EVENT_QUEUE (ladder | heap; unset = ladder); atomically
-/// readable from sweep worker threads constructing engines concurrently.
-EventQueueKind default_event_queue() noexcept;
-void set_default_event_queue(EventQueueKind kind) noexcept;
-
-std::unique_ptr<EventQueue> make_event_queue(EventQueueKind kind);
 
 }  // namespace opalsim::sim

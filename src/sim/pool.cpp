@@ -1,27 +1,8 @@
 #include "sim/pool.hpp"
 
-#include <atomic>
 #include <new>
 
-#include "util/env.hpp"
-
 namespace opalsim::sim {
-
-namespace {
-
-bool initial_enabled() {
-  if (const auto v = util::env_string("OPALSIM_FRAME_POOL")) {
-    if (*v == "0" || *v == "off" || *v == "false" || *v == "no") return false;
-  }
-  return true;
-}
-
-std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{initial_enabled()};
-  return flag;
-}
-
-}  // namespace
 
 FramePool::~FramePool() {
   // Slabs are released wholesale.  Outstanding pooled blocks at this point
@@ -37,17 +18,9 @@ FramePool& FramePool::local() {
   return pool;
 }
 
-bool FramePool::enabled() noexcept {
-  return enabled_flag().load(std::memory_order_relaxed);
-}
-
-void FramePool::set_enabled(bool on) noexcept {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
 void* FramePool::allocate(std::size_t n) {
   const std::size_t total = n + kHeaderBytes;
-  if (!enabled() || total > kClasses * kGranule) {
+  if (total > kClasses * kGranule) {
     ++stats_.fallback;
     auto* raw = static_cast<unsigned char*>(::operator new(total));
     auto* h = new (raw) Header;
@@ -87,6 +60,8 @@ void FramePool::deallocate(void* p) noexcept {
     ::operator delete(raw);
     return;
   }
+  assert(pool == &FramePool::local() &&
+         "pooled block freed on a thread other than its allocating one");
   pool->free_lists_[h->size_class].push_back(raw);
   ++pool->stats_.freed;
   --pool->stats_.outstanding;

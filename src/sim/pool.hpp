@@ -10,16 +10,13 @@
 //  - Blocks are carved from 64 KiB slabs in 64-byte size classes; freed
 //    blocks go on a per-class free list and are reused LIFO (warm cache).
 //  - Every block is prefixed by a 16-byte header recording the owning pool
-//    and size class, so deallocation routes to the right free list even when
-//    the global enable flag changed in between, and oversized or
-//    pool-disabled allocations (header pool = nullptr) fall back to the
-//    global heap transparently.
+//    and size class, so deallocation routes to the right free list, and
+//    oversized allocations (header pool = nullptr) fall back to the global
+//    heap transparently.
 //  - Slabs are released when the pool (thread) dies; blocks must therefore
 //    be freed on the thread that allocated them.  That holds by the engine's
-//    single-thread discipline; a debug assert catches violations.
-//
-// OPALSIM_FRAME_POOL=0 (or off/false/no) disables pooling process-wide —
-// the reference configuration bench_des_core compares against.
+//    single-thread discipline; a debug assert in deallocate() catches
+//    violations.
 #pragma once
 
 #include <cassert>
@@ -35,7 +32,7 @@ class FramePool {
   struct Stats {
     std::uint64_t reused = 0;       ///< served from a free list
     std::uint64_t carved = 0;       ///< served fresh from a slab
-    std::uint64_t fallback = 0;     ///< oversize/disabled: global heap
+    std::uint64_t fallback = 0;     ///< oversize: global heap
     std::uint64_t freed = 0;        ///< pooled blocks returned
     std::uint64_t outstanding = 0;  ///< live pooled blocks
     std::uint64_t slab_bytes = 0;   ///< total slab memory reserved
@@ -61,12 +58,6 @@ class FramePool {
   /// run on the allocating thread for pooled blocks (debug-asserted).
   static void deallocate(void* p) noexcept;
 
-  /// Process-wide pooling switch, initialized from OPALSIM_FRAME_POOL.
-  /// Affects future allocations only; outstanding blocks free correctly
-  /// either way (header routing).
-  static bool enabled() noexcept;
-  static void set_enabled(bool on) noexcept;
-
   const Stats& stats() const noexcept { return stats_; }
   /// Snapshot of the calling thread's pool counters.
   static Stats local_stats() { return local().stats_; }
@@ -77,9 +68,8 @@ class FramePool {
   void* allocate(std::size_t n);
 
   struct Header {
-    FramePool* pool = nullptr;      ///< nullptr = global-heap fallback
+    FramePool* pool = nullptr;  ///< owner; nullptr = global-heap fallback
     std::uint32_t size_class = 0;
-    std::uint32_t owner_check = 0;  ///< debug: low bits of the owner pool
   };
   static constexpr std::size_t kHeaderBytes = 16;  // preserves 16B alignment
   static constexpr std::size_t kGranule = 64;

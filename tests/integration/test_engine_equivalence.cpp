@@ -1,13 +1,13 @@
-// Acceptance gate for the DES hot-path overhaul: swapping the event queue
-// (ladder vs the seed binary heap) and toggling frame pooling must leave
-// full simulation results — rendered to CSV exactly the way the figure
-// benches render them — byte-for-byte identical.  The queue contract is a
-// strict total order on (t, seq); these runs exercise it end to end through
-// the PVM transport, the sciddle RPC rounds and the opal physics.
+// Tracing is a pure observer of the engine: traced runs render the same
+// results CSV as untraced ones, the trace bytes repeat run to run (the sink
+// assigns seq in execution order, which the engine's (t, seq) contract
+// fixes), and the exporter follows the trace file's extension.  The runs
+// exercise the full stack: the PVM transport, the sciddle RPC rounds and
+// the opal physics.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,9 +18,6 @@
 #include "opal/complex.hpp"
 #include "opal/metrics.hpp"
 #include "opal/parallel.hpp"
-#include "sim/engine.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/pool.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -68,38 +65,6 @@ std::string sweep_csv() {
   return os.str();
 }
 
-/// RAII guard restoring the process-default queue kind and pool switch.
-struct ConfigGuard {
-  sim::EventQueueKind kind = sim::default_event_queue();
-  bool pool = sim::FramePool::enabled();
-  ~ConfigGuard() {
-    sim::set_default_event_queue(kind);
-    sim::FramePool::set_enabled(pool);
-  }
-};
-
-TEST(EngineEquivalence, CsvBytesIdenticalAcrossQueueKinds) {
-  ConfigGuard guard;
-  sim::set_default_event_queue(sim::EventQueueKind::kHeap);
-  const std::string heap_csv = sweep_csv();
-  sim::set_default_event_queue(sim::EventQueueKind::kLadder);
-  const std::string ladder_csv = sweep_csv();
-  EXPECT_EQ(heap_csv, ladder_csv);
-  // Sanity: the CSV actually contains the sweep (header + 8 case rows).
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(heap_csv.begin(), heap_csv.end(), '\n')),
-            9u);
-}
-
-TEST(EngineEquivalence, CsvBytesIdenticalWithPoolingDisabled) {
-  ConfigGuard guard;
-  sim::FramePool::set_enabled(true);
-  const std::string pooled_csv = sweep_csv();
-  sim::FramePool::set_enabled(false);
-  const std::string heap_alloc_csv = sweep_csv();
-  EXPECT_EQ(pooled_csv, heap_alloc_csv);
-}
-
 opal::RunMetrics run_case_traced(int p, double cutoff,
                                  const std::string& trace_out) {
   opal::SimulationConfig cfg;
@@ -127,23 +92,20 @@ TEST(TracingEquivalence, SweepCsvIdenticalWithTracingEnabled) {
   const std::string on = sweep_csv();
   ::unsetenv("OPALSIM_TRACE");
   EXPECT_EQ(off, on);
+  // Sanity: the CSV actually contains the sweep (header + 8 case rows).
+  EXPECT_EQ(static_cast<std::size_t>(std::count(off.begin(), off.end(), '\n')),
+            9u);
 }
 
 // Deterministic emission: two traced same-seed runs export byte-identical
-// trace files, and the bytes survive an event-queue swap (the sink assigns
-// seq in execution order, which the (t, seq) contract fixes).
-TEST(TracingEquivalence, TraceBytesIdenticalAcrossRunsAndQueueKinds) {
-  ConfigGuard guard;
+// trace files.
+TEST(TracingEquivalence, TraceBytesIdenticalAcrossRuns) {
   const std::string dir = ::testing::TempDir();
-  sim::set_default_event_queue(sim::EventQueueKind::kHeap);
   run_case_traced(3, 8.0, dir + "equiv-trace-a.json");
   run_case_traced(3, 8.0, dir + "equiv-trace-b.json");
   const std::string a = read_file(dir + "equiv-trace-a.json");
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, read_file(dir + "equiv-trace-b.json"));
-  sim::set_default_event_queue(sim::EventQueueKind::kLadder);
-  run_case_traced(3, 8.0, dir + "equiv-trace-c.json");
-  EXPECT_EQ(a, read_file(dir + "equiv-trace-c.json"));
 }
 
 // A .csv trace_out selects the CSV exporter.
@@ -152,19 +114,6 @@ TEST(TracingEquivalence, CsvExtensionSelectsCsvExport) {
   run_case_traced(2, 8.0, path);
   const std::string csv = read_file(path);
   EXPECT_EQ(csv.rfind("t,seq,node,cat,ph,name", 0), 0u);
-}
-
-TEST(EngineEquivalence, SeedConfigurationMatchesNewDefault) {
-  // The seed engine was binary heap + global-heap allocation; the new
-  // default is ladder + pooled.  Both corners of the matrix must agree.
-  ConfigGuard guard;
-  sim::set_default_event_queue(sim::EventQueueKind::kHeap);
-  sim::FramePool::set_enabled(false);
-  const std::string seed_csv = sweep_csv();
-  sim::set_default_event_queue(sim::EventQueueKind::kLadder);
-  sim::FramePool::set_enabled(true);
-  const std::string new_csv = sweep_csv();
-  EXPECT_EQ(seed_csv, new_csv);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// FramePool: slab reuse, stats accounting, the disable switch, and — the
-// case that matters for leak-freedom — early engine teardown with processes
-// still parked (their frames must come back to the pool via the root
-// destroy chain; ASan/LSan in CI verifies nothing leaks for real).
+// FramePool: slab reuse, stats accounting, the oversize fallback, the
+// owner-thread assert, and — the case that matters for leak-freedom — early
+// engine teardown with processes still parked (their frames must come back
+// to the pool via the root destroy chain; ASan/LSan in CI verifies nothing
+// leaks for real).
 #include "sim/pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <thread>
 
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
@@ -16,7 +18,6 @@ namespace opalsim::sim {
 namespace {
 
 TEST(FramePool, ReusesFreedBlock) {
-  ASSERT_TRUE(FramePool::enabled());
   // Warm up: whatever this test framework allocated before is irrelevant —
   // the free-then-reallocate pair below must hand back the same block.
   void* a = FramePool::allocate_raw(200);
@@ -60,19 +61,22 @@ TEST(FramePool, OversizeFallsBackToHeap) {
   FramePool::deallocate(p);
 }
 
-TEST(FramePool, DisableRoutesToHeapAndFreesCorrectly) {
-  // A block allocated while pooling is on must free back to the pool even
-  // if the switch flips in between — and vice versa (header routing).
-  void* pooled = FramePool::allocate_raw(100);
-  FramePool::set_enabled(false);
-  void* heap = FramePool::allocate_raw(100);
-  const FramePool::Stats mid = FramePool::local_stats();
-  FramePool::deallocate(pooled);  // pool-owned: returns to free list
-  FramePool::deallocate(heap);    // heap-owned: plain delete
-  const FramePool::Stats after = FramePool::local_stats();
-  EXPECT_EQ(after.freed, mid.freed + 1);
-  FramePool::set_enabled(true);
+#ifndef NDEBUG
+// Pooled blocks must be freed on their allocating thread: the owner's slabs
+// die with that thread.  The block header names the owner, and deallocate()
+// asserts on it — this pins that the assert is real.
+TEST(FramePoolDeathTest, ForeignThreadFreeAborts) {
+  // What GTEST_FLAG_SET(death_test_style, ...) expands to; googletest 1.11
+  // predates that macro.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        void* p = FramePool::allocate_raw(100);
+        std::thread([p] { FramePool::deallocate(p); }).join();
+      },
+      "freed on a thread other than its allocating one");
 }
+#endif
 
 Task<void> nap(Engine* engine, double dt) { co_await engine->delay(dt); }
 

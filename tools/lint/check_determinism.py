@@ -87,7 +87,7 @@ RNG_ALLOWED_FILES = {"src/util/rng.hpp"}
 WALL_CLOCK_ALLOWED_FILES = {"src/util/host_timer.hpp"}
 
 # std::priority_queue is banned in the engine tree except inside the
-# EventQueue implementation itself (the reference binary heap lives there).
+# EventQueue implementation itself (the engine's heap lives there).
 PRIORITY_QUEUE_CHECKED_DIRS = ("src/sim",)
 PRIORITY_QUEUE_ALLOWED_FILES = {
     "src/sim/event_queue.hpp",
@@ -349,7 +349,7 @@ def check_file(path: pathlib.Path, root: pathlib.Path,
             if m and not allow("priority-queue"):
                 findings.append(Finding(
                     rel, lineno, "priority-queue",
-                    "'std::priority_queue' beside the EventQueue interface; "
+                    "'std::priority_queue' beside the EventQueue; "
                     "event ordering must go through sim/event_queue.hpp so "
                     "the (t, seq) total order stays in one place"))
 
