@@ -17,8 +17,8 @@
 
 #include "mach/platforms_db.hpp"
 #include "model/prediction.hpp"
+#include "obs/trace.hpp"
 #include "opal/decomp.hpp"
-#include "sciddle/trace.hpp"
 #include "sim/fault.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -40,9 +40,11 @@ int usage(const char* prog) {
          "       [--dup-rate R] [--kill-server S --kill-step K] [--retry]\n"
          "       [--checkpoint-out FILE] [--checkpoint-every-steps N]\n"
          "       [--checkpoint-at-step K] [--resume FILE] [--csv-out FILE]\n"
-         "--trace-out writes a Perfetto-loadable Chrome trace (.csv for\n"
-         "CSV); --metrics-out snapshots the run's metrics registry as\n"
-         "JSON.  OPALSIM_TRACE / OPALSIM_METRICS set defaults.\n"
+         "--trace prints a text Gantt chart of the RPC phases; --trace-out\n"
+         "writes a Perfetto-loadable Chrome trace (.csv for CSV) instead\n"
+         "(one run, one trace: the two are exclusive); --metrics-out\n"
+         "snapshots the run's metrics registry as JSON.  OPALSIM_TRACE /\n"
+         "OPALSIM_METRICS set defaults.\n"
          "--checkpoint-out (or OPALSIM_CHECKPOINT) snapshots run state at\n"
          "quiescent step boundaries; --resume restarts from such an image\n"
          "and reproduces the uninterrupted run byte for byte.  --csv-out\n"
@@ -187,14 +189,19 @@ int main(int argc, char** argv) {
                  "replicated-data method (--method rd)\n";
     return 2;
   }
+  const bool gantt = args.get_flag("trace");
+  if (gantt &&
+      (!cfg.trace_out.empty() || !obs::trace_path_from_env().empty())) {
+    std::cerr << "error: --trace cannot be combined with --trace-out or "
+                 "OPALSIM_TRACE (one run, one trace)\n";
+    return 2;
+  }
 
-  sciddle::Tracer tracer;
   sciddle::Options mw;
   mw.barrier_mode = !args.get_flag("overlap");
   mw.retry.enabled = args.get_flag("retry") || loss_rate > 0.0 ||
                      corrupt_rate > 0.0 || dup_rate > 0.0 ||
                      cfg.kill_server >= 0;
-  if (args.get_flag("trace")) mw.tracer = &tracer;
 
   for (const auto& k : args.unused()) {
     std::cerr << "warning: unknown option --" << k << "\n";
@@ -209,7 +216,10 @@ int main(int argc, char** argv) {
             << ", update every " << cfg.update_every << "\n\n";
 
   opal::ParallelRunResult r;
+  obs::MemorySink sink;
   try {
+    std::optional<obs::ScopedSink> scope;
+    if (gantt) scope.emplace(sink);
     r = opal::run_with_method(method, plat, mc, servers, cfg, mw);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
@@ -263,8 +273,6 @@ int main(int argc, char** argv) {
               << model::predict_total(params, app) << " s (datasheet-only)\n";
   }
 
-  if (args.get_flag("trace")) {
-    std::cout << "\n" << tracer.render_timeline(76);
-  }
+  if (gantt) std::cout << "\n" << sink.to_gantt(76);
   return 0;
 }

@@ -1,16 +1,18 @@
-// Timeline tracing: run a few Opal-like RPC rounds with the middleware
-// tracer attached and render a text Gantt chart — the visual counterpart of
-// the paper's phase accounting (who was doing what, when).
+// Timeline tracing: run a few Opal-like RPC rounds under an obs::MemorySink
+// and render its RPC spans as a text Gantt chart — the visual counterpart
+// of the paper's phase accounting (who was doing what, when).
 //
 //   ./examples/trace_timeline
 #include <iostream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "hpm/op_counts.hpp"
 #include "mach/platforms_db.hpp"
+#include "obs/trace.hpp"
 #include "pvm/pvm_system.hpp"
 #include "sciddle/rpc.hpp"
-#include "sciddle/trace.hpp"
 #include "sim/engine.hpp"
 
 using namespace opalsim;
@@ -20,10 +22,9 @@ int main() {
   mach::Machine machine(engine, mach::slow_cops(), 4);  // slow net: visible comm
   pvm::PvmSystem pvm(machine);
 
-  sciddle::Tracer tracer;
-  sciddle::Options opts;
-  opts.tracer = &tracer;
-  sciddle::Rpc rpc(pvm, 3, opts);
+  obs::MemorySink sink;
+  obs::ScopedSink scope(sink);
+  sciddle::Rpc rpc(pvm, 3);
 
   // Imbalanced servers: rank r does (r+1) units of work.
   rpc.register_proc(
@@ -47,14 +48,15 @@ int main() {
   engine.run();
 
   std::cout << "Two RPC rounds on a simulated Ethernet cluster; servers do\n"
-               "1x/2x/3x work.  c = call, s = sync, r = return (client row);\n"
-               "c = compute (server rows); . = idle.\n\n"
-            << tracer.render_timeline(76) << "\n"
-            << "Aggregates: call " << tracer.total_time("call")
-            << " s, compute " << tracer.total_time("compute")
-            << " s, return " << tracer.total_time("return") << " s\n\n"
+               "1x/2x/3x work.  Node 0 is the client: c = call, then compute\n"
+               "(waiting on the servers), s = sync, r = return.  Nodes 1-3\n"
+               "are the servers: c = compute.  . = idle.\n\n"
+            << sink.to_gantt(76) << "\n"
             << "CSV export (first lines):\n";
-  const std::string csv = tracer.to_csv();
-  std::cout << csv.substr(0, csv.find('\n', csv.find('\n', csv.find('\n') + 1) + 1) + 1);
+  std::istringstream csv(sink.to_csv());
+  std::string line;
+  for (int i = 0; i < 4 && std::getline(csv, line); ++i) {
+    std::cout << line << '\n';
+  }
   return 0;
 }

@@ -1,8 +1,6 @@
 #include "mach/network.hpp"
 
 #include <cassert>
-#include <algorithm>
-#include <stdexcept>
 
 namespace opalsim::mach {
 
@@ -53,46 +51,6 @@ sim::Task<void> DaemonNetwork::transfer(int /*src*/, int /*dst*/,
   co_await engine_->delay(t);
 }
 
-HierarchicalNetwork::HierarchicalNetwork(sim::Engine& engine, NetSpec spec,
-                                         int nodes)
-    : NetworkModel(std::move(spec)), engine_(&engine) {
-  assert(nodes > 0);
-  if (this->spec().box_size <= 0)
-    throw std::invalid_argument("HierarchicalNetwork: box_size must be > 0");
-  const int boxes =
-      (nodes + this->spec().box_size - 1) / this->spec().box_size;
-  for (int b = 0; b < boxes; ++b) {
-    buses_.push_back(std::make_unique<sim::Resource>(engine, 1));
-    gateways_.push_back(std::make_unique<sim::Resource>(engine, 1));
-  }
-}
-
-sim::Task<void> HierarchicalNetwork::transfer(int src, int dst,
-                                              std::size_t bytes) {
-  account(bytes);
-  const int sb = box_of(src);
-  const int db = box_of(dst);
-  if (sb == db) {
-    auto bus = co_await buses_[sb]->scoped_acquire();
-    double t = intra_unloaded_time(bytes);
-    if (auto* fault = fault_model(); fault != nullptr && fault->enabled()) {
-      const double now = engine_->now();
-      t = spec().intra_latency_s * fault->latency_factor(now) +
-          static_cast<double>(bytes) /
-              (spec().intra_bytes_per_second() * fault->bandwidth_factor(now));
-    }
-    co_await engine_->delay(t);
-    co_return;
-  }
-  // Acquire both gateways in box order to avoid deadlock between opposing
-  // inter-box transfers.
-  const int first = std::min(sb, db);
-  const int second = std::max(sb, db);
-  auto g1 = co_await gateways_[first]->scoped_acquire();
-  auto g2 = co_await gateways_[second]->scoped_acquire();
-  co_await engine_->delay(effective_time(bytes, engine_->now()));
-}
-
 std::unique_ptr<NetworkModel> make_network(sim::Engine& engine, NetSpec spec,
                                            int nodes) {
   switch (spec.kind) {
@@ -102,9 +60,6 @@ std::unique_ptr<NetworkModel> make_network(sim::Engine& engine, NetSpec spec,
       return std::make_unique<SharedBusNetwork>(engine, std::move(spec));
     case NetSpec::Kind::Daemon:
       return std::make_unique<DaemonNetwork>(engine, std::move(spec));
-    case NetSpec::Kind::Hierarchical:
-      return std::make_unique<HierarchicalNetwork>(engine, std::move(spec),
-                                                   nodes);
   }
   return nullptr;  // unreachable
 }

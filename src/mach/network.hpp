@@ -25,25 +25,14 @@ namespace opalsim::mach {
 
 /// Static description of an interconnect.
 struct NetSpec {
-  enum class Kind { Switched, SharedBus, Daemon, Hierarchical };
+  enum class Kind { Switched, SharedBus, Daemon };
   Kind kind = Kind::Switched;
   std::string name;
   double hw_peak_MBps = 0.0;    ///< Table 2 "hw peak"
   double observed_MBps = 0.0;   ///< Table 2 "observed" — the model's a1
   double latency_s = 0.0;       ///< Table 2 "observed latency" — the model's b1
 
-  // Hierarchical (cluster-of-SMPs) parameters: nodes are grouped into boxes
-  // of `box_size`; transfers within a box use the intra_* figures (shared
-  // memory), transfers between boxes the observed_MBps/latency_s figures
-  // through per-box gateway adapters.
-  int box_size = 0;  ///< 0 = flat topology (ignored by flat kinds)
-  double intra_observed_MBps = 0.0;
-  double intra_latency_s = 0.0;
-
   double bytes_per_second() const noexcept { return observed_MBps * 1e6; }
-  double intra_bytes_per_second() const noexcept {
-    return intra_observed_MBps * 1e6;
-  }
 };
 
 /// Abstract transport bound to an Engine.
@@ -138,30 +127,6 @@ class DaemonNetwork final : public NetworkModel {
  private:
   sim::Engine* engine_;
   sim::Resource daemon_;
-};
-
-/// Cluster of SMP boxes: intra-box transfers share the box's memory bus;
-/// inter-box transfers pass through both boxes' gateway adapters (HIPPI
-/// cards) at the slower inter-box rate.
-class HierarchicalNetwork final : public NetworkModel {
- public:
-  HierarchicalNetwork(sim::Engine& engine, NetSpec spec, int nodes);
-  sim::Task<void> transfer(int src, int dst, std::size_t bytes) override;
-
-  int box_of(int node) const noexcept { return node / spec().box_size; }
-  int num_boxes() const noexcept {
-    return static_cast<int>(buses_.size());
-  }
-  /// Unloaded time for an intra-box message.
-  double intra_unloaded_time(std::size_t bytes) const noexcept {
-    return spec().intra_latency_s +
-           static_cast<double>(bytes) / spec().intra_bytes_per_second();
-  }
-
- private:
-  sim::Engine* engine_;
-  std::vector<std::unique_ptr<sim::Resource>> buses_;     ///< per box
-  std::vector<std::unique_ptr<sim::Resource>> gateways_;  ///< per box
 };
 
 /// Factory dispatching on spec.kind.

@@ -145,18 +145,6 @@ PlatformSpec hippi_j90_cluster() {
   return p;
 }
 
-PlatformSpec hippi_j90_cluster_hierarchical(int cpus_per_box) {
-  PlatformSpec p = hippi_j90_cluster();
-  p.name = "HIPPI J90 cluster (hierarchical)";
-  p.net.kind = NetSpec::Kind::Hierarchical;
-  p.net.name = "crossbar in-box / HIPPI between boxes";
-  p.net.box_size = cpus_per_box;
-  p.net.intra_observed_MBps = 200.0;  // shared-memory transport in the box
-  p.net.intra_latency_s = sim::microseconds(5);
-  p.smp_width = cpus_per_box;
-  return p;
-}
-
 std::vector<PlatformSpec> prediction_platforms() {
   return {cray_t3e900(), cray_j90(), slow_cops(), smp_cops(), fast_cops()};
 }

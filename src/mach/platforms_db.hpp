@@ -41,11 +41,6 @@ PlatformSpec pentium200();
 /// prediction set; provided for what-if studies.
 PlatformSpec hippi_j90_cluster();
 
-/// The same site modelled hierarchically: 8-CPU J90 boxes whose in-box
-/// transfers share the crossbar (fast) while box-to-box transfers pass
-/// through HIPPI gateway adapters (slower, serialized per box).
-PlatformSpec hippi_j90_cluster_hierarchical(int cpus_per_box = 8);
-
 /// The §4 prediction set, in the paper's presentation order:
 /// T3E-900, J90, slow CoPs, SMP CoPs, fast CoPs.
 std::vector<PlatformSpec> prediction_platforms();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -28,6 +29,11 @@ std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+/// Export label of a node's process group (node -1 is the engine's).
+std::string node_label(int node) {
+  return node < 0 ? std::string("engine") : "node " + std::to_string(node);
 }
 
 }  // namespace
@@ -74,9 +80,7 @@ std::string MemorySink::to_chrome_json() const {
   for (const auto& [pid, tids] : tracks) {
     sep();
     os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\""
-       << (pid == 0 ? std::string("engine")
-                    : "node " + std::to_string(pid - 1))
+       << ",\"tid\":0,\"args\":{\"name\":\"" << node_label(pid - 1)
        << "\"}}";
     for (const auto& [tid, tname] : tids) {
       sep();
@@ -118,6 +122,77 @@ std::string MemorySink::to_csv() const {
                       e.a0.name != nullptr ? fmt(e.a0.value) : "",
                       e.a1.name != nullptr ? e.a1.name : "",
                       e.a1.name != nullptr ? fmt(e.a1.value) : ""});
+  }
+  return os.str();
+}
+
+std::string MemorySink::to_gantt(int columns) const {
+  struct Span {
+    int node;
+    const char* name;
+    double t0;
+    double t1;
+  };
+  // Pair each E with the innermost open B of the same name on its node (a
+  // span the RPC layer records before its enclosing window may share that
+  // window's start time, and so sort before it).
+  std::vector<Span> spans;
+  std::map<int, std::vector<std::size_t>> open;  // node -> open span indices
+  for (const TraceEvent& e : sorted_events()) {
+    if (e.cat != Cat::kRpc) continue;
+    std::vector<std::size_t>& stack = open[e.node];
+    if (e.ph == Ph::kBegin) {
+      stack.push_back(spans.size());
+      spans.push_back({e.node, e.name, e.t, e.t});
+    } else if (e.ph == Ph::kEnd) {
+      for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+        if (std::strcmp(spans[*it].name, e.name) != 0) continue;
+        spans[*it].t1 = e.t;
+        stack.erase(std::next(it).base());
+        break;
+      }
+    }
+  }
+  if (spans.empty()) return "(empty trace)\n";
+  // Paint outer spans first so nested ones stay visible: by start, the
+  // longer of two spans with one start first.
+  std::stable_sort(spans.begin(), spans.end(),
+                   [](const Span& x, const Span& y) {
+                     if (x.t0 != y.t0) return x.t0 < y.t0;
+                     return x.t1 > y.t1;
+                   });
+
+  columns = std::max(columns, 1);
+  double t0 = spans.front().t0;
+  double t1 = spans.front().t1;
+  for (const Span& sp : spans) {
+    t0 = std::min(t0, sp.t0);
+    t1 = std::max(t1, sp.t1);
+  }
+  const double width = t1 > t0 ? t1 - t0 : 1.0;
+
+  std::map<int, std::string> rows;  // node -> cells
+  std::size_t label_width = 0;
+  for (const Span& sp : spans) {
+    rows.try_emplace(sp.node, std::string(columns, '.'));
+    label_width = std::max(label_width, node_label(sp.node).size());
+  }
+  for (const Span& sp : spans) {
+    auto lo = static_cast<int>((sp.t0 - t0) / width * columns);
+    auto hi = static_cast<int>((sp.t1 - t0) / width * columns);
+    lo = std::clamp(lo, 0, columns - 1);
+    hi = std::clamp(hi, lo, columns - 1);
+    const char c = sp.name[0] == '\0' ? '?' : sp.name[0];
+    std::string& row = rows[sp.node];
+    for (int k = lo; k <= hi; ++k) row[k] = c;
+  }
+
+  std::ostringstream os;
+  os << "timeline [" << t0 << " s .. " << t1 << " s]\n";
+  for (const auto& [node, row] : rows) {
+    std::string label = node_label(node);
+    label.resize(label_width, ' ');
+    os << label << " |" << row << "|\n";
   }
   return os.str();
 }

@@ -4,13 +4,15 @@
 // layer and ParallelOpal all emit TraceEvents — (virtual time, seq, node,
 // category, name, args) — into the thread's current sink.  A MemorySink
 // collects them for export as Chrome trace_event JSON (loadable in Perfetto:
-// one pid per simulated node, virtual seconds mapped to microsecond ticks)
-// or as CSV; tools/trace/summarize_trace.py recomputes the paper's five-way
-// phase breakdown from such a trace alone.
+// one pid per simulated node, virtual seconds mapped to microsecond ticks),
+// as CSV, or as a text Gantt chart of the RPC phases;
+// tools/trace/summarize_trace.py recomputes the paper's five-way phase
+// breakdown from such a trace alone.
 //
 // Determinism: the DES executes one coroutine at a time in a fixed (t, seq)
 // total order, so the sequence of record() calls — and hence the sink's own
-// seq numbering — is bit-identical across queue/pool configurations.
+// seq numbering — is bit-identical for identical runs, on any host thread
+// count.
 // Exports sort on (t, seq), making trace files byte-identical for identical
 // runs.
 //
@@ -33,7 +35,7 @@ namespace opalsim::obs {
 /// within a node's process group.
 enum class Cat : std::uint8_t {
   kEngine = 0,  ///< DES engine: schedule/pop/spawn/exit/cancel
-  kPvm = 1,     ///< transport: send/deliver/recv/bcast/barrier
+  kPvm = 1,     ///< transport: send/deliver/recv/barrier
   kRpc = 2,     ///< middleware phases: call/compute/return/sync/recovery
   kFault = 3,   ///< injected faults: drop/duplicate/corrupt/stall/kill
   kPhase = 4,   ///< application phase transitions (ParallelOpal)
@@ -120,6 +122,13 @@ class MemorySink final : public TraceSink {
   /// CSV rows: t,seq,node,cat,ph,name,arg0,val0,arg1,val1 (RFC 4180
   /// escaping).
   std::string to_csv() const;
+
+  /// Text Gantt chart of the kRpc spans: one row per node (labelled like
+  /// the Chrome export's process names), `columns` cells across the traced
+  /// span; each cell shows the first letter of the phase occupying it
+  /// ('.' = idle), a nested span drawn over its parent.  Other categories
+  /// are ignored.
+  std::string to_gantt(int columns = 72) const;
 
  private:
   std::vector<TraceEvent> events_;

@@ -152,123 +152,12 @@ sim::Task<std::optional<Message>> PvmTask::recv_timeout(int src, int tag,
   co_return m;
 }
 
-std::optional<Message> PvmTask::try_recv(int src, int tag) {
-  auto& mb = system_->mailbox(tid_);
-  mb.audit_discipline().note_consume(static_cast<std::uint64_t>(tid_),
-                                     engine().now());
-  return mb.try_get(
-      [src, tag](const Message& x) { return x.matches(src, tag); });
-}
-
-sim::Task<void> PvmTask::mcast(const std::vector<int>& dsts, int tag,
-                               const PackBuffer& body) {
-  // Each send takes a copy of `body`, but PackBuffer copies share one
-  // immutable heap block — the fan-out moves no payload bytes.
-  for (int dst : dsts) co_await send(dst, tag, body);
-}
-
 sim::Task<void> PvmTask::barrier(const std::string& group, int count) {
   if (obs::enabled()) {
     obs::instant(obs::Cat::kPvm, "barrier", engine().now(), node_,
                  {"count", static_cast<double>(count)});
   }
   return system_->do_barrier(group, count);
-}
-
-namespace {
-
-/// Rank of `tid` within `members`; throws when absent.
-int rank_of(const std::vector<int>& members, int tid) {
-  for (std::size_t r = 0; r < members.size(); ++r) {
-    if (members[r] == tid) return static_cast<int>(r);
-  }
-  throw std::invalid_argument("pvm collective: caller not in members");
-}
-
-/// Rotated rank so that root is rank 0 (binomial trees assume that).
-int rotated(int rank, int root_rank, int size) {
-  return (rank - root_rank + size) % size;
-}
-
-}  // namespace
-
-sim::Task<std::vector<Message>> PvmTask::gather(
-    const std::vector<int>& members, int root, int tag,
-    PackBuffer contribution) {
-  const int my_rank = rank_of(members, tid_);
-  (void)rank_of(members, root);  // validate root membership
-  std::vector<Message> out;
-  if (tid_ != root) {
-    co_await send(root, tag, std::move(contribution));
-    co_return out;
-  }
-  out.resize(members.size());
-  for (std::size_t r = 0; r < members.size(); ++r) {
-    if (members[r] == tid_) continue;
-    Message m = co_await recv(members[r], tag);
-    out[r] = std::move(m);
-  }
-  (void)my_rank;
-  co_return out;
-}
-
-sim::Task<double> PvmTask::reduce_sum(const std::vector<int>& members,
-                                      int root, int tag, double value) {
-  const int size = static_cast<int>(members.size());
-  const int root_rank = rank_of(members, root);
-  const int me = rotated(rank_of(members, tid_), root_rank, size);
-  double partial = value;
-  for (int mask = 1; mask < size; mask <<= 1) {
-    if (me & mask) {
-      const int dst_rot = me - mask;
-      const int dst =
-          members[(dst_rot + root_rank) % size];
-      PackBuffer b;
-      b.pack_f64(partial);
-      co_await send(dst, tag, std::move(b));
-      break;
-    }
-    const int src_rot = me + mask;
-    if (src_rot < size) {
-      const int src = members[(src_rot + root_rank) % size];
-      Message m = co_await recv(src, tag);
-      partial += m.body.unpack_f64();
-    }
-  }
-  co_return partial;
-}
-
-sim::Task<PackBuffer> PvmTask::bcast(const std::vector<int>& members,
-                                     int root, int tag, PackBuffer data) {
-  if (obs::enabled()) {
-    obs::instant(obs::Cat::kPvm, "bcast", engine().now(), node_,
-                 {"members", static_cast<double>(members.size())},
-                 {"bytes", static_cast<double>(data.byte_size())});
-  }
-  const int size = static_cast<int>(members.size());
-  const int root_rank = rank_of(members, root);
-  const int me = rotated(rank_of(members, tid_), root_rank, size);
-
-  // Receive from the parent (everyone except the root).
-  PackBuffer payload = std::move(data);
-  if (me != 0) {
-    Message m = co_await recv(kAny, tag);
-    payload = std::move(m.body);
-  }
-  // Forward down the binomial tree: highest power-of-two first.
-  int top = 1;
-  while (top < size) top <<= 1;
-  // Children of `me` are me + mask for masks above me's lowest set bit.
-  int lowest = me == 0 ? top : (me & -me);
-  for (int mask = lowest >> 1; mask >= 1; mask >>= 1) {
-    const int child_rot = me + mask;
-    if (child_rot < size) {
-      const int child = members[(child_rot + root_rank) % size];
-      PackBuffer copy = payload;  // shares the payload block (zero-copy)
-      co_await send(child, tag, std::move(copy));
-    }
-  }
-  co_return payload;
 }
 
 PvmSystem::PvmSystem(mach::Machine& machine)

@@ -1,5 +1,5 @@
 // The PVM substrate: task spawn, point-to-point send/recv with (src, tag)
-// wildcard matching, multicast and group barriers, running on a simulated
+// wildcard matching, timed receive and group barriers, running on a simulated
 // Machine.  The API mirrors the subset of PVM 3.x that Sciddle uses
 // (paper §3.1: "a Sciddle application still needs to use a few PVM calls").
 //
@@ -52,44 +52,13 @@ class PvmTask {
   /// Receives the oldest message matching (src, tag), or returns nullopt
   /// once `timeout` seconds of virtual time pass without a match — the
   /// primitive the fault-tolerant RPC layer builds timeouts/retries on.
-  /// A non-positive timeout degenerates to try_recv.
+  /// A non-positive timeout polls: it never suspends.
   VT_PURE sim::Task<std::optional<Message>> recv_timeout(int src, int tag,
                                                  double timeout);
-
-  /// Non-blocking probe-and-receive.
-  std::optional<Message> try_recv(int src = kAny, int tag = kAny);
-
-  /// Sends the same body to every task in `dsts`, one message each,
-  /// serialized at this sender (PVM mcast semantics on real networks).
-  VT_PURE sim::Task<void> mcast(const std::vector<int>& dsts, int tag,
-                        const PackBuffer& body);
 
   /// Joins the named barrier with `count` total parties; resumes b5 after
   /// the last arrival.
   VT_PURE sim::Task<void> barrier(const std::string& group, int count);
-
-  // -- collectives ---------------------------------------------------------
-  // Every task in `members` (a list of tids; this task's tid must appear)
-  // must call the same collective with the same members, root and tag.
-  // Costs emerge from the underlying point-to-point messages.  Concurrent
-  // collectives on overlapping member sets need distinct tags.
-
-  /// Flat gather: every non-root member sends its contribution to root;
-  /// root returns them ordered by members rank (its own first, empty).
-  /// Non-roots return an empty vector.
-  sim::Task<std::vector<Message>> gather(const std::vector<int>& members,
-                                         int root, int tag,
-                                         PackBuffer contribution);
-
-  /// Binomial-tree sum reduction; the result is valid at root only
-  /// (others return their partial).
-  sim::Task<double> reduce_sum(const std::vector<int>& members, int root,
-                               int tag, double value);
-
-  /// Binomial-tree broadcast of `data` from root; returns the received
-  /// (or original, at root) buffer.
-  VT_PURE sim::Task<PackBuffer> bcast(const std::vector<int>& members, int root,
-                              int tag, PackBuffer data);
 
  private:
   friend class PvmSystem;

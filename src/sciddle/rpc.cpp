@@ -69,13 +69,7 @@ void Rpc::start() {
 }
 
 void Rpc::record(int task, const char* phase, double t0, double t1,
-                 std::uint64_t round) {
-  if (options_.tracer != nullptr) options_.tracer->record(task, phase, t0, t1);
-  record_obs(task, phase, t0, t1, round);
-}
-
-void Rpc::record_obs(int task, const char* phase, double t0, double t1,
-                     std::uint64_t round, int participants) {
+                 std::uint64_t round, int participants) {
   if (!obs::enabled()) return;
   // The client runs on node 0, server s on node s + 1.
   const int node = task < 0 ? 0 : task + 1;
@@ -176,13 +170,12 @@ sim::Task<CallAllStats> Rpc::call_all(pvm::PvmTask& client,
     const double wait = engine.now() - t_wait0;
     stats.compute_wall = wait > b5 ? wait - b5 : 0.0;
     stats.sync_time += b5;
-    // Obs-only partition of the wait: the compute window, then the embedded
-    // end synchronization (t_end).  Lets the trace summarizer rebuild
+    // Partition of the wait: the compute window, then the embedded end
+    // synchronization (t_end).  Lets the trace summarizer rebuild
     // compute_wall/sync exactly without knowing b5.
-    record_obs(-1, "compute", t_wait0, t_wait0 + stats.compute_wall, call_id,
-               num_servers_);
-    record_obs(-1, "sync", t_wait0 + stats.compute_wall, engine.now(),
-               call_id);
+    record(-1, "compute", t_wait0, t_wait0 + stats.compute_wall, call_id,
+           num_servers_);
+    record(-1, "sync", t_wait0 + stats.compute_wall, engine.now(), call_id);
   }
 
   // Collect the p replies (serialized at the client's receive side).
@@ -506,11 +499,10 @@ sim::Task<CallAllStats> Rpc::call_all_ft(pvm::PvmTask& client,
     stats.server_busy[s] = m->body.unpack_f64();
   }
   if (stats.failed_servers.empty()) {
-    // Obs-only compute window.  The window is compute_wall plus interleaved
-    // recovery; the summarizer subtracts the overlapping recovery spans to
-    // recover compute_wall exactly.
-    record_obs(-1, "compute", t_comp0, engine.now(), call_id,
-               stats.participants);
+    // The compute window is compute_wall plus interleaved recovery; the
+    // summarizer subtracts the overlapping recovery spans to recover
+    // compute_wall exactly.
+    record(-1, "compute", t_comp0, engine.now(), call_id, stats.participants);
   }
   if (!stats.failed_servers.empty()) {
     // Incomplete round: skip release/reply — the caller redistributes the
@@ -542,14 +534,9 @@ sim::Task<CallAllStats> Rpc::call_all_ft(pvm::PvmTask& client,
     if (replies != nullptr) replies->push_back(std::move(m->body));
   }
   if (stats.failed_servers.empty()) {
-    // Obs-only true collection window (recovery interleaving subtracted by
-    // the summarizer), plus the legacy coarse span for the Tracer only.
-    record_obs(-1, "return", t_reply0, engine.now(), call_id);
-  }
-  if (stats.return_time > 0.0 && options_.tracer != nullptr) {
-    // One coarse span for the whole collection (mirrors the legacy trace).
-    options_.tracer->record(-1, "return", engine.now() - stats.return_time,
-                            engine.now());
+    // The true collection window (recovery interleaving subtracted by the
+    // summarizer).
+    record(-1, "return", t_reply0, engine.now(), call_id);
   }
   totals_.recovery_time_s += stats.recovery_time;
   co_return stats;

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "pvm/pvm_system.hpp"
-#include "sciddle/trace.hpp"
 #include "sim/task.hpp"
 #include "util/domains.hpp"
 #include "util/rng.hpp"
@@ -69,9 +68,6 @@ struct RetryPolicy {
 struct Options {
   /// Insert PVM barriers between compute and reply phases (§3.3).
   bool barrier_mode = true;
-  /// When set, the RPC layer records call/compute/return/sync/recovery
-  /// spans (client = task -1, servers = 0..p-1) into this tracer.
-  Tracer* tracer = nullptr;
   /// Fault-tolerance policy; disabled by default, in which case the wire
   /// protocol is bit-for-bit the seed middleware.
   RetryPolicy retry;
@@ -238,16 +234,13 @@ class Rpc {
   /// patience; false declares it dead.
   sim::Task<bool> probe(pvm::PvmTask& client, int server_index,
                         CallAllStats& stats);
-  /// Records a phase span into the legacy Tracer (when configured) and the
-  /// thread's obs::TraceSink.  `round` (the call id) tags the span so the
-  /// trace summarizer can regroup per-round accounting; 0 = no round.
+  /// Emits a call/compute/return/sync/recovery span (client = task -1,
+  /// servers = 0..p-1) into the thread's obs::TraceSink.  `round` (the call
+  /// id) tags the span so the trace summarizer can regroup per-round
+  /// accounting; 0 = no round.  `participants` = live servers this round
+  /// (0 = not tagged).
   void record(int task, const char* phase, double t0, double t1,
-              std::uint64_t round = 0);
-  /// Sink-only span (no legacy Tracer entry): the phase partitions the
-  /// obs layer adds beyond the seed tracer (client compute window, embedded
-  /// end-synchronization).  `participants` = live servers this round.
-  void record_obs(int task, const char* phase, double t0, double t1,
-                  std::uint64_t round = 0, int participants = 0);
+              std::uint64_t round = 0, int participants = 0);
 
   pvm::PvmSystem* pvm_;
   int num_servers_;

@@ -3,8 +3,8 @@
 // The Engine owns a time-ordered event queue of suspended coroutine handles.
 // Simulation processes are spawned from Task<void> coroutines; they advance
 // virtual time exclusively by awaiting engine primitives (delay, Event,
-// Queue, Mailbox, Resource, Barrier).  Exactly one coroutine runs at a time,
-// so no synchronization is required, and ties in virtual time are broken by a
+// Mailbox, Resource).  Exactly one coroutine runs at a time, so no
+// synchronization is required, and ties in virtual time are broken by a
 // monotone sequence number — runs are bit-for-bit deterministic.
 //
 // Hot-path machinery (see DESIGN.md, "DES core internals"):

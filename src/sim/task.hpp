@@ -2,7 +2,7 @@
 //
 // Tasks are the building block for simulation processes: a coroutine body may
 // `co_await` other Task<T>s (nested calls), awaitable primitives (Event,
-// Queue, Resource, Barrier) and Engine::delay().  A Task does nothing until
+// Mailbox, Resource) and Engine::delay().  A Task does nothing until
 // awaited; the awaiting coroutine is resumed exactly once when the task
 // completes, with the task's value or exception delivered at the await site.
 //

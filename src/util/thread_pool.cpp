@@ -33,14 +33,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    ScopedLock lk(mutex_);
-    queue_.push_back(std::move(job));
-  }
-  cv_.notify_one();
-}
-
 void ThreadPool::dispatch_indexed(std::size_t count,
                                   void (*fn)(void*, std::size_t), void* ctx) {
   if (count == 0 || fn == nullptr) return;
@@ -122,38 +114,26 @@ void ThreadPool::run_blocks(IndexedJob& job, unsigned my_block) {
 void ThreadPool::worker_loop(unsigned worker_index) {
   std::uint64_t last_seen = 0;  // newest dispatch this worker served
   for (;;) {
-    std::function<void()> job;
     IndexedJob* ij = nullptr;
     {
       ScopedLock lk(mutex_);
       cv_.wait(mutex_, [&] {
         mutex_.assert_held();
-        return stop_ || !queue_.empty() ||
-               (active_ != nullptr && active_->seq != last_seen);
+        return stop_ || (active_ != nullptr && active_->seq != last_seen);
       });
-      if (active_ != nullptr && active_->seq != last_seen) {
-        // Register as a participant under the mutex: the dispatcher only
-        // reclaims the job's stack frame once participants drops to zero.
-        ij = active_;
-        last_seen = ij->seq;
-        ++ij->participants;
-      } else if (!queue_.empty()) {
-        job = std::move(queue_.front());
-        queue_.pop_front();
-      } else {
-        return;  // stop_ set and drained
-      }
+      if (active_ == nullptr || active_->seq == last_seen) return;  // stop_
+      // Register as a participant under the mutex: the dispatcher only
+      // reclaims the job's stack frame once participants drops to zero.
+      ij = active_;
+      last_seen = ij->seq;
+      ++ij->participants;
     }
-    if (ij != nullptr) {
-      run_blocks(*ij, worker_index);
-      ScopedLock lk(mutex_);
-      if (--ij->participants == 0 &&
-          ij->completed.load(std::memory_order_acquire) == ij->count) {
-        done_cv_.notify_all();
-      }
-      continue;
+    run_blocks(*ij, worker_index);
+    ScopedLock lk(mutex_);
+    if (--ij->participants == 0 &&
+        ij->completed.load(std::memory_order_acquire) == ij->count) {
+      done_cv_.notify_all();
     }
-    job();
   }
 }
 

@@ -16,8 +16,8 @@
 // worker loop.  See DESIGN.md, "Host execution engine".
 //
 // Lock discipline (statically proven under clang -Wthread-safety):
-//   mutex_          guards the job queue, the stop flag, the active
-//                   dispatch pointer and its participant count.
+//   mutex_          guards the stop flag, the active dispatch pointer and
+//                   its participant count.
 //   dispatch_mutex_ serializes dispatch_indexed callers; always acquired
 //                   before mutex_ (never the other way around).
 //   blocks_         is intentionally unguarded: the per-block cursor is an
@@ -29,9 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <thread>
 #include <vector>
 
@@ -53,8 +51,8 @@ struct DispatchStats {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (>= 1; a 1-thread pool still runs jobs on
-  /// its worker, but parallel_for_indexed short-circuits it inline).
+  /// Spawns `threads` workers (>= 1; parallel_for_indexed short-circuits a
+  /// 1-thread pool inline).
   explicit ThreadPool(unsigned threads = default_threads());
   ~ThreadPool();
 
@@ -64,10 +62,6 @@ class ThreadPool {
   unsigned size() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
-
-  /// Enqueues a job.  Jobs must not throw out of the pool; wrap with your
-  /// own capture (parallel_for_indexed does).
-  HOST_ONLY void submit(std::function<void()> job) EXCLUDES(mutex_);
 
   /// Runs fn(ctx, i) for every i in [0, count) across all workers plus the
   /// calling thread, returning when every index has run.  `fn` must not
@@ -111,9 +105,8 @@ class ThreadPool {
   void run_blocks(IndexedJob& job, unsigned my_block) EXCLUDES(mutex_);
 
   Mutex mutex_;
-  CondVar cv_;       ///< wakes workers (queue or dispatch)
+  CondVar cv_;       ///< wakes workers (dispatch or stop)
   CondVar done_cv_;  ///< wakes the waiting dispatcher
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mutex_);
   bool stop_ GUARDED_BY(mutex_) = false;
   IndexedJob* active_ GUARDED_BY(mutex_) = nullptr;  ///< current dispatch
   std::uint64_t dispatch_seq_ GUARDED_BY(mutex_) = 0;

@@ -178,130 +178,3 @@ TEST(Machine, TransferUsesPlatformNetwork) {
 }
 
 }  // namespace
-
-namespace {
-
-using opalsim::mach::HierarchicalNetwork;
-
-NetSpec hier_spec() {
-  NetSpec s;
-  s.kind = NetSpec::Kind::Hierarchical;
-  s.name = "hier-test";
-  s.observed_MBps = 1.0;   // inter-box: 1 MB/s
-  s.hw_peak_MBps = 2.0;
-  s.latency_s = 1e-3;
-  s.box_size = 2;
-  s.intra_observed_MBps = 100.0;  // intra-box: 100 MB/s
-  s.intra_latency_s = 1e-6;
-  return s;
-}
-
-TEST(HierarchicalNetwork, IntraBoxIsFast) {
-  Engine eng;
-  HierarchicalNetwork net(eng, hier_spec(), 4);
-  auto proc = [&]() -> Task<void> {
-    co_await net.transfer(0, 1, 1'000'000);  // same box (0,1)
-  };
-  eng.spawn(proc());
-  eng.run();
-  EXPECT_NEAR(eng.now(), 1e-6 + 0.01, 1e-6);
-}
-
-TEST(HierarchicalNetwork, InterBoxIsSlow) {
-  Engine eng;
-  HierarchicalNetwork net(eng, hier_spec(), 4);
-  auto proc = [&]() -> Task<void> {
-    co_await net.transfer(0, 2, 1'000'000);  // box 0 -> box 1
-  };
-  eng.spawn(proc());
-  eng.run();
-  EXPECT_NEAR(eng.now(), 1e-3 + 1.0, 1e-6);
-}
-
-TEST(HierarchicalNetwork, BoxOfMapsNodesToBoxes) {
-  Engine eng;
-  HierarchicalNetwork net(eng, hier_spec(), 6);
-  EXPECT_EQ(net.box_of(0), 0);
-  EXPECT_EQ(net.box_of(1), 0);
-  EXPECT_EQ(net.box_of(2), 1);
-  EXPECT_EQ(net.box_of(5), 2);
-  EXPECT_EQ(net.num_boxes(), 3);
-}
-
-TEST(HierarchicalNetwork, IntraBoxTransfersInDifferentBoxesRunConcurrently) {
-  Engine eng;
-  HierarchicalNetwork net(eng, hier_spec(), 4);
-  std::vector<double> done;
-  auto proc = [&](int a, int b) -> Task<void> {
-    co_await net.transfer(a, b, 10'000'000);  // 0.1 s intra
-    done.push_back(eng.now());
-  };
-  eng.spawn(proc(0, 1));  // box 0
-  eng.spawn(proc(2, 3));  // box 1
-  eng.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0], 0.1, 0.001);
-  EXPECT_NEAR(done[1], 0.1, 0.001);  // concurrent
-}
-
-TEST(HierarchicalNetwork, SameBoxBusSerializes) {
-  Engine eng;
-  HierarchicalNetwork net(eng, hier_spec(), 4);
-  std::vector<double> done;
-  auto proc = [&]() -> Task<void> {
-    co_await net.transfer(0, 1, 10'000'000);  // 0.1 s intra
-    done.push_back(eng.now());
-  };
-  eng.spawn(proc());
-  eng.spawn(proc());
-  eng.run();
-  EXPECT_NEAR(done[1], 0.2, 0.001);
-}
-
-TEST(HierarchicalNetwork, GatewaySerializesInterBoxTraffic) {
-  Engine eng;
-  HierarchicalNetwork net(eng, hier_spec(), 6);
-  std::vector<double> done;
-  // Two transfers out of box 0 to different boxes share box 0's gateway.
-  auto proc = [&](int dst) -> Task<void> {
-    co_await net.transfer(0, dst, 1'000'000);  // 1 s inter
-    done.push_back(eng.now());
-  };
-  eng.spawn(proc(2));
-  eng.spawn(proc(4));
-  eng.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_NEAR(done[0], 1.001, 0.01);
-  EXPECT_NEAR(done[1], 2.002, 0.01);
-}
-
-TEST(HierarchicalNetwork, OpposingInterBoxTransfersDoNotDeadlock) {
-  Engine eng;
-  HierarchicalNetwork net(eng, hier_spec(), 4);
-  int finished = 0;
-  auto proc = [&](int a, int b) -> Task<void> {
-    co_await net.transfer(a, b, 1'000'000);
-    ++finished;
-  };
-  eng.spawn(proc(0, 2));  // box 0 -> 1
-  eng.spawn(proc(2, 0));  // box 1 -> 0
-  eng.run();
-  EXPECT_EQ(finished, 2);
-}
-
-TEST(HierarchicalNetwork, RejectsZeroBoxSize) {
-  Engine eng;
-  NetSpec s = hier_spec();
-  s.box_size = 0;
-  EXPECT_THROW(HierarchicalNetwork(eng, s, 4), std::invalid_argument);
-}
-
-TEST(HierarchicalPlatform, RunsParallelOpalAndScalesWithinABox) {
-  // 7 servers + client fit in one 8-CPU box: everything intra-box.
-  using opalsim::mach::hippi_j90_cluster_hierarchical;
-  const auto spec = hippi_j90_cluster_hierarchical(8);
-  EXPECT_EQ(spec.net.kind, NetSpec::Kind::Hierarchical);
-  EXPECT_EQ(spec.net.box_size, 8);
-}
-
-}  // namespace

@@ -154,6 +154,66 @@ TEST(MemorySink, CsvEscapesNamesWithCommasAndQuotes) {
   EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 2);
 }
 
+TEST(MemorySinkGantt, SequentialSpansAndIdleCells) {
+  obs::MemorySink sink;
+  obs::ScopedSink scope(sink);
+  obs::span(Cat::kRpc, "call", 0.0, 2.0, 0);
+  obs::span(Cat::kRpc, "sync", 5.0, 7.0, 0);
+  obs::span(Cat::kRpc, "compute", 2.0, 10.0, 1);
+  EXPECT_EQ(sink.to_gantt(10),
+            "timeline [0 s .. 10 s]\n"
+            "node 0 |ccc..sss..|\n"
+            "node 1 |..cccccccc|\n");
+}
+
+TEST(MemorySinkGantt, NestedSpanPaintsOverItsParent) {
+  obs::MemorySink sink;
+  obs::ScopedSink scope(sink);
+  // Recorded inner-first, as the RPC layer records a recovery interval
+  // before the compute window that contains it.
+  obs::span(Cat::kRpc, "recovery", 4.0, 6.0, 0);
+  obs::span(Cat::kRpc, "compute", 0.0, 10.0, 0);
+  // The same, with the inner span starting together with its parent.
+  obs::span(Cat::kRpc, "recovery", 0.0, 3.0, 1);
+  obs::span(Cat::kRpc, "compute", 0.0, 10.0, 1);
+  EXPECT_EQ(sink.to_gantt(10),
+            "timeline [0 s .. 10 s]\n"
+            "node 0 |ccccrrrccc|\n"
+            "node 1 |rrrrcccccc|\n");
+}
+
+TEST(MemorySinkGantt, IgnoresNonRpcCategories) {
+  obs::MemorySink sink;
+  obs::ScopedSink scope(sink);
+  obs::span(Cat::kRpc, "call", 0.0, 10.0, 0);
+  obs::span(Cat::kPhase, "step", 0.0, 20.0, 0);  // must not widen the range
+  obs::span(Cat::kPvm, "xfer", 1.0, 2.0, 3);     // must not add a row
+  obs::instant(Cat::kEngine, "pop", 30.0, -1);
+  obs::instant(Cat::kRpc, "note", 40.0, 4);      // not a span
+  EXPECT_EQ(sink.to_gantt(5),
+            "timeline [0 s .. 10 s]\n"
+            "node 0 |ccccc|\n");
+}
+
+TEST(MemorySinkGantt, EmptySinkAndRpcFreeTrace) {
+  obs::MemorySink sink;
+  EXPECT_EQ(sink.to_gantt(), "(empty trace)\n");
+  obs::ScopedSink scope(sink);
+  obs::span(Cat::kPvm, "xfer", 1.0, 2.0, 0);
+  EXPECT_EQ(sink.to_gantt(), "(empty trace)\n");
+}
+
+TEST(MemorySinkGantt, LabelsAlignAcrossNodeNumberWidths) {
+  obs::MemorySink sink;
+  obs::ScopedSink scope(sink);
+  obs::span(Cat::kRpc, "call", 0.0, 1.0, 0);
+  obs::span(Cat::kRpc, "return", 1.0, 2.0, 10);
+  EXPECT_EQ(sink.to_gantt(4),
+            "timeline [0 s .. 2 s]\n"
+            "node 0  |ccc.|\n"
+            "node 10 |..rr|\n");
+}
+
 TEST(TracePaths, UniqueOutputPathDisambiguatesRepeats) {
   // Distinct base paths (per-test-run uniqueness is process-global state).
   const std::string base = "/tmp/opalsim-ut-" +

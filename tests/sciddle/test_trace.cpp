@@ -1,142 +1,76 @@
-#include "sciddle/trace.hpp"
-
+// The RPC layer's phase spans, as the obs trace sink records them.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "hpm/op_counts.hpp"
 #include "mach/platforms_db.hpp"
+#include "obs/trace.hpp"
 #include "pvm/pvm_system.hpp"
 #include "sciddle/rpc.hpp"
 #include "sim/engine.hpp"
 
 namespace {
 
-using opalsim::sciddle::Tracer;
-
-TEST(Tracer, RecordsAndSums) {
-  Tracer t;
-  t.record(0, "compute", 1.0, 3.0);
-  t.record(1, "compute", 1.5, 2.0);
-  t.record(-1, "call", 0.0, 1.0);
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_DOUBLE_EQ(t.total_time("compute"), 2.5);
-  EXPECT_DOUBLE_EQ(t.total_time("call"), 1.0);
-  EXPECT_DOUBLE_EQ(t.total_time("nope"), 0.0);
-}
-
-TEST(Tracer, SpanBounds) {
-  Tracer t;
-  t.record(0, "a", 2.0, 3.0);
-  t.record(1, "b", 0.5, 1.0);
-  EXPECT_DOUBLE_EQ(t.span_start(), 0.5);
-  EXPECT_DOUBLE_EQ(t.span_end(), 3.0);
-}
-
-TEST(Tracer, EmptySpanIsZero) {
-  Tracer t;
-  EXPECT_DOUBLE_EQ(t.span_start(), 0.0);
-  EXPECT_DOUBLE_EQ(t.span_end(), 0.0);
-  EXPECT_EQ(t.render_timeline(), "(empty trace)\n");
-}
-
-TEST(Tracer, TimelineShowsPhaseInitials) {
-  Tracer t;
-  t.record(-1, "call", 0.0, 0.5);
-  t.record(0, "compute", 0.5, 1.0);
-  const std::string s = t.render_timeline(20);
-  EXPECT_NE(s.find("client"), std::string::npos);
-  EXPECT_NE(s.find("server 0"), std::string::npos);
-  EXPECT_NE(s.find('c'), std::string::npos);
-}
-
-TEST(Tracer, CsvHasHeaderAndRows) {
-  Tracer t;
-  t.record(2, "return", 1.0, 2.0);
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("task,phase,start,end"), std::string::npos);
-  EXPECT_NE(csv.find("2,return,1,2"), std::string::npos);
-}
-
-TEST(Tracer, CsvEscapesPhasesWithCommasAndQuotes) {
-  Tracer t;
-  t.record(0, "setup,phase", 0.0, 1.0);
-  t.record(1, "say \"hi\"", 1.0, 2.0);
-  t.record(2, "plain", 2.0, 3.0);
-  const std::string csv = t.to_csv();
-  // RFC 4180: the comma-bearing phase is quoted (so the row still has four
-  // cells), embedded quotes are doubled, plain cells stay bare.
-  EXPECT_NE(csv.find("0,\"setup,phase\",0,1"), std::string::npos);
-  EXPECT_NE(csv.find("1,\"say \"\"hi\"\"\",1,2"), std::string::npos);
-  EXPECT_NE(csv.find("2,plain,2,3"), std::string::npos);
-}
-
-TEST(Tracer, ClearResets) {
-  Tracer t;
-  t.record(0, "x", 0, 1);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-}
-
 TEST(RpcTracing, RecordsCallComputeReturnSpans) {
   using namespace opalsim;
-  sim::Engine engine;
-  mach::Machine machine(engine, mach::fast_cops(), 3);
-  pvm::PvmSystem pvm(machine);
-  Tracer tracer;
-  sciddle::Options opts;
-  opts.tracer = &tracer;
-  sciddle::Rpc rpc(pvm, 2, opts);
-  rpc.register_proc("work", [](pvm::PackBuffer args,
-                               sciddle::ServerContext& ctx)
-                                -> sim::Task<pvm::PackBuffer> {
-    (void)args;
-    co_await ctx.task.cpu().compute(hpm::OpCounts{10'000'000, 0, 0, 0, 0, 0},
-                                    1024);
-    co_return pvm::PackBuffer{};
-  });
-  rpc.start();
-  pvm.spawn(0, [&](pvm::PvmTask& client) -> sim::Task<void> {
-    std::vector<pvm::PackBuffer> args(2);
-    co_await rpc.call_all(client, "work", std::move(args), nullptr);
-    co_await rpc.shutdown(client);
-  });
-  engine.run();
-
-  EXPECT_GT(tracer.total_time("call"), 0.0);
-  EXPECT_GT(tracer.total_time("compute"), 0.0);
-  EXPECT_GT(tracer.total_time("return"), 0.0);
-  EXPECT_GT(tracer.total_time("sync"), 0.0);
-  // Both servers produced compute spans.
-  int server_spans = 0;
-  for (const auto& e : tracer.events()) {
-    if (e.phase == "compute") ++server_spans;
-    EXPECT_LE(e.t_start, e.t_end);
+  obs::MemorySink sink;
+  {
+    obs::ScopedSink scope(sink);
+    sim::Engine engine;
+    mach::Machine machine(engine, mach::fast_cops(), 3);
+    pvm::PvmSystem pvm(machine);
+    sciddle::Rpc rpc(pvm, 2);
+    rpc.register_proc("work", [](pvm::PackBuffer args,
+                                 sciddle::ServerContext& ctx)
+                                  -> sim::Task<pvm::PackBuffer> {
+      (void)args;
+      co_await ctx.task.cpu().compute(
+          hpm::OpCounts{10'000'000, 0, 0, 0, 0, 0}, 1024);
+      co_return pvm::PackBuffer{};
+    });
+    rpc.start();
+    pvm.spawn(0, [&](pvm::PvmTask& client) -> sim::Task<void> {
+      std::vector<pvm::PackBuffer> args(2);
+      co_await rpc.call_all(client, "work", std::move(args), nullptr);
+      co_await rpc.shutdown(client);
+    });
+    engine.run();
   }
-  EXPECT_EQ(server_spans, 2);
-  // The timeline renders all rows.
-  const std::string timeline = tracer.render_timeline(60);
-  EXPECT_NE(timeline.find("server 1"), std::string::npos);
-}
 
-TEST(RpcTracing, NoTracerMeansNoOverheadPath) {
-  using namespace opalsim;
-  sim::Engine engine;
-  mach::Machine machine(engine, mach::fast_cops(), 2);
-  pvm::PvmSystem pvm(machine);
-  sciddle::Rpc rpc(pvm, 1);  // default options: tracer == nullptr
-  rpc.register_proc("noop", [](pvm::PackBuffer, sciddle::ServerContext&)
-                                -> sim::Task<pvm::PackBuffer> {
-    co_return pvm::PackBuffer{};
-  });
-  rpc.start();
-  pvm.spawn(0, [&](pvm::PvmTask& client) -> sim::Task<void> {
-    std::vector<pvm::PackBuffer> args(1);
-    co_await rpc.call_all(client, "noop", std::move(args), nullptr);
-    co_await rpc.shutdown(client);
-  });
-  engine.run();
-  SUCCEED();
+  // Summed span time per (node, phase); one compute span per server node.
+  auto span_time = [&](int node, const char* phase) {
+    double t = 0.0;
+    for (const obs::TraceEvent& e : sink.events()) {
+      if (e.cat != obs::Cat::kRpc || e.node != node ||
+          std::strcmp(e.name, phase) != 0) {
+        continue;
+      }
+      t += e.ph == obs::Ph::kBegin ? -e.t : e.t;
+    }
+    return t;
+  };
+  auto span_count = [&](int node, const char* phase) {
+    int n = 0;
+    for (const obs::TraceEvent& e : sink.events()) {
+      n += e.cat == obs::Cat::kRpc && e.node == node &&
+           e.ph == obs::Ph::kBegin && std::strcmp(e.name, phase) == 0;
+    }
+    return n;
+  };
+  EXPECT_GT(span_time(0, "call"), 0.0);
+  EXPECT_GT(span_time(0, "sync"), 0.0);
+  EXPECT_GT(span_time(0, "return"), 0.0);
+  for (int node : {1, 2}) {
+    EXPECT_EQ(span_count(node, "compute"), 1) << "node " << node;
+    EXPECT_GT(span_time(node, "compute"), 0.0) << "node " << node;
+  }
+  // The Gantt export draws the client and both servers.
+  const std::string gantt = sink.to_gantt(60);
+  for (const char* row : {"node 0 |", "node 1 |", "node 2 |"}) {
+    EXPECT_NE(gantt.find(row), std::string::npos) << row;
+  }
 }
 
 }  // namespace

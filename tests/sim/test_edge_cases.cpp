@@ -5,18 +5,16 @@
 
 #include <vector>
 
-#include "sim/barrier.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
-#include "sim/queue.hpp"
+#include "sim/mailbox.hpp"
 #include "sim/resource.hpp"
 
 namespace {
 
-using opalsim::sim::Barrier;
 using opalsim::sim::Engine;
 using opalsim::sim::Event;
-using opalsim::sim::Queue;
+using opalsim::sim::Mailbox;
 using opalsim::sim::Resource;
 using opalsim::sim::Task;
 
@@ -109,34 +107,6 @@ TEST(EventEdge, SetDuringWaiterResumptionWavesNextGeneration) {
   EXPECT_EQ(second_wave, 1);
 }
 
-TEST(QueueEdge, ProducerConsumerPipelinePreservesOrderUnderBackpressure) {
-  Engine eng;
-  Queue<int> q1(eng), q2(eng);
-  std::vector<int> out;
-  auto stage1 = [&]() -> Task<void> {
-    for (int i = 0; i < 100; ++i) {
-      q1.put(i);
-      if (i % 7 == 0) co_await eng.delay(0.01);
-    }
-  };
-  auto stage2 = [&]() -> Task<void> {
-    for (int i = 0; i < 100; ++i) {
-      const int v = co_await q1.get();
-      if (v % 13 == 0) co_await eng.delay(0.02);
-      q2.put(v * 2);
-    }
-  };
-  auto sink = [&]() -> Task<void> {
-    for (int i = 0; i < 100; ++i) out.push_back(co_await q2.get());
-  };
-  eng.spawn(stage1());
-  eng.spawn(stage2());
-  eng.spawn(sink());
-  eng.run();
-  ASSERT_EQ(out.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], 2 * i);
-}
-
 TEST(ResourceEdge, InterleavedAcquireReleaseKeepsInvariant) {
   Engine eng;
   Resource r(eng, 3);
@@ -157,58 +127,42 @@ TEST(ResourceEdge, InterleavedAcquireReleaseKeepsInvariant) {
   EXPECT_EQ(r.in_use(), 0);
 }
 
-Task<void> barrier_rounds(Engine& eng, Barrier& b, int p, int rounds,
-                          std::vector<int>& done) {
-  for (int r = 0; r < rounds; ++r) {
-    co_await eng.delay(0.001 * ((p * 7 + r) % 11));
-    co_await b.arrive();
-    ++done[p];
-  }
-}
-
-TEST(BarrierEdge, ManyRoundsManyParties) {
-  Engine eng;
-  constexpr int kParties = 8;
-  constexpr int kRounds = 50;
-  Barrier b(eng, kParties);
-  std::vector<int> rounds(kParties, 0);
-  for (int p = 0; p < kParties; ++p) {
-    // Parameters live in the coroutine frame (a loop-local lambda's captures
-    // would dangle once the loop iteration ends).
-    eng.spawn(barrier_rounds(eng, b, p, kRounds, rounds));
-  }
-  eng.run();
-  for (int p = 0; p < kParties; ++p) EXPECT_EQ(rounds[p], kRounds);
-  EXPECT_EQ(b.generation(), static_cast<std::uint64_t>(kRounds));
-}
-
 TEST(EngineEdge, DeterminismAcrossPrimitivesMix) {
   auto run_once = [] {
     Engine eng;
-    Queue<int> q(eng);
+    Mailbox<int> box(eng);
     Resource r(eng, 2);
-    Barrier b(eng, 3);
+    Event done(eng);
+    int finished = 0;
+    bool drained = false;
     double checksum = 0.0;
     auto worker = [&](int id) -> Task<void> {
       for (int k = 0; k < 5; ++k) {
         auto lock = co_await r.scoped_acquire();
         co_await eng.delay(0.01 * ((id + k) % 3));
-        q.put(id * 100 + k);
+        box.put(id * 100 + k);
         checksum += eng.now();
       }
-      co_await b.arrive();
+      if (++finished == 2) done.set();
     };
     auto drain = [&]() -> Task<void> {
+      // The four odd payloads first (predicate matching), then the rest in
+      // arrival order.
       for (int k = 0; k < 10; ++k) {
-        const int v = co_await q.get();
-        checksum += v * 1e-3;
+        const int v = co_await box.get(
+            [k](const int& m) { return k >= 4 || m % 2 == 1; });
+        checksum += v * 1e-3 * (k + 1);
       }
-      co_await b.arrive();
+      co_await done.wait();
+      checksum += eng.now();
+      drained = true;
     };
     eng.spawn(worker(1));
     eng.spawn(worker(2));
     eng.spawn(drain());
     eng.run();
+    EXPECT_TRUE(drained);
+    EXPECT_EQ(box.size(), 0u);
     return checksum;
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());

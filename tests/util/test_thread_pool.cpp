@@ -27,26 +27,9 @@ TEST(ThreadPool, DefaultThreadsHonorsEnvOverride) {
   EXPECT_GE(util::ThreadPool::default_threads(), 1u);
 }
 
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  std::atomic<int> ran{0};
-  constexpr int kJobs = 64;
-  {
-    util::ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    for (int i = 0; i < kJobs; ++i) {
-      pool.submit([&] { ran.fetch_add(1); });
-    }
-    // The destructor drains the queue and joins the workers, so it is the
-    // completion barrier here.  (Signalling a stack-local condition_variable
-    // from the jobs instead would race its destruction: the last worker can
-    // still be inside notify_one when the waiter's predicate already turned
-    // true and the test scope ends.)
-  }
-  EXPECT_EQ(ran.load(), kJobs);
-}
-
 TEST(ParallelForIndexed, CommitsEveryIndexExactlyOnce) {
   util::ThreadPool pool(4);
+  EXPECT_EQ(pool.size(), 4u);
   constexpr std::size_t kCount = 200;
   std::vector<int> hits(kCount, 0);
   std::vector<std::size_t> value(kCount, 0);

@@ -108,10 +108,8 @@ UNINIT_CHECKED_FILES = {
     "src/sim/event_queue.hpp",
     "src/sim/pool.hpp",
     "src/sim/fault.hpp",
-    "src/sim/queue.hpp",
     "src/sim/mailbox.hpp",
     "src/sim/resource.hpp",
-    "src/sim/barrier.hpp",
     "src/pvm/message.hpp",
 }
 
