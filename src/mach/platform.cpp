@@ -1,12 +1,47 @@
 #include "mach/platform.hpp"
 
-#include <stdexcept>
+#include <cmath>
+#include <string>
+
+#include "util/fatal.hpp"
 
 namespace opalsim::mach {
 
+namespace {
+
+/// Rejects a platform spec whose rates or times would carry zero, negative
+/// or non-finite values into virtual time and the analytic model.
+void validate(const PlatformSpec& spec, int nodes) {
+  const auto fail = [&](const std::string& what) {
+    throw util::ConfigError("mach", "platform '" + spec.name + "': " + what);
+  };
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  if (nodes <= 0) fail("nodes must be > 0, got " + std::to_string(nodes));
+  if (!positive(spec.net.observed_MBps)) {
+    fail("net.observed_MBps must be finite and > 0");
+  }
+  if (!non_negative(spec.net.latency_s)) {
+    fail("net.latency_s must be finite and >= 0");
+  }
+  if (!non_negative(spec.sync_time_s)) {
+    fail("sync_time_s must be finite and >= 0");
+  }
+  if (!positive(spec.cpu.adjusted_mflops)) {
+    fail("cpu.adjusted_mflops must be finite and > 0");
+  }
+  if (!(spec.cpu.scalar_fraction > 0.0 && spec.cpu.scalar_fraction <= 1.0)) {
+    fail("cpu.scalar_fraction must be in (0, 1]");
+  }
+}
+
+}  // namespace
+
 Machine::Machine(sim::Engine& engine, const PlatformSpec& spec, int nodes)
     : engine_(&engine), spec_(spec), fault_(spec.fault) {
-  if (nodes <= 0) throw std::invalid_argument("Machine: nodes must be > 0");
+  validate(spec, nodes);
   cpus_.reserve(nodes);
   for (int i = 0; i < nodes; ++i)
     cpus_.push_back(std::make_unique<Cpu>(engine, spec.cpu));

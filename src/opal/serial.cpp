@@ -122,19 +122,31 @@ SimResult SerialOpal::run() {
 
 KernelResult nbint_kernel(const MolecularComplex& mc,
                           std::uint64_t num_pairs) {
+  // The wrapped-triangle pair sequence streams through the production
+  // batch kernel in fixed chunks; the batch continues the running energy
+  // sums and gradients, so the result equals one pass over the whole
+  // sequence.
+  constexpr std::size_t kChunk = 4096;
   KernelResult kr;
   std::vector<Vec3> grad(mc.n());
   CentersSoA soa;
   soa.refresh(mc);
   const auto n = static_cast<std::uint32_t>(mc.n());
+  std::vector<PairIdx> chunk;
+  chunk.reserve(kChunk);
   std::uint32_t i = 0, j = 1;
   for (std::uint64_t k = 0; k < num_pairs; ++k) {
-    nonbonded_soa_pair(soa, i, j, kr.evdw, kr.ecoul, grad.data());
+    chunk.push_back({i, j});
+    if (chunk.size() == kChunk) {
+      nonbonded_batch(soa, chunk, kr.evdw, kr.ecoul, grad);
+      chunk.clear();
+    }
     if (++j == n) {
       if (++i == n - 1) i = 0;
       j = i + 1;
     }
   }
+  nonbonded_batch(soa, chunk, kr.evdw, kr.ecoul, grad);
   kr.pairs = num_pairs;
   kr.ops = OpMixes::nbint_pair * num_pairs;
   return kr;

@@ -1,8 +1,11 @@
 #include "opal/soa.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+
+#include "opal/forcefield.hpp"
 
 namespace opalsim::opal {
 
@@ -17,6 +20,45 @@ void CentersSoA::refresh_params(const MolecularComplex& mc) {
     c12[i] = c.c12;
     c6[i] = c.c6;
   }
+
+  // LJ types: centers whose (c12, c6) have the same bit patterns (bits, not
+  // ==, so -0.0 and +0.0, and NaNs, stay apart and every table entry is
+  // computed from the exact operands the per-pair expression would use).
+  // The table is built only while T·T <= n, so it never outgrows one
+  // per-center column; beyond that the kernel combines per pair.
+  lj_type.clear();
+  lj_c12.clear();
+  lj_c6.clear();
+  lj_ntypes = 0;
+  std::vector<std::uint32_t> type(n);
+  std::vector<double> rep12, rep6;  // one representative per type
+  for (std::size_t c = 0; c < n; ++c) {
+    const auto b12 = std::bit_cast<std::uint64_t>(c12[c]);
+    const auto b6 = std::bit_cast<std::uint64_t>(c6[c]);
+    std::size_t t = 0;
+    while (t < rep12.size() &&
+           (std::bit_cast<std::uint64_t>(rep12[t]) != b12 ||
+            std::bit_cast<std::uint64_t>(rep6[t]) != b6)) {
+      ++t;
+    }
+    if (t == rep12.size()) {
+      if ((t + 1) * (t + 1) > n) return;
+      rep12.push_back(c12[c]);
+      rep6.push_back(c6[c]);
+    }
+    type[c] = static_cast<std::uint32_t>(t);
+  }
+  const std::size_t nt = rep12.size();
+  lj_c12.resize(nt * nt);
+  lj_c6.resize(nt * nt);
+  for (std::size_t a = 0; a < nt; ++a) {
+    for (std::size_t b = 0; b < nt; ++b) {
+      lj_c12[a * nt + b] = std::sqrt(rep12[a] * rep12[b]);
+      lj_c6[a * nt + b] = std::sqrt(rep6[a] * rep6[b]);
+    }
+  }
+  lj_type = std::move(type);
+  lj_ntypes = static_cast<std::uint32_t>(nt);
 }
 
 void CentersSoA::refresh_positions(const MolecularComplex& mc) {
@@ -49,15 +91,17 @@ namespace {
 
 /// Lane-block width.  32 lanes keeps the whole block (two u32 index arrays
 /// plus five result arrays, ~1.5 KiB) L1-resident while giving the
-/// vectorizer long full-width runs; measured best among 8..128 on the
-/// bench complex.
+/// vectorizer long full-width runs.  Measured on large_nocut: 64 lanes tie
+/// with 32, 128 lanes cost +3–4% wall.
 constexpr std::size_t kLaneBlock = 32;
 
 /// Per-block lane state: pair indices in, per-lane results out.  Operand
 /// gathering happens *inside* the SIMD loop (indexed loads from the SoA
 /// arrays) — a separate scalar gather pass into lane arrays measured
 /// slower than the plain per-pair loop, because every vector load of a
-/// freshly scalar-written lane array stalls on store-forwarding.
+/// freshly scalar-written lane array stalls on store-forwarding.  The pair
+/// indices, though, are copied by a separate index pass: reading PairIdx
+/// inside the SIMD loop instead measured +28–35% wall on large_nocut.
 struct alignas(64) PairBlock {
   std::uint32_t pi[kLaneBlock], pj[kLaneBlock];
   double lj[kLaneBlock], coul[kLaneBlock];
@@ -65,14 +109,25 @@ struct alignas(64) PairBlock {
 };
 
 /// Evaluates the nonbonded arithmetic for `m` independent lanes.  Each lane
-/// is the exact expression sequence of nonbonded_pair / nonbonded_soa_pair:
-/// no reductions, no reassociation — the only freedom the vectorizer gets
-/// is packing independent lanes, which cannot change any lane's bits (IEEE
+/// is the exact expression sequence of nonbonded_pair: no reductions, no
+/// reassociation — the only freedom the vectorizer gets is packing
+/// independent lanes, which cannot change any lane's bits (IEEE
 /// add/sub/mul/div/sqrt are correctly rounded, and -ffp-contract=off keeps
-/// FMA contraction out at every -march level).
-void nonbonded_math_block(PairBlock& b, std::size_t m, const double* x,
-                          const double* y, const double* z, const double* q,
-                          const double* c12v, const double* c6v) {
+/// FMA contraction out at every -march level).  With kTable the two LJ
+/// combinations are loaded from the type-pair table, whose entries are the
+/// same expressions on the same operands.
+template <bool kTable>
+void nonbonded_math_block(PairBlock& b, std::size_t m, const CentersSoA& s) {
+  const double* x = s.x.data();
+  const double* y = s.y.data();
+  const double* z = s.z.data();
+  const double* q = s.charge.data();
+  const double* c12v = s.c12.data();
+  const double* c6v = s.c6.data();
+  const std::uint32_t* type = s.lj_type.data();
+  const double* t12 = s.lj_c12.data();
+  const double* t6 = s.lj_c6.data();
+  const std::uint32_t nt = s.lj_ntypes;  // T·T <= n, so type pairs fit u32
 #pragma omp simd
   for (std::size_t k = 0; k < m; ++k) {
     const std::uint32_t i = b.pi[k];
@@ -84,8 +139,15 @@ void nonbonded_math_block(PairBlock& b, std::size_t m, const double* x,
     const double inv_r2 = 1.0 / r2;
     const double inv_r = std::sqrt(inv_r2);
     const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
-    const double c12 = std::sqrt(c12v[i] * c12v[j]);
-    const double c6 = std::sqrt(c6v[i] * c6v[j]);
+    double c12 = 0.0, c6 = 0.0;
+    if constexpr (kTable) {
+      const std::uint32_t ab = type[i] * nt + type[j];
+      c12 = t12[ab];
+      c6 = t6[ab];
+    } else {
+      c12 = std::sqrt(c12v[i] * c12v[j]);
+      c6 = std::sqrt(c6v[i] * c6v[j]);
+    }
     b.lj[k] = (c12 * inv_r6 - c6) * inv_r6;
     // kC*qi*qj associates left-to-right in the scalar kernel; keep it.
     const double coul = kCoulombConstant * q[i] * q[j] * inv_r;
@@ -98,29 +160,28 @@ void nonbonded_math_block(PairBlock& b, std::size_t m, const double* x,
   }
 }
 
-}  // namespace
-
-void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
-                     double& evdw, double& ecoul, std::span<Vec3> grad) {
-  // Lane-blocked evaluation in three passes per block:
-  //   index   — copy the block's pair indices into lane arrays;
-  //   math    — the SIMD loop above, lanes fully independent, operands
-  //             gathered by indexed loads inside the loop;
-  //   commit  — energies and gradients accumulated strictly in pair order.
-  // The commit order is the whole ballgame: grad[i] += g / grad[j] -= g
-  // touch overlapping centers across pairs, and the energy sums are FP
-  // accumulations, so replaying them in the original sequence is what keeps
-  // the batch bit-identical to the per-pair AoS loop.
-  double vdw = evdw, coul = ecoul;
-  Vec3* g = grad.data();
-  const double* sx = soa.x.data();
-  const double* sy = soa.y.data();
-  const double* sz = soa.z.data();
-  const double* sq = soa.charge.data();
-  const double* s12 = soa.c12.data();
-  const double* s6 = soa.c6.data();
-  PairBlock b;
+// Lane-blocked evaluation in three passes per block:
+//   index   — copy the block's pair indices into lane arrays;
+//   math    — the SIMD loop above, lanes fully independent, operands
+//             gathered by indexed loads inside the loop;
+//   commit  — energies and gradients accumulated strictly in pair order.
+// The commit order is the whole ballgame: grad[i] += g / grad[j] -= g
+// touch overlapping centers across pairs, and the energy sums are FP
+// accumulations, so replaying them in the original sequence is what keeps
+// the batch bit-identical to the per-pair AoS loop.  The row's grad[i]
+// lives in three registers while consecutive pairs share i, and is stored
+// when i changes and after the last pair: the same additions in the same
+// order, minus the store-to-load chain through memory.  No grad[j] -= g of
+// the row can touch it, since every pair has j != i.
+template <bool kTable>
+void nonbonded_rows(const CentersSoA& soa, std::span<const PairIdx> pairs,
+                    double& evdw, double& ecoul, Vec3* g) {
   const std::size_t npairs = pairs.size();
+  if (npairs == 0) return;
+  double vdw = evdw, coul = ecoul;
+  std::uint32_t row = pairs[0].i;
+  double ax = g[row].x, ay = g[row].y, az = g[row].z;
+  PairBlock b;
   for (std::size_t t = 0; t < npairs; t += kLaneBlock) {
     const std::size_t m = std::min(kLaneBlock, npairs - t);
     for (std::size_t k = 0; k < m; ++k) {
@@ -130,25 +191,46 @@ void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
     if (m == kLaneBlock) {
       // Constant trip count: the vector body needs no scalar epilogue,
       // which measures a few percent faster than the variable-m call.
-      nonbonded_math_block(b, kLaneBlock, sx, sy, sz, sq, s12, s6);
+      nonbonded_math_block<kTable>(b, kLaneBlock, soa);
     } else {
-      nonbonded_math_block(b, m, sx, sy, sz, sq, s12, s6);
+      nonbonded_math_block<kTable>(b, m, soa);
     }
     for (std::size_t k = 0; k < m; ++k) {
       vdw += b.lj[k];
       coul += b.coul[k];
       const std::uint32_t i = b.pi[k];
       const std::uint32_t j = b.pj[k];
-      g[i].x += b.gx[k];
-      g[i].y += b.gy[k];
-      g[i].z += b.gz[k];
+      if (i != row) {
+        g[row] = Vec3{ax, ay, az};
+        row = i;
+        ax = g[row].x;
+        ay = g[row].y;
+        az = g[row].z;
+      }
+      ax += b.gx[k];
+      ay += b.gy[k];
+      az += b.gz[k];
       g[j].x -= b.gx[k];
       g[j].y -= b.gy[k];
       g[j].z -= b.gz[k];
     }
   }
+  g[row] = Vec3{ax, ay, az};
   evdw = vdw;
   ecoul = coul;
+}
+
+}  // namespace
+
+void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
+                     double& evdw, double& ecoul, std::span<Vec3> grad) {
+  // The table path is chosen by the input (few LJ types), not by a knob;
+  // both paths produce the same bits.
+  if (soa.lj_type.empty()) {
+    nonbonded_rows<false>(soa, pairs, evdw, ecoul, grad.data());
+  } else {
+    nonbonded_rows<true>(soa, pairs, evdw, ecoul, grad.data());
+  }
 }
 
 }  // namespace opalsim::opal

@@ -5,23 +5,30 @@
 // though the kernel needs only position, charge and the two LJ
 // coefficients; mirroring those six fields into contiguous arrays roughly
 // halves the memory traffic of the pair loop.  nonbonded_batch additionally
-// runs the per-pair arithmetic in a lane-blocked form (gather a block of
-// pairs into contiguous lane arrays, evaluate the math loop under
-// `#pragma omp simd`, then commit energies and gradients strictly in pair
-// order) so the autovectorizer emits packed AVX code.  Every lane computes
+// runs the per-pair arithmetic in a lane-blocked form (copy a block of pair
+// indices into lane arrays, evaluate the math loop under `#pragma omp simd`,
+// then commit energies and gradients strictly in pair order) so the
+// autovectorizer emits packed code.  The commit keeps g[i] in registers
+// while consecutive pairs share i (a row) and stores it when the row ends;
+// since a pair never names its own center twice, no g[j] update of the row
+// touches g[i], so every addition still happens in the same order on the
+// same values.  When the complex has few LJ types (T·T <= n centers; the
+// synthetic complexes have two), the two LJ combination sqrts are read from
+// a per-type-pair table instead of computed per pair.  Every lane computes
 // expression-for-expression the arithmetic of nonbonded_pair
-// (forcefield.hpp) on the same values — IEEE add/sub/mul/div/sqrt are
-// correctly rounded, and the tree is built with -ffp-contract=off — so
-// energies and gradients are bit-identical to the AoS kernel no matter the
-// ISA; only host wall time changes.  See DESIGN.md, "Host execution
-// engine".
+// (forcefield.hpp) on the same values — each table entry is that same
+// correctly rounded expression on the same operands, IEEE
+// add/sub/mul/div/sqrt are correctly rounded, and the tree is built with
+// -ffp-contract=off — so energies and gradients are bit-identical to the
+// AoS kernel no matter the ISA; only host wall time changes.  See
+// DESIGN.md, "Host execution engine".
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "opal/complex.hpp"
-#include "opal/forcefield.hpp"
 #include "opal/pairs.hpp"
 #include "opal/vec3.hpp"
 
@@ -29,12 +36,22 @@ namespace opalsim::opal {
 
 struct CentersSoA {
   std::vector<double> x, y, z, charge, c12, c6;
+  /// LJ pair table, built by refresh_params when the centers fall into T
+  /// LJ types (grouped by the bit patterns of (c12, c6)) with T·T <= n:
+  /// lj_ntypes is T, lj_type[c] is center c's type, and
+  /// lj_c12/lj_c6[a*T + b] hold sqrt(c12_a*c12_b) and sqrt(c6_a*c6_b).
+  /// Empty (and lj_ntypes 0) otherwise, in which case the kernel combines
+  /// the per-center columns per pair.
+  std::vector<std::uint32_t> lj_type;
+  std::vector<double> lj_c12, lj_c6;
+  std::uint32_t lj_ntypes = 0;
 
   std::size_t size() const noexcept { return x.size(); }
 
-  /// Mirrors the per-run-constant fields (charge, LJ coefficients).  Call
-  /// once per run — params never change after construction, so refreshing
-  /// them per step is pure waste on the hot path.
+  /// Mirrors the per-run-constant fields (charge, LJ coefficients) and
+  /// builds the LJ pair table when it fits.  Call once per run — params
+  /// never change after construction, so refreshing them per step is pure
+  /// waste on the hot path.
   void refresh_params(const MolecularComplex& mc);
   /// Mirrors the positions; call once per step after integration moved
   /// them.  Debug builds assert that refresh_params ran first and still
@@ -46,33 +63,9 @@ struct CentersSoA {
   }
 };
 
-/// SoA twin of nonbonded_pair: same operations in the same order on the
-/// same values, loading from the mirrored arrays.
-inline void nonbonded_soa_pair(const CentersSoA& s, std::uint32_t i,
-                               std::uint32_t j, double& evdw, double& ecoul,
-                               Vec3* grad) {
-  const Vec3 d{s.x[i] - s.x[j], s.y[i] - s.y[j], s.z[i] - s.z[j]};
-  const double r2 = d.norm2();
-  const double inv_r2 = 1.0 / r2;
-  const double inv_r = std::sqrt(inv_r2);
-  const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
-  const double c12 = std::sqrt(s.c12[i] * s.c12[j]);
-  const double c6 = std::sqrt(s.c6[i] * s.c6[j]);
-  const double lj = (c12 * inv_r6 - c6) * inv_r6;
-  const double qq = kCoulombConstant * s.charge[i] * s.charge[j];
-  const double coul = qq * inv_r;
-  evdw += lj;
-  ecoul += coul;
-  const double dvdr_over_r =
-      (-12.0 * c12 * inv_r6 + 6.0 * c6) * inv_r6 * inv_r2 -
-      coul * inv_r2;
-  const Vec3 g = d * dvdr_over_r;
-  grad[i] += g;
-  grad[j] -= g;
-}
-
 /// Evaluates the nonbonded term over `pairs` in order, accumulating into
-/// the scalars and `grad` exactly as the per-pair AoS loop would.
+/// the scalars and `grad` exactly as the per-pair AoS loop would.  Every
+/// pair names two distinct centers (i != j).
 void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
                      double& evdw, double& ecoul, std::span<Vec3> grad);
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "mach/platform.hpp"
 #include "mach/platforms_db.hpp"
+#include "util/fatal.hpp"
 
 namespace {
 
@@ -165,6 +169,98 @@ TEST(Machine, RejectsZeroNodes) {
   Engine eng;
   EXPECT_THROW(Machine(eng, opalsim::mach::fast_cops(), 0),
                std::invalid_argument);
+}
+
+/// Requires Machine to refuse `spec` with a ConfigError from "mach" whose
+/// message names `field`.
+void expect_rejected(const opalsim::mach::PlatformSpec& spec,
+                     const std::string& field, int nodes = 2) {
+  Engine eng;
+  try {
+    Machine m(eng, spec, nodes);
+    ADD_FAILURE() << field << ": spec accepted";
+  } catch (const opalsim::util::ConfigError& e) {
+    EXPECT_EQ(e.subsystem(), "mach");
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Machine, NonPositiveNodesIsConfigError) {
+  for (const int nodes : {0, -1}) {
+    SCOPED_TRACE(nodes);
+    expect_rejected(opalsim::mach::fast_cops(), "nodes", nodes);
+  }
+}
+
+TEST(Machine, RejectsBadObservedBandwidth) {
+  for (const double v : {0.0, -0.0, -3.0, kNaN, kInf}) {
+    SCOPED_TRACE(v);
+    auto spec = opalsim::mach::fast_cops();
+    spec.net.observed_MBps = v;
+    expect_rejected(spec, "net.observed_MBps");
+  }
+}
+
+TEST(Machine, RejectsBadLatency) {
+  for (const double v : {-1e-6, kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(v);
+    auto spec = opalsim::mach::fast_cops();
+    spec.net.latency_s = v;
+    expect_rejected(spec, "net.latency_s");
+  }
+}
+
+TEST(Machine, RejectsBadSyncTime) {
+  for (const double v : {-1e-6, kNaN, kInf}) {
+    SCOPED_TRACE(v);
+    auto spec = opalsim::mach::fast_cops();
+    spec.sync_time_s = v;
+    expect_rejected(spec, "sync_time_s");
+  }
+}
+
+TEST(Machine, RejectsBadAdjustedRate) {
+  for (const double v : {0.0, -80.0, kNaN, kInf}) {
+    SCOPED_TRACE(v);
+    auto spec = opalsim::mach::fast_cops();
+    spec.cpu.adjusted_mflops = v;
+    expect_rejected(spec, "cpu.adjusted_mflops");
+  }
+}
+
+TEST(Machine, RejectsScalarFractionOutsideUnitInterval) {
+  for (const double v : {0.0, -0.5, 1.0000001, kNaN, kInf}) {
+    SCOPED_TRACE(v);
+    auto spec = opalsim::mach::cray_j90();
+    spec.cpu.scalar_fraction = v;
+    expect_rejected(spec, "cpu.scalar_fraction");
+  }
+}
+
+TEST(Machine, AcceptsZeroLatencyAndFullScalarFraction) {
+  // The closed ends of the ranges are valid: an ideal zero-latency link,
+  // no sync cost, and a scalar rate equal to the vector rate.
+  auto spec = opalsim::mach::fast_cops();
+  spec.net.latency_s = 0.0;
+  spec.sync_time_s = 0.0;
+  spec.cpu.scalar_fraction = 1.0;
+  Engine eng;
+  EXPECT_NO_THROW(Machine(eng, spec, 2));
+}
+
+TEST(Machine, AcceptsEveryDatabasePlatform) {
+  using namespace opalsim::mach;
+  for (const PlatformSpec& spec :
+       {cray_j90(), cray_t3e900(), slow_cops(), smp_cops(), fast_cops(),
+        pentium200(), hippi_j90_cluster()}) {
+    SCOPED_TRACE(spec.name);
+    Engine eng;
+    EXPECT_NO_THROW(Machine(eng, spec, 8));
+  }
 }
 
 TEST(Machine, TransferUsesPlatformNetwork) {

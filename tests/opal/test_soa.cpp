@@ -1,17 +1,24 @@
 // SoA nonbonded kernel: the lane-blocked batch must be bit-identical to
 // the AoS per-pair loop — same energies, same gradients, to the last ulp —
 // for every pair-count shape (empty, single, partial tail blocks, exact
-// multiples of the lane block).  The batch feeds positions, which feed
-// pair lists, which feed virtual time: one flipped bit here would fan out
-// into every golden oracle.
+// multiples of the lane block), for every row shape the row-accumulated
+// commit sees (rows that cross a lane block, rows that stop and resume
+// after a failover adoption), and on both LJ paths (type-pair table and
+// per-pair combination).  The batch feeds positions, which feed pair
+// lists, which feed virtual time: one flipped bit here would fan out into
+// every golden oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "opal/complex.hpp"
 #include "opal/forcefield.hpp"
+#include "opal/pairs.hpp"
 #include "opal/soa.hpp"
 #include "util/rng.hpp"
 
@@ -39,7 +46,7 @@ std::vector<opal::PairIdx> all_pairs(std::uint32_t n) {
 
 /// AoS reference: the original per-pair loop over the same list.
 void reference(const opal::MolecularComplex& mc,
-               const std::vector<opal::PairIdx>& pairs, double& evdw,
+               std::span<const opal::PairIdx> pairs, double& evdw,
                double& ecoul, std::vector<opal::Vec3>& grad) {
   evdw = ecoul = 0.0;
   std::fill(grad.begin(), grad.end(), opal::Vec3{});
@@ -48,11 +55,28 @@ void reference(const opal::MolecularComplex& mc,
   }
 }
 
-/// Runs the batch and requires exact equality with the AoS loop —
-/// EXPECT_EQ on doubles deliberately: bit identity is the contract, not
-/// closeness.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Requires the batch's results to equal the reference's bit for bit —
+/// compared as bit patterns, so -0.0 vs +0.0 and NaN payloads count.
+void expect_bits_equal(double evdw, double ecoul,
+                       const std::vector<opal::Vec3>& grad, double evdw_ref,
+                       double ecoul_ref,
+                       const std::vector<opal::Vec3>& grad_ref) {
+  EXPECT_EQ(bits(evdw), bits(evdw_ref)) << evdw << " vs " << evdw_ref;
+  EXPECT_EQ(bits(ecoul), bits(ecoul_ref)) << ecoul << " vs " << ecoul_ref;
+  ASSERT_EQ(grad.size(), grad_ref.size());
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    EXPECT_EQ(bits(grad[i].x), bits(grad_ref[i].x)) << "grad.x of " << i;
+    EXPECT_EQ(bits(grad[i].y), bits(grad_ref[i].y)) << "grad.y of " << i;
+    EXPECT_EQ(bits(grad[i].z), bits(grad_ref[i].z)) << "grad.z of " << i;
+  }
+}
+
+/// Runs the batch and requires bit identity with the AoS loop: bit
+/// identity is the contract, not closeness.
 void expect_batch_identical(const opal::MolecularComplex& mc,
-                            const std::vector<opal::PairIdx>& pairs) {
+                            std::span<const opal::PairIdx> pairs) {
   double evdw_ref = 0.0, ecoul_ref = 0.0;
   std::vector<opal::Vec3> grad_ref(mc.n());
   reference(mc, pairs, evdw_ref, ecoul_ref, grad_ref);
@@ -63,13 +87,26 @@ void expect_batch_identical(const opal::MolecularComplex& mc,
   std::vector<opal::Vec3> grad(mc.n());
   opal::nonbonded_batch(soa, pairs, evdw, ecoul, grad);
 
-  EXPECT_EQ(evdw, evdw_ref);
-  EXPECT_EQ(ecoul, ecoul_ref);
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    EXPECT_EQ(grad[i].x, grad_ref[i].x) << "grad.x of center " << i;
-    EXPECT_EQ(grad[i].y, grad_ref[i].y) << "grad.y of center " << i;
-    EXPECT_EQ(grad[i].z, grad_ref[i].z) << "grad.z of center " << i;
+  expect_bits_equal(evdw, ecoul, grad, evdw_ref, ecoul_ref, grad_ref);
+}
+
+/// A complex of `n` centers with independent random charge and LJ
+/// coefficients per center (n LJ types).
+opal::MolecularComplex random_lj_complex(std::size_t n, std::uint64_t seed) {
+  opal::MolecularComplex mc;
+  mc.name = "random-lj";
+  util::Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    opal::MassCenter c;
+    c.position = {rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0),
+                  rng.uniform(0.0, 20.0)};
+    c.mass = 12.0;
+    c.charge = rng.uniform(-0.5, 0.5);
+    c.c12 = rng.uniform(100.0, 2000.0);
+    c.c6 = rng.uniform(10.0, 100.0);
+    mc.centers.push_back(c);
   }
+  return mc;
 }
 
 TEST(SoABatch, BitIdenticalOnFullPairList) {
@@ -179,6 +216,119 @@ TEST(SoABatch, PositionsRefreshAloneTracksMovement) {
     EXPECT_EQ(ecoul, ecoul_ref);
     EXPECT_TRUE(std::equal(grad.begin(), grad.end(), grad_ref.begin()));
   }
+}
+
+TEST(SoABatch, PostFailoverPairOrder) {
+  // Server 0 adopts server 1's share: its domain is two lex-sorted runs
+  // back to back, so a row of the hashed distribution stops at the end of
+  // its run in the first share and resumes in the adopted one.  The row
+  // accumulator must store the row when it stops and reload it on resume.
+  const auto mc = test_complex(50, 100, 17);
+  const auto n = static_cast<std::uint32_t>(mc.n());
+  auto domains = opal::build_domains(
+      n, 3, opal::DistributionStrategy::PseudoRandomUniform, 4);
+  opal::ServerDomain dom(std::move(domains[0]));
+  dom.adopt(domains[1]);
+  const auto pairs = dom.active();
+  ASSERT_EQ(pairs.size(), dom.domain_size());
+  std::vector<bool> row_closed(n, false);
+  std::size_t resumed = 0;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    if (k > 0 && pairs[k].i != pairs[k - 1].i) {
+      row_closed[pairs[k - 1].i] = true;
+      if (row_closed[pairs[k].i]) ++resumed;
+    }
+  }
+  ASSERT_GT(resumed, 10u) << "the adopted share must resume earlier rows";
+  expect_batch_identical(mc, pairs);
+}
+
+TEST(SoABatch, RowRunCrossesLaneBlocks) {
+  // One row of 79 pairs starting at pair 10 spans lane blocks 0..2, so its
+  // accumulator is carried across two block boundaries before it stores.
+  const auto mc = test_complex(60, 60, 21);
+  std::vector<opal::PairIdx> pairs;
+  for (std::uint32_t j = 1; j <= 10; ++j) pairs.push_back({0, j});
+  for (std::uint32_t j = 2; j <= 80; ++j) pairs.push_back({1, j});
+  for (std::uint32_t j = 3; j <= 7; ++j) pairs.push_back({2, j});
+  const auto first = static_cast<std::size_t>(
+      std::find_if(pairs.begin(), pairs.end(),
+                   [](const opal::PairIdx& p) { return p.i == 1; }) -
+      pairs.begin());
+  ASSERT_EQ(first, 10u);
+  ASSERT_EQ((first + 79) / 32, 2u);  // ends in block 2
+  expect_batch_identical(mc, pairs);
+}
+
+TEST(SoABatch, SyntheticComplexTakesLjTable) {
+  // Solute and water centers: two LJ types, so the type-pair table
+  // replaces the two per-pair LJ sqrts.
+  const auto mc = test_complex(45, 90, 23);
+  opal::CentersSoA soa;
+  soa.refresh(mc);
+  EXPECT_EQ(soa.lj_ntypes, 2u);
+  EXPECT_EQ(soa.lj_type.size(), mc.n());
+  EXPECT_EQ(soa.lj_c12.size(), 4u);
+  EXPECT_EQ(soa.lj_c6.size(), 4u);
+  expect_batch_identical(mc, all_pairs(static_cast<std::uint32_t>(mc.n())));
+}
+
+TEST(SoABatch, PerCenterLjTakesDirectPath) {
+  // Every center its own LJ type: T·T > n, so no table is built and the
+  // math block combines the per-center coefficients per pair.
+  const auto mc = random_lj_complex(150, 31);
+  opal::CentersSoA soa;
+  soa.refresh(mc);
+  EXPECT_EQ(soa.lj_ntypes, 0u);
+  EXPECT_TRUE(soa.lj_type.empty());
+  EXPECT_TRUE(soa.lj_c12.empty());
+  expect_batch_identical(mc, all_pairs(static_cast<std::uint32_t>(mc.n())));
+}
+
+TEST(SoABatch, LjTableBuiltExactlyWhileTypesSquaredFitCenters) {
+  // Three LJ types: 9 centers hold the 3x3 table (T·T == n), 8 do not.
+  for (const std::size_t n : {std::size_t{8}, std::size_t{9}}) {
+    auto mc = random_lj_complex(n, 41);
+    for (std::size_t i = 0; i < n; ++i) {
+      mc.centers[i].c12 = 300.0 + 100.0 * static_cast<double>(i % 3);
+      mc.centers[i].c6 = 20.0 + 10.0 * static_cast<double>(i % 3);
+    }
+    opal::CentersSoA soa;
+    soa.refresh(mc);
+    SCOPED_TRACE("n = " + std::to_string(n));
+    EXPECT_EQ(soa.lj_ntypes, n == 9 ? 3u : 0u);
+    expect_batch_identical(mc, all_pairs(static_cast<std::uint32_t>(n)));
+  }
+}
+
+TEST(SoABatch, SignedZeroLjCoefficientsAreDistinctTypes) {
+  // c12 = +0.0 and -0.0 compare equal but are different operands:
+  // sqrt(+0 * -0) is -0, sqrt(+0 * +0) is +0.  Grouping by bit pattern
+  // keeps them apart (two types, so four centers take the table); grouping
+  // by == would tabulate +0 for the mixed pairs.  With c6 = 0 each mixed
+  // pair's LJ term is -0, visible in an energy sum that starts at -0.
+  auto mc = random_lj_complex(4, 43);
+  for (std::size_t i = 0; i < 4; ++i) {
+    mc.centers[i].c12 = i < 2 ? 0.0 : -0.0;
+    mc.centers[i].c6 = 0.0;
+  }
+  opal::CentersSoA soa;
+  soa.refresh(mc);
+  ASSERT_EQ(soa.lj_ntypes, 2u);
+  EXPECT_NE(soa.lj_type[0], soa.lj_type[2]);
+
+  const std::vector<opal::PairIdx> mixed{{0, 2}, {0, 3}, {1, 2}, {1, 3}};
+  double evdw_ref = -0.0, ecoul_ref = -0.0;
+  std::vector<opal::Vec3> grad_ref(mc.n());
+  for (const opal::PairIdx& pr : mixed) {
+    opal::nonbonded_pair(mc, pr.i, pr.j, evdw_ref, ecoul_ref, grad_ref);
+  }
+  ASSERT_TRUE(std::signbit(evdw_ref));
+  double evdw = -0.0, ecoul = -0.0;
+  std::vector<opal::Vec3> grad(mc.n());
+  opal::nonbonded_batch(soa, mixed, evdw, ecoul, grad);
+  expect_bits_equal(evdw, ecoul, grad, evdw_ref, ecoul_ref, grad_ref);
+  expect_batch_identical(mc, all_pairs(4));
 }
 
 }  // namespace
