@@ -21,6 +21,7 @@
 #include "opal/decomp.hpp"
 #include "sim/fault.hpp"
 #include "util/cli.hpp"
+#include "util/fatal.hpp"
 #include "util/table.hpp"
 
 using namespace opalsim;
@@ -93,6 +94,18 @@ void write_results_csv(const std::string& path,
   out << "\n";
 }
 
+/// A count flag: a non-negative integer (a negative one would wrap to a
+/// huge size_t).
+std::size_t size_arg(const util::CliArgs& args, const std::string& key,
+                     long fallback) {
+  const long v = args.get_long(key, fallback);
+  if (v < 0) {
+    throw util::ConfigError("cli", "--" + key + " must be >= 0, got " +
+                                       std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 std::optional<mach::PlatformSpec> platform_by_name(const std::string& name) {
   if (name == "t3e") return mach::cray_t3e900();
   if (name == "j90") return mach::cray_j90();
@@ -103,9 +116,7 @@ std::optional<mach::PlatformSpec> platform_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   if (args.get_flag("help")) return usage(argv[0]);
 
@@ -120,8 +131,8 @@ int main(int argc, char** argv) {
   const std::string size = args.get_or("size", "medium");
   if (args.has("solute")) {
     opal::SyntheticSpec s;
-    s.n_solute = static_cast<std::size_t>(args.get_long("solute", 200));
-    s.n_water = static_cast<std::size_t>(args.get_long("water", 400));
+    s.n_solute = size_arg(args, "solute", 200);
+    s.n_water = size_arg(args, "water", 400);
     s.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
     mc = opal::make_synthetic_complex(s);
   } else if (size == "small") {
@@ -275,4 +286,19 @@ int main(int argc, char** argv) {
 
   if (gantt) std::cout << "\n" << sink.to_gantt(76);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const util::ConfigError& e) {
+    // A malformed flag value ("--steps 1e3", "--solute -1").
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <stdexcept>
 
@@ -69,6 +70,8 @@ double lj_c6(double eps, double sigma) {
 }  // namespace
 
 MolecularComplex make_synthetic_complex(const SyntheticSpec& spec) {
+  if (spec.n_solute > SIZE_MAX - spec.n_water)
+    throw std::invalid_argument("make_synthetic_complex: size overflows");
   const std::size_t n_total = spec.n_solute + spec.n_water;
   if (n_total == 0)
     throw std::invalid_argument("make_synthetic_complex: empty complex");

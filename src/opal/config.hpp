@@ -1,11 +1,12 @@
 // Simulation configuration: the paper's application parameters.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
 #include "opal/pairs.hpp"
+#include "util/fatal.hpp"
 
 namespace opalsim::opal {
 
@@ -71,13 +72,21 @@ struct SimulationConfig {
   /// The model's update-frequency parameter u in (0, 1].
   double u() const noexcept { return 1.0 / update_every; }
 
+  /// Throws util::ConfigError("opal", ...) for a field out of range.  A
+  /// NaN cut-off would otherwise filter out every pair while has_cutoff()
+  /// reports none, and a NaN dt or min_step would pass a `<= 0` test.
   void validate() const {
-    if (steps <= 0) throw std::invalid_argument("steps must be > 0");
-    if (update_every <= 0)
-      throw std::invalid_argument("update_every must be > 0");
-    if (dt <= 0.0) throw std::invalid_argument("dt must be > 0");
-    if (checkpoint_every_steps < 0)
-      throw std::invalid_argument("checkpoint_every_steps must be >= 0");
+    const auto fail = [](const std::string& what) {
+      throw util::ConfigError("opal", what);
+    };
+    if (steps <= 0) fail("steps must be > 0");
+    if (update_every <= 0) fail("update_every must be > 0");
+    if (std::isnan(cutoff) || (std::isinf(cutoff) && cutoff > 0.0))
+      fail("cutoff must be finite (<= 0 disables it)");
+    if (!std::isfinite(dt) || dt <= 0.0) fail("dt must be finite and > 0");
+    if (!std::isfinite(min_step) || min_step <= 0.0)
+      fail("min_step must be finite and > 0");
+    if (checkpoint_every_steps < 0) fail("checkpoint_every_steps must be >= 0");
   }
 
   bool has_cutoff() const noexcept { return cutoff > 0.0; }

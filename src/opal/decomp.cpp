@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "opal/forcefield.hpp"
-#include "opal/trajectory.hpp"
 #include "opal/serial.hpp"
+#include "opal/soa.hpp"
 #include "pvm/pvm_system.hpp"
 #include "sim/engine.hpp"
 
@@ -62,6 +62,7 @@ struct DecompServerState {
   std::vector<std::uint32_t> local;  ///< atoms whose coordinates arrive
   std::vector<PairIdx> candidates;   ///< pair domain (global indices)
   std::vector<PairIdx> active;       ///< after cut-off filtering
+  CentersSoA soa;                    ///< kernel mirror of `replica`
   std::vector<Vec3> grad;            ///< dense scratch, size n
   std::uint64_t pairs_checked = 0;
   std::uint64_t pairs_evaluated = 0;
@@ -193,7 +194,8 @@ ParallelRunResult run_decomposed(Method method,
   std::vector<DecompServerState> servers;
   servers.reserve(num_servers);
   for (int s = 0; s < num_servers; ++s) {
-    DecompServerState st{mc, {}, {}, {}, {}, 0, 0};
+    DecompServerState st{mc, {}, {}, {}, {}, {}, 0, 0};
+    st.soa.refresh_params(st.replica);
     st.grad.resize(mc.n());
     servers.push_back(std::move(st));
   }
@@ -249,11 +251,10 @@ ParallelRunResult run_decomposed(Method method,
           -> sim::Task<pvm::PackBuffer> {
         DecompServerState& st = servers[ctx.server_index];
         st.apply_coords(args.unpack_f64_array());
+        st.soa.refresh_positions(st.replica);
         for (std::uint32_t idx : st.local) st.grad[idx] = Vec3{};
         double evdw = 0.0, ecoul = 0.0;
-        for (const PairIdx& pr : st.active) {
-          nonbonded_pair(st.replica, pr.i, pr.j, evdw, ecoul, st.grad);
-        }
+        nonbonded_batch(st.soa, st.active, evdw, ecoul, st.grad);
         st.pairs_evaluated += st.active.size();
         co_await ctx.task.cpu().compute(
             OpMixes::nbint_pair * st.active.size(), st.working_set_bytes());
@@ -346,23 +347,8 @@ ParallelRunResult run_decomposed(Method method,
         }
         seq_ops += OpMixes::reduce_center * a.local.size();
       }
-      const BondedEnergies bonded = evaluate_bonded(mc, grad, &seq_ops);
-
-      result.physics.evdw = evdw;
-      result.physics.ecoul = ecoul;
-      result.physics.bonded = bonded;
-      fill_observables(mc, velocities, grad, result.physics);
-      if (cfg.trajectory != nullptr) {
-        cfg.trajectory->record(step, result.physics);
-      }
-
-      if (cfg.mode == RunMode::Minimization) {
-        minimizer.advance(mc, result.physics.potential(), grad);
-        seq_ops += OpMixes::integrate_center * mc.n();
-      } else if (cfg.integrate) {
-        leapfrog_step(mc, velocities, grad, cfg.dt);
-        seq_ops += OpMixes::integrate_center * mc.n();
-      }
+      finish_step(mc, cfg, step, evdw, ecoul, velocities, grad, minimizer,
+                  result.physics, seq_ops);
       co_await client.cpu().compute(
           seq_ops, mc.n() * (sizeof(MassCenter) + 2 * sizeof(Vec3)));
       metrics.seq_comp += engine.now() - t_seq0;

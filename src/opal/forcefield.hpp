@@ -11,7 +11,6 @@
 #include "hpm/op_counts.hpp"
 #include "opal/complex.hpp"
 #include "opal/vec3.hpp"
-#include "util/domains.hpp"
 
 namespace opalsim::opal {
 
@@ -49,35 +48,6 @@ struct OpMixes {
                                                /*div=*/0, /*sqrt=*/0,
                                                /*exp=*/0, /*cmp=*/0};
 };
-
-/// Evaluates the nonbonded pair term (van der Waals + Coulomb) between mass
-/// centers i and j, accumulating the energies and the gradient of V
-/// (dV/dr, NOT force) into `grad`.  LJ coefficients combine geometrically.
-VT_PURE inline void nonbonded_pair(const MolecularComplex& mc, std::uint32_t i,
-                           std::uint32_t j, double& evdw, double& ecoul,
-                           std::span<Vec3> grad) {
-  const MassCenter& a = mc.centers[i];
-  const MassCenter& b = mc.centers[j];
-  const Vec3 d = a.position - b.position;
-  const double r2 = d.norm2();
-  const double inv_r2 = 1.0 / r2;
-  const double inv_r = std::sqrt(inv_r2);
-  const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
-  const double c12 = std::sqrt(a.c12 * b.c12);
-  const double c6 = std::sqrt(a.c6 * b.c6);
-  const double lj = (c12 * inv_r6 - c6) * inv_r6;
-  const double qq = kCoulombConstant * a.charge * b.charge;
-  const double coul = qq * inv_r;
-  evdw += lj;
-  ecoul += coul;
-  // dV/dr scalar over r: (-12 c12 r^-13 + 6 c6 r^-7 - qq r^-2) / r
-  const double dvdr_over_r =
-      (-12.0 * c12 * inv_r6 + 6.0 * c6) * inv_r6 * inv_r2 -
-      coul * inv_r2;
-  const Vec3 g = d * dvdr_over_r;
-  grad[i] += g;
-  grad[j] -= g;
-}
 
 /// Squared-distance check used by the list-update sweep.
 inline bool within_cutoff(const MolecularComplex& mc, std::uint32_t i,

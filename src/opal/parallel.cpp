@@ -13,7 +13,6 @@
 #include "obs/trace.hpp"
 #include "opal/forcefield.hpp"
 #include "opal/soa.hpp"
-#include "opal/trajectory.hpp"
 #include "opal/pairs.hpp"
 #include "opal/serial.hpp"
 #include "pvm/pvm_system.hpp"
@@ -670,23 +669,8 @@ ParallelRunResult ParallelOpal::run() {
         }
         seq_ops += OpMixes::reduce_center * mc_.n();
       }
-      const BondedEnergies bonded = evaluate_bonded(mc_, grad, &seq_ops);
-
-      result.physics.evdw = evdw;
-      result.physics.ecoul = ecoul;
-      result.physics.bonded = bonded;
-      fill_observables(mc_, velocities, grad, result.physics);
-      if (cfg_.trajectory != nullptr) {
-        cfg_.trajectory->record(step, result.physics);
-      }
-
-      if (cfg_.mode == RunMode::Minimization) {
-        minimizer.advance(mc_, result.physics.potential(), grad);
-        seq_ops += OpMixes::integrate_center * mc_.n();
-      } else if (cfg_.integrate) {
-        leapfrog_step(mc_, velocities, grad, cfg_.dt);
-        seq_ops += OpMixes::integrate_center * mc_.n();
-      }
+      finish_step(mc_, cfg_, step, evdw, ecoul, velocities, grad, minimizer,
+                  result.physics, seq_ops);
       co_await client.cpu().compute(
           seq_ops, mc_.n() * (sizeof(MassCenter) + 2 * sizeof(Vec3)));
       metrics.seq_comp += engine.now() - t_seq0;

@@ -64,6 +64,25 @@ void SteepestDescent::advance(MolecularComplex& mc, double energy,
   }
 }
 
+void finish_step(MolecularComplex& mc, const SimulationConfig& cfg, int step,
+                 double evdw, double ecoul, std::vector<Vec3>& velocities,
+                 std::vector<Vec3>& grad, SteepestDescent& minimizer,
+                 SimResult& result, hpm::OpCounts& ops) {
+  result.bonded = evaluate_bonded(mc, grad, &ops);
+  result.evdw = evdw;
+  result.ecoul = ecoul;
+  fill_observables(mc, velocities, grad, result);
+  if (cfg.trajectory != nullptr) cfg.trajectory->record(step, result);
+
+  if (cfg.mode == RunMode::Minimization) {
+    minimizer.advance(mc, result.potential(), grad);
+    ops += OpMixes::integrate_center * mc.n();
+  } else if (cfg.integrate) {
+    leapfrog_step(mc, velocities, grad, cfg.dt);
+    ops += OpMixes::integrate_center * mc.n();
+  }
+}
+
 SerialOpal::SerialOpal(MolecularComplex mc, SimulationConfig cfg)
     : mc_(std::move(mc)), cfg_(cfg) {
   cfg_.validate();
@@ -100,22 +119,8 @@ SimResult SerialOpal::run() {
     const std::uint64_t m = domain.active_size();
     pairs_evaluated_ += m;
     ops_ += OpMixes::nbint_pair * m;
-
-    const BondedEnergies bonded = evaluate_bonded(mc_, grad, &ops_);
-
-    result.evdw = evdw;
-    result.ecoul = ecoul;
-    result.bonded = bonded;
-    fill_observables(mc_, velocities, grad, result);
-    if (cfg_.trajectory != nullptr) cfg_.trajectory->record(step, result);
-
-    if (cfg_.mode == RunMode::Minimization) {
-      minimizer.advance(mc_, result.potential(), grad);
-      ops_ += OpMixes::integrate_center * mc_.n();
-    } else if (cfg_.integrate) {
-      leapfrog_step(mc_, velocities, grad, cfg_.dt);
-      ops_ += OpMixes::integrate_center * mc_.n();
-    }
+    finish_step(mc_, cfg_, step, evdw, ecoul, velocities, grad, minimizer,
+                result, ops_);
   }
   return result;
 }

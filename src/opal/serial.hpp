@@ -81,6 +81,16 @@ void fill_observables(const MolecularComplex& mc,
                       const std::vector<Vec3>& velocities,
                       const std::vector<Vec3>& grad, SimResult& result);
 
+/// The sequential tail of one step, shared by SerialOpal and the parallel
+/// clients once the step's nonbonded sums are in: adds the bonded terms to
+/// `grad`, stores energies and observables in `result`, records the
+/// trajectory, then moves the configuration (a minimizer step, or leapfrog
+/// when integrating).  Adds the op mix of that work to `ops`.
+void finish_step(MolecularComplex& mc, const SimulationConfig& cfg, int step,
+                 double evdw, double ecoul, std::vector<Vec3>& velocities,
+                 std::vector<Vec3>& grad, SteepestDescent& minimizer,
+                 SimResult& result, hpm::OpCounts& ops);
+
 class SerialOpal {
  public:
   SerialOpal(MolecularComplex mc, SimulationConfig cfg);

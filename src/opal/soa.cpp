@@ -109,7 +109,8 @@ struct alignas(64) PairBlock {
 };
 
 /// Evaluates the nonbonded arithmetic for `m` independent lanes.  Each lane
-/// is the exact expression sequence of nonbonded_pair: no reductions, no
+/// is the exact expression sequence of the AoS oracle nonbonded_pair
+/// (tests/opal/nonbonded_oracle.hpp): no reductions, no
 /// reassociation — the only freedom the vectorizer gets is packing
 /// independent lanes, which cannot change any lane's bits (IEEE
 /// add/sub/mul/div/sqrt are correctly rounded, and -ffp-contract=off keeps

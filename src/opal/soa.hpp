@@ -15,8 +15,9 @@
 // same values.  When the complex has few LJ types (T·T <= n centers; the
 // synthetic complexes have two), the two LJ combination sqrts are read from
 // a per-type-pair table instead of computed per pair.  Every lane computes
-// expression-for-expression the arithmetic of nonbonded_pair
-// (forcefield.hpp) on the same values — each table entry is that same
+// expression-for-expression the arithmetic of the per-pair AoS kernel
+// (nonbonded_pair, kept as the oracle in tests/opal/nonbonded_oracle.hpp)
+// on the same values — each table entry is that same
 // correctly rounded expression on the same operands, IEEE
 // add/sub/mul/div/sqrt are correctly rounded, and the tree is built with
 // -ffp-contract=off — so energies and gradients are bit-identical to the

@@ -2,10 +2,12 @@
 //
 // The wire format is explicit and host-independent: fixed-width integers are
 // written byte by byte in little-endian order, doubles as the IEEE-754 bit
-// pattern of their uint64 image.  BinReader bounds-checks every read and
-// throws DecodeError instead of reading past the end, so a truncated or
+// pattern of their uint64 image.  BinReader bounds-checks every read, and
+// every length prefix goes through get_count, which refuses a count the
+// remaining bytes cannot hold; both throw DecodeError, so a truncated or
 // corrupted image fails loudly (the checkpoint loader turns that into a
-// fall-back to the previous-good image).
+// fall-back to the previous-good image) and never allocates on a forged
+// count.
 #pragma once
 
 #include <bit>
@@ -52,10 +54,6 @@ class BinWriter {
     put_u64(xs.size());
     for (const double x : xs) put_f64(x);
   }
-  void put_u64_vec(const std::vector<std::uint64_t>& xs) {
-    put_u64(xs.size());
-    for (const std::uint64_t x : xs) put_u64(x);
-  }
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
@@ -91,31 +89,18 @@ class BinReader {
   std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
   double get_f64() { return std::bit_cast<double>(get_u64()); }
   bool get_bool() { return get_u8() != 0; }
-  std::vector<std::uint8_t> get_bytes() {
-    const std::uint64_t n = checked_count(get_u64(), 1);
-    std::vector<std::uint8_t> out(bytes_.begin() + pos_,
-                                  bytes_.begin() + pos_ + n);
-    pos_ += n;
-    return out;
-  }
-  std::string get_string() {
-    const std::vector<std::uint8_t> b = get_bytes();
-    return std::string(b.begin(), b.end());
-  }
-  std::vector<double> get_f64_vec() {
-    const std::uint64_t n = checked_count(get_u64(), 8);
-    std::vector<double> xs(n);
-    for (auto& x : xs) x = get_f64();
-    return xs;
-  }
-  std::vector<std::uint64_t> get_u64_vec() {
-    const std::uint64_t n = checked_count(get_u64(), 8);
-    std::vector<std::uint64_t> xs(n);
-    for (auto& x : xs) x = get_u64();
-    return xs;
+  /// Reads a u64 length prefix and refuses it, before the caller allocates
+  /// anything, when the bytes left cannot hold that many elements of at
+  /// least `min_elem_bytes` (>= 1) each — so a corrupted count can trigger
+  /// neither a huge allocation nor an overflowing size computation.
+  std::uint64_t get_count(std::size_t min_elem_bytes) {
+    const std::uint64_t n = get_u64();
+    if (n > (bytes_.size() - pos_) / min_elem_bytes) {
+      throw DecodeError("BinReader: length prefix exceeds buffer");
+    }
+    return n;
   }
 
-  std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
   bool done() const noexcept { return pos_ == bytes_.size(); }
 
  private:
@@ -123,15 +108,6 @@ class BinReader {
     if (n > bytes_.size() - pos_) {
       throw DecodeError("BinReader: read past end of buffer");
     }
-  }
-  /// Validates a decoded element count against the bytes actually present
-  /// before any allocation, so a corrupted length cannot trigger a huge
-  /// allocation or an overflowing size computation.
-  std::uint64_t checked_count(std::uint64_t n, std::size_t elem_size) const {
-    if (n > (bytes_.size() - pos_) / elem_size) {
-      throw DecodeError("BinReader: length prefix exceeds buffer");
-    }
-    return n;
   }
 
   std::span<const std::uint8_t> bytes_;

@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+
+#include "util/fatal.hpp"
 
 namespace opalsim::util {
 
@@ -50,16 +53,26 @@ long CliArgs::get_long(const std::string& key, long fallback) const {
   auto v = get(key);
   if (!v || v->empty()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long out = std::strtol(v->c_str(), &end, 10);
-  return end == v->c_str() ? fallback : out;
+  if (end != v->c_str() + v->size() || errno == ERANGE) {
+    throw ConfigError("cli", "--" + key + " wants an integer, got '" + *v +
+                                 "'");
+  }
+  return out;
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   auto v = get(key);
   if (!v || v->empty()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const double out = std::strtod(v->c_str(), &end);
-  return end == v->c_str() ? fallback : out;
+  if (end != v->c_str() + v->size() || errno == ERANGE) {
+    throw ConfigError("cli", "--" + key + " wants a number, got '" + *v +
+                                 "'");
+  }
+  return out;
 }
 
 std::vector<std::string> CliArgs::unused() const {

@@ -20,6 +20,10 @@ class CliArgs {
   bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, const std::string& fallback) const;
+  /// Typed accessors: `fallback` when the option is absent or empty;
+  /// util::ConfigError("cli", ...) when the value is not entirely a number
+  /// of that type or is out of its range ("10abc", "1e3" for a long,
+  /// "1e999").
   long get_long(const std::string& key, long fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_flag(const std::string& key) const { return has(key); }

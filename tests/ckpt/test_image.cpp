@@ -52,7 +52,6 @@ TEST(BinIo, RoundTripsEveryType) {
   w.put_bool(true);
   w.put_string("opal");
   w.put_f64_vec({1.0, -2.0, 3.5});
-  w.put_u64_vec({7, 8});
   const std::vector<std::uint8_t> b = w.take();
 
   BinReader r({b.data(), b.size()});
@@ -62,9 +61,12 @@ TEST(BinIo, RoundTripsEveryType) {
   EXPECT_EQ(r.get_i32(), -42);
   EXPECT_EQ(r.get_f64(), -1.5e-300);
   EXPECT_TRUE(r.get_bool());
-  EXPECT_EQ(r.get_string(), "opal");
-  EXPECT_EQ(r.get_f64_vec(), (std::vector<double>{1.0, -2.0, 3.5}));
-  EXPECT_EQ(r.get_u64_vec(), (std::vector<std::uint64_t>{7, 8}));
+  std::string str(r.get_count(1), '\0');
+  for (char& c : str) c = static_cast<char>(r.get_u8());
+  EXPECT_EQ(str, "opal");
+  std::vector<double> xs(r.get_count(8));
+  for (double& x : xs) x = r.get_f64();
+  EXPECT_EQ(xs, (std::vector<double>{1.0, -2.0, 3.5}));
   EXPECT_TRUE(r.done());
 }
 
@@ -78,12 +80,32 @@ TEST(BinIo, ReadPastEndThrows) {
 }
 
 TEST(BinIo, OversizedLengthPrefixThrows) {
-  // A corrupted length prefix must not trigger a huge allocation.
+  // A corrupted length prefix must be refused before anything allocates.
   BinWriter w;
   w.put_u64(1ull << 60);
   const std::vector<std::uint8_t> b = w.take();
   BinReader r({b.data(), b.size()});
-  EXPECT_THROW((void)r.get_f64_vec(), DecodeError);
+  EXPECT_THROW((void)r.get_count(8), DecodeError);
+}
+
+TEST(BinIo, CountIsBoundedByBytesLeftOverElementSize) {
+  // Three elements of 4 bytes fit in the 12 bytes after the prefix; a
+  // fourth, or three of 5 bytes, do not.
+  for (const std::uint64_t n : {3ull, 4ull}) {
+    for (const std::size_t elem : {std::size_t{4}, std::size_t{5}}) {
+      BinWriter w;
+      w.put_u64(n);
+      for (int k = 0; k < 12; ++k) w.put_u8(0);
+      const std::vector<std::uint8_t> b = w.take();
+      BinReader r({b.data(), b.size()});
+      if (n * elem <= 12) {
+        EXPECT_EQ(r.get_count(elem), n);
+      } else {
+        EXPECT_THROW((void)r.get_count(elem), DecodeError)
+            << n << " x " << elem;
+      }
+    }
+  }
 }
 
 /// A snapshot exercising every field class: non-empty vectors, nested
@@ -301,6 +323,75 @@ TEST(SnapshotCodec, DetectsTrailingBytes) {
   img.insert(img.end() - 4, 0x00);
   reseal(img);
   expect_bad_image(img, "trailing bytes");
+}
+
+std::uint32_t trailer(const std::vector<std::uint8_t>& img) {
+  std::uint32_t crc = 0;
+  for (int i = 0; i < 4; ++i) {
+    crc |= static_cast<std::uint32_t>(img[img.size() - 4 + i]) << (8 * i);
+  }
+  return crc;
+}
+
+TEST(SnapshotCodec, LayoutIsPinned) {
+  // Size and CRC trailer of two images: moving, widening or dropping any
+  // field changes them, so resumable images stay readable across changes
+  // to the codec.  (The CRC over a whole image is the constant CRC-32
+  // residue, so the trailer is what carries the content.)
+  const std::vector<std::uint8_t> empty = encode(RunSnapshot{});
+  EXPECT_EQ(empty.size(), 775u);
+  EXPECT_EQ(trailer(empty), 0xcc3d8f9fu);
+  const std::vector<std::uint8_t> sample = encode(sample_snapshot());
+  EXPECT_EQ(sample.size(), 1275u);
+  EXPECT_EQ(trailer(sample), 0x0dbf5932u);
+}
+
+/// Empty when decode accepts `img` or refuses it with FatalError("ckpt");
+/// otherwise a description of what escaped.
+std::string escape_from_decode(const std::vector<std::uint8_t>& img) {
+  try {
+    (void)decode(img);
+  } catch (const FatalError& e) {
+    if (e.subsystem() == "ckpt") return "";
+    return std::string("FatalError: ") + e.what();
+  } catch (const std::exception& e) {
+    return std::string("std::exception: ") + e.what();
+  } catch (...) {
+    return "non-standard exception";
+  }
+  return "";
+}
+
+TEST(SnapshotCodec, ResealedMutationsFailStructurally) {
+  // Resealing the CRC after each edit lets the edit reach the parser: every
+  // body byte set to 0x00, 0x7F and 0xFF, and every truncation of the body.
+  // Each image must decode or fail with FatalError("ckpt"); an unchecked
+  // count would escape as bad_alloc/length_error (or abort under ASan).
+  const std::vector<std::uint8_t> good = encode(sample_snapshot());
+  const std::size_t body = good.size() - 4;
+  int mutations = 0;
+  for (std::size_t off = 0; off < body; ++off) {
+    for (const std::uint8_t v : {0x00, 0x7F, 0xFF}) {
+      std::vector<std::uint8_t> img = good;
+      img[off] = v;
+      reseal(img);
+      ++mutations;
+      const std::string escaped = escape_from_decode(img);
+      EXPECT_TRUE(escaped.empty())
+          << "byte " << off << " := " << static_cast<int>(v) << ": "
+          << escaped;
+    }
+  }
+  EXPECT_EQ(mutations, 3813);
+  for (std::size_t len = 0; len < body; ++len) {
+    std::vector<std::uint8_t> img(good.begin(),
+                                  good.begin() + static_cast<long>(len));
+    img.resize(len + 4);
+    reseal(img);
+    const std::string escaped = escape_from_decode(img);
+    EXPECT_TRUE(escaped.empty()) << "body truncated to " << len << " bytes: "
+                                 << escaped;
+  }
 }
 
 // -- atomic store -----------------------------------------------------------

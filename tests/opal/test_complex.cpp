@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace {
@@ -99,6 +100,12 @@ TEST(SyntheticComplex, RejectsEmptyAndBadDensity) {
   EXPECT_THROW(make_synthetic_complex(s), std::invalid_argument);
   s.n_solute = 10;
   s.density = 0.0;
+  EXPECT_THROW(make_synthetic_complex(s), std::invalid_argument);
+  // A size that wraps n_solute + n_water (a negative CLI --solute) would
+  // index past the lattice.
+  s.density = 1.0;
+  s.n_solute = SIZE_MAX;
+  s.n_water = 10;
   EXPECT_THROW(make_synthetic_complex(s), std::invalid_argument);
 }
 

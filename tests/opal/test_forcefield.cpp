@@ -8,6 +8,8 @@
 
 #include "opal/complex.hpp"
 
+#include "nonbonded_oracle.hpp"
+
 namespace {
 
 using opalsim::opal::Angle;

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "opal/complex.hpp"
 #include "opal/forcefield.hpp"
+#include "util/fatal.hpp"
+
+#include "nonbonded_oracle.hpp"
 
 namespace {
 
@@ -22,6 +28,46 @@ MolecularComplex small_mc(std::uint64_t seed = 42) {
   s.n_water = 80;
   s.seed = seed;
   return make_synthetic_complex(s);
+}
+
+/// validate() must refuse `cfg` with ConfigError("opal") naming `field`.
+void expect_config_error(const SimulationConfig& cfg, const std::string& field) {
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const opalsim::util::ConfigError& e) {
+    EXPECT_EQ(e.subsystem(), "opal");
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SimulationConfig, RejectsNanOrInfiniteCutoff) {
+  SimulationConfig cfg;
+  for (const double c : {std::nan(""), HUGE_VAL}) {
+    cfg.cutoff = c;
+    expect_config_error(cfg, "cutoff");
+  }
+  // Any cut-off <= 0, -inf included, means "no cut-off".
+  cfg.cutoff = -HUGE_VAL;
+  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_FALSE(cfg.has_cutoff());
+}
+
+TEST(SimulationConfig, RejectsNonFiniteOrNonPositiveDt) {
+  SimulationConfig cfg;
+  for (const double dt : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1e-3}) {
+    cfg.dt = dt;
+    expect_config_error(cfg, "dt");
+  }
+}
+
+TEST(SimulationConfig, RejectsNonFiniteOrNonPositiveMinStep) {
+  SimulationConfig cfg;
+  for (const double s : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1e-5}) {
+    cfg.min_step = s;
+    expect_config_error(cfg, "min_step");
+  }
 }
 
 TEST(SerialOpal, RunIsDeterministic) {

@@ -22,6 +22,8 @@
 #include "opal/soa.hpp"
 #include "util/rng.hpp"
 
+#include "nonbonded_oracle.hpp"
+
 namespace {
 
 using namespace opalsim;

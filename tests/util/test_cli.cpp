@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/fatal.hpp"
+
 namespace {
 
 using opalsim::util::CliArgs;
+using opalsim::util::ConfigError;
 
 CliArgs parse(std::initializer_list<const char*> argv) {
   std::vector<const char*> v(argv);
@@ -51,9 +56,26 @@ TEST(CliArgs, DefaultsWhenMissing) {
   EXPECT_DOUBLE_EQ(a.get_double("nope", 1.5), 1.5);
 }
 
-TEST(CliArgs, FallbackOnUnparsableNumbers) {
-  auto a = parse({"prog", "--steps", "banana"});
-  EXPECT_EQ(a.get_long("steps", 7), 7);
+TEST(CliArgs, RejectsUnparsableNumbers) {
+  // A present value must be entirely a number of the asked type and in its
+  // range; only an absent or empty value takes the fallback.
+  auto a = parse({"prog", "--a", "banana", "--b", "10abc", "--c", "1e3",
+                  "--d", "1e999", "--e", "99999999999999999999", "--f="});
+  for (const char* k : {"a", "b", "c", "e"}) {
+    EXPECT_THROW((void)a.get_long(k, 7), ConfigError) << k;
+  }
+  for (const char* k : {"a", "b", "d"}) {
+    EXPECT_THROW((void)a.get_double(k, 7.0), ConfigError) << k;
+  }
+  EXPECT_DOUBLE_EQ(a.get_double("c", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(a.get_double("e", 0.0), 1e20);
+  EXPECT_EQ(a.get_long("f", 7), 7);
+  try {
+    (void)a.get_long("b", 7);
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.subsystem(), "cli");
+    EXPECT_NE(std::string(e.what()).find("10abc"), std::string::npos);
+  }
 }
 
 TEST(CliArgs, UnusedDetectsTypos) {
