@@ -3,20 +3,25 @@
 //
 // Two measurements, each verified for result equivalence before timing is
 // trusted:
-//   1. list update — brute-force O(n^2) sweep vs linked-cell path over the
-//                    medium molecule (identical active lists required, and
-//                    the cell path must actually be taken),
+//   1. list update — brute-force O(n^2/p) sweep vs the Verlet-list path over
+//                    the medium molecule at p = 1 (the serial engine's full
+//                    triangle, grid-built list) and p = 7 (the Fig. 1c
+//                    cell's subset domains, sweep-built list); identical
+//                    active lists on every server required, and the list
+//                    path must actually be taken and win,
 //   2. crossover   — a ladder of complex sizes timing both forced update
 //                    paths and recording which one the Auto heuristic
 //                    picks: the empirical basis for kDefaultCellCrossover
 //                    (DESIGN.md, "Host execution engine").
 //
 // Exits non-zero when an active list differs between the paths, when the
-// cell path is not taken at bench scale, or when Auto picks a path that
-// loses by more than the noise band at some crossover point.
+// list path is not taken at bench scale or loses an update row, or when
+// Auto picks a path that loses by more than the noise band at some
+// crossover point.
 #include <algorithm>
 #include <iostream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -44,40 +49,50 @@ struct UpdateResult {
   }
 };
 
-/// Times the two update paths over the p = 1 domain of the medium molecule
-/// (the serial engine's heaviest phase) and checks the active lists match
-/// pair-for-pair, order included.  The cell path is timed in steady state —
-/// the Verlet list built on the first call stays valid while centers move
-/// less than half the skin, which is what every step of a real run pays;
-/// the cold rebuild cost is reported separately.
+/// Times the two update paths over all p servers' domains of the medium
+/// molecule (the production distribution) and checks every server's active
+/// lists match pair-for-pair, order included.  The list path is timed in
+/// steady state — the Verlet list built on the first call stays valid while
+/// centers move less than half the skin, which is what every step of a real
+/// run pays; the cold rebuild cost is reported separately.
 UpdateResult measure_update(const opal::MolecularComplex& mc, double cutoff,
-                            int r) {
-  auto domains = opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
-                                     opal::DistributionStrategy::RowCyclic, 1);
-  opal::ServerDomain dom(std::move(domains[0]));
+                            int p, int r) {
+  auto domains =
+      opal::build_domains(static_cast<std::uint32_t>(mc.n()), p,
+                          opal::DistributionStrategy::PseudoRandomHistorical,
+                          1);
+  std::vector<opal::ServerDomain> servers;
+  for (auto& d : domains) servers.emplace_back(std::move(d));
+  const auto update_all = [&](opal::PairUpdatePath path) {
+    for (opal::ServerDomain& dom : servers) dom.update(mc, cutoff, path);
+  };
   UpdateResult res;
 
   util::HostTimer t;
-  for (int k = 0; k < r; ++k) {
-    dom.update(mc, cutoff, opal::PairUpdatePath::Brute);
-  }
+  for (int k = 0; k < r; ++k) update_all(opal::PairUpdatePath::Brute);
   res.brute_s = t.seconds() / r;
-  const std::vector<opal::PairIdx> brute(dom.active().begin(),
-                                         dom.active().end());
-  res.active_pairs_brute = brute.size();
+  std::vector<std::vector<opal::PairIdx>> brute;
+  for (const opal::ServerDomain& dom : servers) {
+    brute.emplace_back(dom.active().begin(), dom.active().end());
+    res.active_pairs_brute += brute.back().size();
+  }
 
   t.reset();
-  dom.update(mc, cutoff, opal::PairUpdatePath::CellList);
+  update_all(opal::PairUpdatePath::CellList);
   res.rebuild_s = t.seconds();
   t.reset();
-  for (int k = 0; k < r; ++k) {
-    dom.update(mc, cutoff, opal::PairUpdatePath::CellList);
-  }
+  for (int k = 0; k < r; ++k) update_all(opal::PairUpdatePath::CellList);
   res.cells_s = t.seconds() / r;
-  res.cells_path_taken = dom.last_update_used_cells();
-  res.active_pairs_cells = dom.active_size();
-  res.agree = res.active_pairs_cells == brute.size() &&
-              std::equal(brute.begin(), brute.end(), dom.active().begin());
+  res.cells_path_taken = true;
+  res.agree = true;
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    const opal::ServerDomain& dom = servers[s];
+    res.cells_path_taken = res.cells_path_taken && dom.last_update_used_cells();
+    res.active_pairs_cells += dom.active_size();
+    res.agree = res.agree && dom.active_size() == brute[s].size() &&
+                std::equal(brute[s].begin(), brute[s].end(),
+                           dom.active().begin());
+  }
   return res;
 }
 
@@ -161,17 +176,25 @@ int main() {
   std::cout << "molecule: n = " << mc.n() << ", cutoff = " << cutoff
             << " A, reps = " << r << "\n\n";
 
-  const UpdateResult u = measure_update(mc, cutoff, r);
+  const int server_counts[] = {1, 7};
+  std::vector<UpdateResult> updates;
+  for (const int p : server_counts) {
+    updates.push_back(measure_update(mc, cutoff, p, r));
+  }
   const std::vector<CrossoverPoint> xover = measure_crossover(cutoff, r);
 
   util::Table t({"comparison", "baseline [s]", "optimized [s]", "speedup",
                  "agree"});
-  t.row()
-      .add("update: brute vs cell list")
-      .add(u.brute_s, 6)
-      .add(u.cells_s, 6)
-      .add(u.speedup(), 2)
-      .add(u.agree ? "yes" : "NO");
+  for (std::size_t k = 0; k < updates.size(); ++k) {
+    const UpdateResult& u = updates[k];
+    t.row()
+        .add("update p=" + std::to_string(server_counts[k]) +
+             ": brute vs cell list")
+        .add(u.brute_s, 6)
+        .add(u.cells_s, 6)
+        .add(u.speedup(), 2)
+        .add(u.agree ? "yes" : "NO");
+  }
   bench::emit(t, "host_speed");
 
   util::Table xt({"n", "brute [s]", "cell list [s]", "speedup", "auto path",
@@ -187,20 +210,30 @@ int main() {
   }
   bench::emit(xt, "host_crossover");
 
-  std::cout << "active pairs: brute " << u.active_pairs_brute
-            << ", cell list " << u.active_pairs_cells << " (cell path "
-            << (u.cells_path_taken ? "taken" : "fell back to brute")
-            << "; cold rebuild " << u.rebuild_s << " s, amortized over the "
-            << "steps a Verlet list stays valid)\n";
-
   bool ok = true;
-  if (!u.agree) {
-    std::cerr << "FAIL: cell-list active list differs from brute force\n";
-    ok = false;
-  }
-  if (!u.cells_path_taken) {
-    std::cerr << "FAIL: the cell path was not taken at bench scale\n";
-    ok = false;
+  for (std::size_t k = 0; k < updates.size(); ++k) {
+    const UpdateResult& u = updates[k];
+    const std::string row = "update p=" + std::to_string(server_counts[k]);
+    std::cout << row << ": active pairs brute " << u.active_pairs_brute
+              << ", cell list " << u.active_pairs_cells << " (cell path "
+              << (u.cells_path_taken ? "taken" : "fell back to brute")
+              << "; cold rebuild " << u.rebuild_s << " s, amortized over the "
+              << "steps a Verlet list stays valid)\n";
+    if (!u.agree) {
+      std::cerr << "FAIL: " << row
+                << ": cell-list active list differs from brute force\n";
+      ok = false;
+    }
+    if (!u.cells_path_taken) {
+      std::cerr << "FAIL: " << row
+                << ": the cell path was not taken at bench scale\n";
+      ok = false;
+    }
+    if (!(u.cells_s < u.brute_s)) {
+      std::cerr << "FAIL: " << row
+                << ": the list path is slower than brute force\n";
+      ok = false;
+    }
   }
   for (const CrossoverPoint& p : xover) {
     if (!p.agree) {

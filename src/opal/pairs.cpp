@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "opal/forcefield.hpp"
+#include "util/fatal.hpp"
 #include "util/rng.hpp"
 
 namespace opalsim::opal {
@@ -51,11 +52,8 @@ std::atomic<std::uint32_t> g_cell_crossover{0};  // 0 = default
 /// integrator takes.
 constexpr double kVerletSkinFactor = 0.3;
 
-/// Prefetch distance, in list entries, of the domain-subset filter.
-constexpr std::size_t kPrefetchAhead = 64;
-/// Mask words the domain-subset filter decodes per block (at most 2048
-/// positions: 24 KB of stack for the position and survivor buffers).
-constexpr std::size_t kBlockWords = 32;
+/// Stack stage, in pairs, of the list filter and the subset rebuild.
+constexpr std::size_t kStage = 2048;
 
 }  // namespace
 
@@ -176,8 +174,12 @@ std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
   }
   if (try_cells && update_cells(mc, c2, cutoff)) {
     ++stats_.cell_updates;
+    used_cells_ = true;
   } else {
-    update_brute(mc, c2);
+    active_.clear();
+    for (const PairIdx& pr : domain_) {
+      if (within_cutoff(mc, pr.i, pr.j, c2)) active_.push_back(pr);
+    }
   }
   return domain_.size();
 }
@@ -221,13 +223,6 @@ bool ServerDomain::cells_profitable(const MolecularComplex& mc,
   return ncells >= 8.0;
 }
 
-void ServerDomain::update_brute(const MolecularComplex& mc, double c2) {
-  active_.clear();
-  for (const PairIdx& pr : domain_) {
-    if (within_cutoff(mc, pr.i, pr.j, c2)) active_.push_back(pr);
-  }
-}
-
 bool ServerDomain::verlet_fresh(double cutoff, double skin) const noexcept {
   const std::size_t n = sx_.size();
   if (!verlet_ready_ || verlet_cutoff_ != cutoff || rx_.size() != n) {
@@ -242,6 +237,34 @@ bool ServerDomain::verlet_fresh(double cutoff, double skin) const noexcept {
     if (!(dx * dx + dy * dy + dz * dz <= half_skin2)) return false;
   }
   return true;
+}
+
+bool pairs_in_range(std::span<const PairIdx> pairs, std::uint32_t n) noexcept {
+  return std::all_of(pairs.begin(), pairs.end(), [n](const PairIdx& pr) {
+    return pr.i < pr.j && pr.j < n;
+  });
+}
+
+void ServerDomain::restore(std::uint32_t n, std::vector<PairIdx> domain,
+                           std::vector<PairIdx> active, bool materialized) {
+  if (!pairs_in_range(domain, n) || !pairs_in_range(active, n) ||
+      active.size() > domain.size()) {
+    util::fatal("ckpt", "restore: a pair is not i < j < " + std::to_string(n) +
+                            " or the active list outgrows the domain");
+  }
+  *this = ServerDomain(std::move(domain));  // counters zero, caches cold
+  active_ = std::move(active);
+  materialized_ = materialized;
+}
+
+std::uint16_t ServerDomain::run_offset(std::uint32_t i, std::uint32_t j,
+                                       std::uint32_t count) {
+  if (vruns_.empty() || vruns_.back().i != i ||
+      j - vruns_.back().j_base > 0xFFFFu) {  // j below the base wraps too
+    if (vruns_.empty() || vruns_.back().begin != count) vruns_.emplace_back();
+    vruns_.back() = VerletRun{i, j, count};  // replaces a run left empty
+  }
+  return static_cast<std::uint16_t>(j - vruns_.back().j_base);
 }
 
 bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
@@ -266,84 +289,48 @@ bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
   const double skin = kVerletSkinFactor * cutoff;
   const double padded2 = (cutoff + skin) * (cutoff + skin);
   if (!verlet_fresh(cutoff, skin)) {
-    verlet_triangle_ = is_lex_triangle(domain_, n);
-    if (verlet_triangle_) {
-      if (!rebuild_triangle(cutoff + skin)) return false;
-    } else {
-      rebuild_subset(padded2, c2);
-    }
+    const bool triangle = is_lex_triangle(domain_, n);
+    if (triangle && !rebuild_triangle(cutoff + skin)) return false;
+    if (!triangle) rebuild_subset(padded2, c2);
     ++stats_.verlet_rebuilds;
     rx_ = sx_;
     ry_ = sy_;
     rz_ = sz_;
     verlet_cutoff_ = cutoff;
     verlet_ready_ = true;
-    if (!verlet_triangle_) {  // the rebuild sweep emitted active_ already
-      used_cells_ = true;
-      return true;
-    }
+    if (!triangle) return true;  // the sweep emitted active_ already
   }
 
   // Exact filter of the padded list against the *current* positions: the
   // same squared-distance expression within_cutoff evaluates, in domain
-  // order.  The writes are branchless (store every candidate, advance only
-  // on accept) — at the ~40% accept rate of the padded list a conditional
-  // push mispredicts constantly.
-  if (verlet_triangle_) {
-    // Rows in lex order, j ascending within a row.
-    active_.resize(vitems_.size());
-    PairIdx* out = active_.data();
-    std::size_t cnt = 0;
-    for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      const double xi = sx_[i], yi = sy_[i], zi = sz_[i];
-      const std::uint32_t e = vstart_[i + 1];
-      for (std::uint32_t t = vstart_[i]; t < e; ++t) {
-        const std::uint32_t j = vitems_[t];
+  // order, loading x_i once per run.  The writes are branchless (store every
+  // candidate, advance only on accept: at the ~40% accept rate a branch
+  // mispredicts constantly) into a stage flushed when under half is free.
+  active_.clear();
+  PairIdx stage[kStage];
+  std::size_t cnt = 0;
+  for (std::size_t r = 0; r < vruns_.size(); ++r) {
+    const VerletRun run = vruns_[r];
+    const std::size_t end =
+        r + 1 < vruns_.size() ? vruns_[r + 1].begin : vitems_.size();
+    const double xi = sx_[run.i], yi = sy_[run.i], zi = sz_[run.i];
+    for (std::size_t t = run.begin; t < end;) {
+      if (cnt > kStage / 2) {
+        active_.insert(active_.end(), stage, stage + cnt);
+        cnt = 0;
+      }
+      for (const std::size_t stop = std::min(end, t + kStage - cnt); t < stop;
+           ++t) {
+        const std::uint32_t j = run.j_base + vitems_[t];
         const double dx = xi - sx_[j];
         const double dy = yi - sy_[j];
         const double dz = zi - sz_[j];
-        out[cnt] = PairIdx{i, j};
+        stage[cnt] = PairIdx{run.i, j};
         cnt += dx * dx + dy * dy + dz * dz <= c2 ? 1 : 0;
       }
-    }
-    active_.resize(cnt);
-  } else {
-    // Set bits of vmask_, ascending, are the listed positions in domain_.
-    // Each block of mask words is decoded into positions first and then
-    // filtered: the gather loop has no data-dependent branch, so many
-    // domain_ loads stay in flight, and a prefetch a fixed distance ahead
-    // hides the rest of their latency.  Survivors are staged on the stack,
-    // so active_ grows to the active pairs only, not to the padded list.
-    active_.clear();
-    const std::size_t words = vmask_.size();
-    std::uint32_t pos[kBlockWords * 64];
-    PairIdx buf[kBlockWords * 64];
-    for (std::size_t w0 = 0; w0 < words; w0 += kBlockWords) {
-      const std::size_t w1 = std::min(words, w0 + kBlockWords);
-      std::size_t m = 0;
-      for (std::size_t w = w0; w < w1; ++w) {
-        const auto base = static_cast<std::uint32_t>((w - w0) << 6);
-        for (std::uint64_t word = vmask_[w]; word != 0; word &= word - 1) {
-          pos[m++] = base + static_cast<std::uint32_t>(std::countr_zero(word));
-        }
-      }
-      const PairIdx* dom = domain_.data() + (w0 << 6);
-      std::size_t cnt = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        if (k + kPrefetchAhead < m) {
-          __builtin_prefetch(dom + pos[k + kPrefetchAhead]);
-        }
-        const PairIdx pr = dom[pos[k]];
-        const double dx = sx_[pr.i] - sx_[pr.j];
-        const double dy = sy_[pr.i] - sy_[pr.j];
-        const double dz = sz_[pr.i] - sz_[pr.j];
-        buf[cnt] = pr;
-        cnt += dx * dx + dy * dy + dz * dz <= c2 ? 1 : 0;
-      }
-      active_.insert(active_.end(), buf, buf + cnt);
     }
   }
-  used_cells_ = true;
+  active_.insert(active_.end(), stage, stage + cnt);
   return true;
 }
 
@@ -353,8 +340,8 @@ bool ServerDomain::rebuild_triangle(double padded) {
   const auto n = static_cast<std::uint32_t>(sx_.size());
   const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
   marks_.assign(words, 0);
-  vstart_.assign(n + 1, 0);
   vitems_.clear();
+  vruns_.clear();
   // Per-row bitset over j (a few hundred bytes, L1-resident): the sweep
   // both orders the row ascending and clears the bits it consumes.
   for (std::uint32_t i = 0; i + 1 < n; ++i) {
@@ -368,31 +355,44 @@ bool ServerDomain::rebuild_triangle(double padded) {
       if (word == 0) continue;
       marks_[w] = 0;
       do {
-        const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+        const auto j =
+            static_cast<std::uint32_t>((w << 6) + std::countr_zero(word));
         word &= word - 1;
-        vitems_.push_back(static_cast<std::uint32_t>(w << 6) + bit);
+        vitems_.push_back(
+            run_offset(i, j, static_cast<std::uint32_t>(vitems_.size())));
       } while (word != 0);
     }
-    vstart_[i + 1] = static_cast<std::uint32_t>(vitems_.size());
   }
-  vstart_[n] = static_cast<std::uint32_t>(vitems_.size());
   return true;
 }
 
 void ServerDomain::rebuild_subset(double padded2, double c2) {
-  const std::size_t m = domain_.size();
-  vmask_.assign((m + 63) / 64, 0);
+  vitems_.clear();
+  vruns_.clear();
+  vruns_.reserve(sx_.size());  // a sorted domain opens one run per row
   active_.clear();
-  for (std::size_t t = 0; t < m; ++t) {
-    const PairIdx pr = domain_[t];
-    const double dx = sx_[pr.i] - sx_[pr.j];
-    const double dy = sy_[pr.i] - sy_[pr.j];
-    const double dz = sz_[pr.i] - sz_[pr.j];
-    const double d2 = dx * dx + dy * dy + dz * dz;
-    if (d2 <= padded2) {
-      vmask_[t >> 6] |= std::uint64_t{1} << (t & 63);
-      if (d2 <= c2) active_.push_back(pr);
+  // Branchless like the filter (both tests hit 20–50% of the domain): runs
+  // open at listed and unlisted pairs alike, so only the row test branches,
+  // and a chunk of kStage domain pairs cannot overflow a stage.
+  std::uint16_t listed[kStage];
+  PairIdx stage[kStage];
+  for (std::size_t t0 = 0; t0 < domain_.size(); t0 += kStage) {
+    const std::size_t t1 = std::min(domain_.size(), t0 + kStage);
+    const auto base = static_cast<std::uint32_t>(vitems_.size());
+    std::uint32_t nl = 0, na = 0;
+    for (std::size_t t = t0; t < t1; ++t) {
+      const PairIdx pr = domain_[t];
+      const double dx = sx_[pr.i] - sx_[pr.j];
+      const double dy = sy_[pr.i] - sy_[pr.j];
+      const double dz = sz_[pr.i] - sz_[pr.j];
+      const double d2 = dx * dx + dy * dy + dz * dz;
+      listed[nl] = run_offset(pr.i, pr.j, base + nl);
+      nl += d2 <= padded2 ? 1 : 0;
+      stage[na] = pr;
+      na += d2 <= c2 ? 1 : 0;
     }
+    vitems_.insert(vitems_.end(), listed, listed + nl);
+    active_.insert(active_.end(), stage, stage + na);
   }
 }
 

@@ -88,6 +88,9 @@ std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed);
 
+/// True when every pair is (i, j) with i < j < n.
+bool pairs_in_range(std::span<const PairIdx> pairs, std::uint32_t n) noexcept;
+
 /// A server's share of the pair work: the static domain plus the active
 /// cut-off list rebuilt by update().
 class ServerDomain {
@@ -144,18 +147,12 @@ class ServerDomain {
   bool materialized() const noexcept { return materialized_; }
 
   /// Restores serialized list state; caches start cold (resume only).
-  void restore(std::vector<PairIdx> domain, std::vector<PairIdx> active,
-               bool materialized) {
-    domain_ = std::move(domain);
-    active_ = std::move(active);
-    materialized_ = materialized;
-    used_cells_ = false;
-    stats_ = {};
-    verlet_ready_ = false;
-  }
+  /// Throws util::FatalError("ckpt"), changing nothing, unless every pair
+  /// has i < j < n and the active list is no longer than the domain.
+  void restore(std::uint32_t n, std::vector<PairIdx> domain,
+               std::vector<PairIdx> active, bool materialized);
 
  private:
-  void update_brute(const MolecularComplex& mc, double c2);
   bool update_cells(const MolecularComplex& mc, double c2, double cutoff);
   /// Crossover model for the Auto path: does the Verlet list pay off here?
   bool cells_profitable(const MolecularComplex& mc, double cutoff) const;
@@ -163,11 +160,15 @@ class ServerDomain {
   /// it?  True while no center of the current positions sx_/sy_/sz_ has
   /// moved more than skin/2 from its reference position.
   bool verlet_fresh(double cutoff, double skin) const noexcept;
-  /// Rebuilds the full-triangle rows through a grid with edge `padded`;
+  /// Rebuilds the full-triangle list through a grid with edge `padded`;
   /// false (list untouched) when the grid degenerates.
   bool rebuild_triangle(double padded);
-  /// Rebuilds the domain-subset list by one sweep of domain_, emitting the
-  /// active list for the current positions on the way.
+  /// Offset of j for list item number `count`, opening a run at (i, j)
+  /// when the row changes or the offset would pass 65,535.
+  std::uint16_t run_offset(std::uint32_t i, std::uint32_t j,
+                           std::uint32_t count);
+  /// Rebuilds the list of any other domain by one sweep of domain_,
+  /// emitting the active list for the current positions on the way.
   void rebuild_subset(double padded2, double c2);
 
   std::vector<PairIdx> domain_;
@@ -181,23 +182,19 @@ class ServerDomain {
   std::vector<double> sx_, sy_, sz_;
   std::vector<std::uint64_t> marks_;
 
-  // Verlet (skin-padded) list: every pair that lay within cutoff + skin at
-  // the reference positions rx_/ry_/rz_.  Valid while no center has moved
-  // more than skin/2 from its reference — then exact distance-filtering
-  // the list reproduces the brute-force active list bit for bit.  Two
-  // shapes (DESIGN.md, "Host execution engine"):
-  //  - full triangle in lex order (the serial engine's domain): CSR rows,
-  //    vitems_[vstart_[i]..vstart_[i+1]) are the j's of row i, built
-  //    through the cell grid;
-  //  - any other domain (p > 1 servers, post-failover domains): vmask_ is
-  //    a bitmask over domain_ positions, built by one brute sweep.  One
-  //    bit per assigned pair, where PairIdx copies would cost 64 per
-  //    listed pair (DESIGN.md, "Memory rule").
+  // Verlet (skin-padded) list: every domain pair that lay within
+  // cutoff + skin at the reference positions rx_/ry_/rz_, in domain order.
+  // One shape for every domain (DESIGN.md, "Verlet-list pair updates"): run
+  // r holds the pairs (i, j_base + vitems_[t]) for t from its begin to the
+  // next run's, and a run ends where the row changes or an offset would
+  // pass 65,535.
+  struct VerletRun {
+    std::uint32_t i, j_base, begin;
+  };
   bool verlet_ready_ = false;
-  bool verlet_triangle_ = false;
   double verlet_cutoff_ = -1.0;
-  std::vector<std::uint32_t> vstart_, vitems_;
-  std::vector<std::uint64_t> vmask_;
+  std::vector<VerletRun> vruns_;
+  std::vector<std::uint16_t> vitems_;
   std::vector<double> rx_, ry_, rz_;
 };
 

@@ -217,6 +217,25 @@ ParallelRunResult ParallelOpal::run() {
       util::fatal("ckpt", "checkpoint " + cfg_.resume_from +
                               " belongs to a different run configuration");
     }
+    // The fingerprint fixes p, so every per-server and per-node list must
+    // have exactly its entries before anything is restored from them.
+    const auto p = static_cast<std::size_t>(num_servers_);
+    const auto expect_count = [&](const char* what, std::size_t got,
+                                  std::size_t want) {
+      if (got != want) {
+        util::fatal("ckpt", "checkpoint " + cfg_.resume_from + " holds " +
+                                std::to_string(got) + " " + what +
+                                " records, the run has " +
+                                std::to_string(want));
+      }
+    };
+    const ckpt::RunSnapshot& s = *resume_snap;
+    expect_count("server", s.servers.size(), p);
+    expect_count("cpu", s.cpus.size(), p + 1);
+    expect_count("mailbox", s.mailboxes.size(), p + 1);
+    expect_count("alive", s.alive.size(), p);
+    expect_count("assignment", s.assignment.size(),
+                 middleware_.retry.enabled ? p : 0);
   }
 
   std::optional<obs::MemorySink> trace_sink;
@@ -698,7 +717,7 @@ ParallelRunResult ParallelOpal::run() {
         s.next_event_seq, s.events_processed,
         sim::EventQueueStats{s.q_pushes, s.q_pops, s.q_cancels, s.q_peak});
     for (int node = 0; node <= num_servers_; ++node) {
-      const ckpt::CpuSnap& c = s.cpus.at(static_cast<std::size_t>(node));
+      const ckpt::CpuSnap& c = s.cpus[static_cast<std::size_t>(node)];
       machine.cpu(node).counter().restore(
           hpm::OpCounts{c.add, c.mul, c.div, c.sqrt, c.exp, c.cmp},
           c.busy_seconds, c.cycles);
@@ -738,10 +757,10 @@ ParallelRunResult ParallelOpal::run() {
                 s.next_call_id, s.next_probe_id);
     rpc.jitter_rng().set_state(s.jitter_rng);
     for (int sv = 0; sv < num_servers_; ++sv) {
-      const ckpt::ServerSnap& ss = s.servers.at(static_cast<std::size_t>(sv));
+      const ckpt::ServerSnap& ss = s.servers[static_cast<std::size_t>(sv)];
       ServerState& st = servers[static_cast<std::size_t>(sv)];
-      st.domain.restore(unflatten_pairs(ss.domain), unflatten_pairs(ss.active),
-                        ss.materialized);
+      st.domain.restore(n, unflatten_pairs(ss.domain),
+                        unflatten_pairs(ss.active), ss.materialized);
       st.pairs_checked = ss.pairs_checked;
       st.pairs_evaluated = ss.pairs_evaluated;
       st.adopt_epoch = ss.adopt_epoch;
@@ -752,7 +771,10 @@ ParallelRunResult ParallelOpal::run() {
     if (middleware_.retry.enabled) {
       assignment.assign(static_cast<std::size_t>(num_servers_), {});
       for (std::size_t i = 0; i < s.assignment.size(); ++i) {
-        assignment.at(i) = unflatten_pairs(s.assignment[i]);
+        assignment[i] = unflatten_pairs(s.assignment[i]);
+        if (!pairs_in_range(assignment[i], n)) {
+          util::fatal("ckpt", "resume: an assigned pair is out of range");
+        }
       }
     }
     ckpt_images = s.images_written;

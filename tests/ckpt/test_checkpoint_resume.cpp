@@ -11,10 +11,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
+#include "ckpt/store.hpp"
 #include "mach/platforms_db.hpp"
 #include "opal/parallel.hpp"
 #include "sim/fault.hpp"
@@ -27,6 +30,7 @@ using opalsim::mach::PlatformSpec;
 using opalsim::mach::with_faults;
 using opalsim::opal::make_large_complex;
 using opalsim::opal::make_medium_complex;
+using opalsim::opal::make_small_complex;
 using opalsim::opal::MolecularComplex;
 using opalsim::opal::ParallelOpal;
 using opalsim::opal::ParallelRunResult;
@@ -162,6 +166,39 @@ class CheckpointResumeTest : public ::testing::Test {
     for (std::size_t i = 0; i < tail; ++i) {
       ASSERT_EQ(g[g.size() - tail + i], r[i + 1])
           << "trace tail diverged at resumed row " << i;
+    }
+  }
+
+  /// Writes an image of a small-complex run on p = 3 fault-tolerant
+  /// servers, lets `forge` edit its decoded snapshot, re-encodes it (so the
+  /// CRC is valid) and resumes from it.  The resume must be refused with
+  /// FatalError("ckpt"), not crash or run on.
+  void expect_forged_image_refused(
+      const std::function<void(opalsim::ckpt::RunSnapshot&)>& forge) {
+    SimulationConfig cfg;
+    cfg.steps = 4;
+    cfg.cutoff = 10.0;
+    cfg.checkpoint_at_step = 2;
+    cfg.checkpoint_out = image_;
+    const MolecularComplex mc = make_small_complex();
+    ParallelOpal golden(opalsim::mach::fast_cops(), mc, 3, cfg,
+                        ft_middleware());
+    (void)golden.run();
+    opalsim::ckpt::RunSnapshot s = opalsim::ckpt::load_snapshot(image_);
+    ASSERT_EQ(s.servers.size(), 3u);
+    ASSERT_TRUE(s.servers[0].materialized);
+    forge(s);
+    opalsim::ckpt::write_image_atomic(image_, opalsim::ckpt::encode(s));
+
+    SimulationConfig rcfg = cfg;
+    rcfg.resume_from = image_;
+    ParallelOpal resumed(opalsim::mach::fast_cops(), mc, 3, rcfg,
+                         ft_middleware());
+    try {
+      (void)resumed.run();
+      FAIL() << "resume accepted a forged checkpoint";
+    } catch (const opalsim::util::FatalError& e) {
+      EXPECT_EQ(e.subsystem(), "ckpt") << e.what();
     }
   }
 
@@ -302,6 +339,58 @@ TEST_F(CheckpointResumeTest, FingerprintMismatchRefusesResume) {
     EXPECT_NE(std::string(e.what()).find("different run configuration"),
               std::string::npos);
   }
+}
+
+// Forged images: CRC-valid, so only the resume's own checks stand between
+// them and an out-of-bounds access.
+
+TEST_F(CheckpointResumeTest, ForgedDomainIndexIsRefused) {
+  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
+    s.servers[0].domain.at(1) = 50'000'000;  // j of the first pair
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedActivePairIsRefused) {
+  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
+    std::vector<std::uint32_t>& active = s.servers[1].active;
+    ASSERT_GE(active.size(), 2u);
+    std::swap(active[0], active[1]);  // (j, i): i > j
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedActiveLongerThanDomainIsRefused) {
+  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
+    opalsim::ckpt::ServerSnap& ss = s.servers[2];
+    ss.active = ss.domain;
+    ss.active.insert(ss.active.end(), ss.domain.begin(),
+                     ss.domain.begin() + 2);
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedMissingCpuSnapIsRefused) {
+  expect_forged_image_refused(
+      [](opalsim::ckpt::RunSnapshot& s) { s.cpus.pop_back(); });
+}
+
+TEST_F(CheckpointResumeTest, ForgedExtraMailboxesAreRefused) {
+  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
+    s.mailboxes.resize(s.mailboxes.size() + 50);
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedServerAliveAndAssignmentCountsAreRefused) {
+  expect_forged_image_refused(
+      [](opalsim::ckpt::RunSnapshot& s) { s.servers.pop_back(); });
+  expect_forged_image_refused(
+      [](opalsim::ckpt::RunSnapshot& s) { s.alive.push_back(true); });
+  expect_forged_image_refused(
+      [](opalsim::ckpt::RunSnapshot& s) { s.assignment.pop_back(); });
+}
+
+TEST_F(CheckpointResumeTest, ForgedAssignedPairIsRefused) {
+  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
+    s.assignment.at(0).at(1) = 50'000'000;
+  });
 }
 
 }  // namespace

@@ -205,6 +205,55 @@ TEST(CellListEquivalence, PostAdoptFailoverDomain) {
   EXPECT_TRUE(dom.last_update_used_cells());
 }
 
+TEST(CellListEquivalence, RowPastOffset65535SplitsItsRun) {
+  // The list stores j as a 16-bit offset from its run's base, so a row
+  // whose listed j's span more than 65,535 must be split into runs.  Far
+  // apart centers on a line, with a hand-placed cluster around center 0
+  // (cut-off 5, padded 6.5): row 0 lists j = 1 and j = 65537, one past the
+  // reach of a run based at 1.  A truncated offset turns (0, 65537) into a
+  // second (0, 1), and a missing split does the same.
+  const double cutoff = 5.0;
+  opal::MolecularComplex mc;
+  mc.name = "wide rows";
+  mc.centers.resize(70'000);
+  for (std::size_t k = 0; k < mc.n(); ++k) {
+    mc.centers[k].position = {50.0 * static_cast<double>(k), 0.0, 0.0};
+  }
+  const std::pair<std::uint32_t, opal::Vec3> cluster[] = {
+      {0, {0.0, 0.0, 0.0}},       {1, {1.0, 0.0, 0.0}},
+      {2, {0.0, 5.5, 0.0}},       {3, {0.0, 0.0, 8.0}},
+      {40000, {-2.0, 0.0, 0.0}},  {65535, {0.0, -3.0, 0.0}},
+      {65536, {0.0, 0.0, -4.5}},  {65537, {3.0, 3.0, 0.0}},
+      {65538, {6.0, 0.0, 0.0}},   {69998, {0.0, 0.0, 20.0}},
+      {69999, {-3.0, -3.0, -1.0}},
+  };
+  for (const auto& [k, r] : cluster) mc.centers[k].position = r;
+  std::vector<opal::PairIdx> domain;
+  for (std::uint32_t j :
+       {1u, 2u, 3u, 40000u, 65535u, 65536u, 65537u, 65538u, 69998u, 69999u}) {
+    domain.push_back({0, j});
+  }
+  for (std::uint32_t j : {2u, 65537u, 69999u}) domain.push_back({1, j});
+  for (std::uint32_t j : {65537u, 69999u}) domain.push_back({65536, j});
+  opal::ServerDomain dom(domain);
+
+  expect_paths_identical(dom, mc, cutoff);  // rebuild: sweeps the domain
+  expect_paths_identical(dom, mc, cutoff);  // filter: reads the runs
+  ASSERT_TRUE(dom.last_update_used_cells());
+  const auto active = snapshot(dom);
+  EXPECT_NE(std::find(active.begin(), active.end(), opal::PairIdx{0, 65537}),
+            active.end());
+  EXPECT_EQ(std::count(active.begin(), active.end(), opal::PairIdx{0, 1}), 1);
+
+  // Center 2 moves less than skin/2 into the cut-off: the list still
+  // serves, and the filter must now emit (0, 2) as well.
+  mc.centers[2].position.y = 4.9;
+  expect_paths_identical(dom, mc, cutoff);
+  EXPECT_TRUE(dom.last_update_used_cells());
+  EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
+  EXPECT_EQ(dom.active_size(), active.size() + 1);
+}
+
 TEST(CellListEquivalence, MovingPositionsRevalidateVerletList) {
   // Exercise the Verlet displacement logic of both list shapes — the
   // serial full triangle (p = 1) and a domain subset (p = 3): move centers
@@ -415,7 +464,7 @@ TEST(CellListEquivalence, UpdateStatsCountPathsTaken) {
 
   // restore() resets the counters (resumed runs cannot reproduce them)
   // and invalidates the list: the next update rebuilds it.
-  dom.restore(dom.domain(), {}, false);
+  dom.restore(static_cast<std::uint32_t>(mc.n()), dom.domain(), {}, false);
   EXPECT_EQ(dom.stats().updates, 0u);
   EXPECT_EQ(dom.stats().cell_updates, 0u);
   EXPECT_EQ(dom.stats().verlet_rebuilds, 0u);
