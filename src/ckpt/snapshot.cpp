@@ -8,6 +8,7 @@
 #include "util/binio.hpp"
 #include "util/crc32.hpp"
 #include "util/fatal.hpp"
+#include "util/rng.hpp"
 #include "util/run_tag.hpp"
 
 namespace opalsim::ckpt {
@@ -19,16 +20,43 @@ namespace {
 template <class T, class U>
 concept Record = std::same_as<std::remove_const_t<T>, U>;
 
-/// The u64 after the queue counters: the per-LP clock count of the retired
+/// The u64 after the engine record: the per-LP clock count of the retired
 /// parallel engines.  Written as 0; a non-zero count is refused, since this
 /// engine has no LPs to restore clocks into.
 struct RetiredLpClocks {};
+
+using RngState = util::Xoshiro256::State;
+using opal::PairIdx;
+using opal::ParallelOpal;
+using opal::Vec3;
+
+/// Scalars per element of a vector written flat: a vector of Vec3 or
+/// PairIdx goes on the wire as the count and values of its coordinates or
+/// indices.
+template <class T>
+constexpr std::size_t kFlat = 1;
+template <>
+constexpr std::size_t kFlat<Vec3> = 3;
+template <>
+constexpr std::size_t kFlat<PairIdx> = 2;
 
 // -- the image layout: one function per record, fields in wire order -------
 //
 // `io(a, b, ...)` writes or reads each field in turn: fixed-width scalars
 // little-endian, RngState as four u64, and a vector as a u64 count followed
-// by its elements.
+// by its elements (flattened, for Vec3 and PairIdx).
+
+void fields(auto& io, Record<Vec3> auto& v) { io(v.x, v.y, v.z); }
+
+void fields(auto& io, Record<PairIdx> auto& p) { io(p.i, p.j); }
+
+void fields(auto& io, Record<sim::EventQueueStats> auto& q) {
+  io(q.pushes, q.pops, q.cancels, q.peak_size);
+}
+
+void fields(auto& io, Record<sim::Engine::Snapshot> auto& e) {
+  io(e.now, e.next_seq, e.events_processed, e.queue);
+}
 
 void fields(auto& io, Record<opal::SimResult> auto& p) {
   io(p.evdw, p.ecoul, p.bonded.bond, p.bonded.angle, p.bonded.dihedral,
@@ -43,48 +71,75 @@ void fields(auto& io, Record<opal::RunMetrics> auto& m) {
      m.msgs_dropped, m.msgs_duplicated, m.msgs_corrupted);
 }
 
-void fields(auto& io, Record<ServerSnap> auto& sv) {
-  io(sv.domain, sv.active, sv.materialized, sv.pairs_checked,
-     sv.pairs_evaluated, sv.adopt_epoch);
+void fields(auto& io, Record<opal::SteepestDescent::Snapshot> auto& m) {
+  io(m.step, m.has_prev, m.prev_energy, m.prev_pos, m.prev_grad, m.accepted,
+     m.rejected);
 }
 
-void fields(auto& io, Record<MailboxItemSnap> auto& m) {
-  io(m.src, m.tag, m.seq, m.checksum, m.corrupted, m.raw, m.payload_bytes);
+void fields(auto& io, Record<ParallelOpal::ClientSnapshot> auto& c) {
+  io(c.step, c.t_start, c.force_update, c.positions, c.velocities,
+     c.update_coords, c.minimizer, c.physics, c.metrics, c.failover_epoch,
+     c.assignment);
 }
 
-void fields(auto& io, Record<NodeFaultSnap> auto& nf) {
+void fields(auto& io, Record<opal::ServerDomain::Snapshot> auto& d) {
+  io(d.domain, d.active, d.materialized);
+}
+
+void fields(auto& io, Record<ParallelOpal::ServerSnapshot> auto& sv) {
+  io(sv.lists, sv.pairs_checked, sv.pairs_evaluated, sv.adopt_epoch);
+}
+
+void fields(auto& io, Record<pvm::Message> auto& m) {
+  io(m.src, m.tag, m.seq, m.checksum, m.corrupted, m.body);
+}
+
+void fields(auto& io, Record<pvm::PvmSystem::Snapshot> auto& p) {
+  io(p.next_send_seq, p.mailboxes);
+}
+
+void fields(auto& io, Record<sciddle::RecoveryTotals> auto& t) {
+  io(t.retries, t.timeouts, t.heartbeats, t.stale_discarded,
+     t.servers_failed, t.recovery_time_s);
+}
+
+void fields(auto& io, Record<sciddle::Rpc::Snapshot> auto& r) {
+  io(r.alive, r.jitter_rng, r.totals, r.next_call_id, r.next_probe_id);
+}
+
+void fields(auto& io, Record<sim::NodeFault> auto& nf) {
   io(nf.node, nf.t_fail);
 }
 
-void fields(auto& io, Record<CpuSnap> auto& c) {
-  io(c.add, c.mul, c.div, c.sqrt, c.exp, c.cmp, c.busy_seconds, c.cycles);
+void fields(auto& io, Record<sim::FaultModel::Counters> auto& c) {
+  io(c.messages_seen, c.dropped, c.duplicated, c.corrupted, c.daemon_stalls);
+}
+
+void fields(auto& io, Record<sim::FaultModel::Snapshot> auto& f) {
+  io(f.node_faults, f.enabled, f.counters, f.message_rng, f.corrupt_rng,
+     f.stall_rng);
+}
+
+void fields(auto& io, Record<hpm::OpCounts> auto& o) {
+  io(o.add, o.mul, o.div, o.sqrt, o.exp, o.cmp);
+}
+
+void fields(auto& io, Record<hpm::HpmCounter::Snapshot> auto& c) {
+  io(c.ops, c.busy_seconds, c.cycles);
+}
+
+void fields(auto& io, Record<mach::Machine::Snapshot> auto& m) {
+  io(m.fault, m.cpus, m.net_messages, m.net_bytes);
+}
+
+void fields(auto& io, Record<Accounting> auto& a) {
+  io(a.images_written, a.bytes_written, a.deferred);
 }
 
 void fields(auto& io, Record<RunSnapshot> auto& s) {
   RetiredLpClocks lp_clocks;
-  io(s.config_fingerprint);
-  // engine
-  io(s.now, s.next_event_seq, s.events_processed, s.q_pushes, s.q_pops,
-     s.q_cancels, s.q_peak, lp_clocks);
-  // client progress and minimizer
-  io(s.step, s.t_start, s.force_update, s.positions, s.velocities,
-     s.update_coords);
-  io(s.min_step_size, s.min_has_prev, s.min_prev_energy, s.min_prev_pos,
-     s.min_prev_grad, s.min_accepted, s.min_rejected);
-  io(s.physics, s.metrics);
-  // failover, servers, pvm
-  io(s.failover_epoch, s.assignment, s.servers, s.next_send_seq,
-     s.mailboxes);
-  // sciddle
-  io(s.alive, s.jitter_rng, s.rpc_retries, s.rpc_timeouts, s.rpc_heartbeats,
-     s.rpc_stale_discarded, s.rpc_servers_failed, s.rpc_recovery_time_s,
-     s.next_call_id, s.next_probe_id);
-  // fault model
-  io(s.node_faults, s.fault_enabled, s.f_seen, s.f_dropped, s.f_duplicated,
-     s.f_corrupted, s.f_stalls, s.message_rng, s.corrupt_rng, s.stall_rng);
-  // machine, observability, checkpoint accounting
-  io(s.cpus, s.net_messages, s.net_bytes, s.sink_next_seq, s.images_written,
-     s.bytes_written, s.deferred);
+  io(s.config_fingerprint, s.engine, lp_clocks, s.client, s.servers, s.pvm,
+     s.rpc, s.machine, s.sink_next_seq, s.accounting);
 }
 
 // -- the two directions ------------------------------------------------------
@@ -109,9 +164,16 @@ class Writer {
   void field(const RngState& s) {
     for (const std::uint64_t x : s) field(x);
   }
+  /// Encoded bytes (type tags included), then the payload byte count.
+  void field(const pvm::PackBuffer& b) {
+    const std::span<const std::uint8_t> raw = b.raw_bytes();
+    w_.put_u64(raw.size());
+    for (const std::uint8_t x : raw) field(x);
+    field(static_cast<std::uint64_t>(b.byte_size()));
+  }
   template <class T>
   void field(const std::vector<T>& xs) {
-    w_.put_u64(xs.size());
+    w_.put_u64(kFlat<T> * xs.size());
     for (const auto& x : xs) field(x);
   }
   template <class T>
@@ -158,10 +220,21 @@ class Reader {
   void field(RngState& s) {
     for (std::uint64_t& x : s) field(x);
   }
+  void field(pvm::PackBuffer& b) {
+    std::vector<std::uint8_t> raw;
+    std::uint64_t payload_bytes = 0;
+    (*this)(raw, payload_bytes);
+    b = pvm::PackBuffer::from_raw(raw, payload_bytes);
+  }
   template <class T>
   void field(std::vector<T>& xs) {
     // The count is checked against the bytes left before resize allocates.
-    xs.resize(r_.get_count(min_wire_bytes<T>()));
+    const std::size_t n = r_.get_count(min_wire_bytes<T>() / kFlat<T>);
+    if (n % kFlat<T> != 0) {
+      throw util::DecodeError(std::to_string(n) + " values do not split " +
+                              "into elements of " + std::to_string(kFlat<T>));
+    }
+    xs.resize(n / kFlat<T>);
     for (auto& x : xs) field(x);
   }
   void field(std::vector<bool>& xs) {

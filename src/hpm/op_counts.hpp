@@ -72,39 +72,43 @@ const IntrinsicCostTable& canonical_cost_table() noexcept;
 /// operation mix and busy cycles charged by the CPU model.
 class HpmCounter {
  public:
+  /// Everything the counter accumulates: its checkpoint record.
+  struct Snapshot {
+    OpCounts ops;
+    double busy_seconds = 0.0;
+    double cycles = 0.0;
+  };
+
   void charge(const OpCounts& ops, double busy_seconds,
               double clock_hz) noexcept {
-    ops_ += ops;
-    busy_seconds_ += busy_seconds;
-    cycles_ += busy_seconds * clock_hz;
+    state_.ops += ops;
+    state_.busy_seconds += busy_seconds;
+    state_.cycles += busy_seconds * clock_hz;
   }
   void reset() noexcept { *this = HpmCounter{}; }
-  /// Overwrites the accumulated mix (checkpoint resume).
-  void restore(const OpCounts& ops, double busy_seconds,
-               double cycles) noexcept {
-    ops_ = ops;
-    busy_seconds_ = busy_seconds;
-    cycles_ = cycles;
-  }
+  Snapshot snapshot() const noexcept { return state_; }
+  /// Overwrites the accumulated state (resume only; Machine::restore checks
+  /// the record first).
+  void restore(const Snapshot& s) noexcept { state_ = s; }
 
-  const OpCounts& ops() const noexcept { return ops_; }
-  double busy_seconds() const noexcept { return busy_seconds_; }
-  double cycles() const noexcept { return cycles_; }
+  const OpCounts& ops() const noexcept { return state_.ops; }
+  double busy_seconds() const noexcept { return state_.busy_seconds; }
+  double cycles() const noexcept { return state_.cycles; }
 
   /// Counted MFlop as this platform's monitor would report them.
   VT_PURE double counted_mflop(const IntrinsicCostTable& table) const noexcept {
-    return table.counted_flops(ops_) * 1e-6;
+    return table.counted_flops(state_.ops) * 1e-6;
   }
   /// Computation rate in MFlop/s per the platform's own counting; 0 when no
   /// time was charged.
   double mflops(const IntrinsicCostTable& table) const noexcept {
-    return busy_seconds_ > 0.0 ? counted_mflop(table) / busy_seconds_ : 0.0;
+    return state_.busy_seconds > 0.0
+               ? counted_mflop(table) / state_.busy_seconds
+               : 0.0;
   }
 
  private:
-  OpCounts ops_;
-  double busy_seconds_ = 0.0;
-  double cycles_ = 0.0;
+  Snapshot state_;
 };
 
 /// Pretty string like "add=12 mul=30 sqrt=2" for diagnostics.

@@ -58,12 +58,6 @@ class NetworkModel {
   std::uint64_t messages_sent() const noexcept { return messages_; }
   std::uint64_t bytes_sent() const noexcept { return bytes_total_; }
 
-  /// Overwrites traffic accounting with snapshot values (checkpoint resume).
-  void restore_counters(std::uint64_t messages, std::uint64_t bytes) noexcept {
-    messages_ = messages;
-    bytes_total_ = bytes;
-  }
-
   /// Attaches a fault model (not owned; may be null).  Link degradation
   /// windows scale subsequent transfer times; the daemon variant also draws
   /// stall delays from it.
@@ -87,6 +81,8 @@ class NetworkModel {
   }
 
  private:
+  friend class Machine;  // checkpoints and restores the traffic counters
+
   NetSpec spec_;
   sim::FaultModel* fault_ = nullptr;
   std::uint64_t messages_ = 0;

@@ -49,4 +49,32 @@ Machine::Machine(sim::Engine& engine, const PlatformSpec& spec, int nodes)
   network_->set_fault_model(&fault_);
 }
 
+Machine::Snapshot Machine::snapshot() const {
+  Snapshot s{fault_.snapshot(), {}, network_->messages_,
+             network_->bytes_total_};
+  for (const auto& cpu : cpus_) s.cpus.push_back(cpu->counter().snapshot());
+  return s;
+}
+
+void Machine::restore(const Snapshot& s) {
+  if (s.cpus.size() != cpus_.size()) {
+    util::fatal("ckpt", "restore: " + std::to_string(s.cpus.size()) +
+                            " HPM counters for " +
+                            std::to_string(cpus_.size()) + " nodes");
+  }
+  const auto elapsed = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  for (const hpm::HpmCounter::Snapshot& c : s.cpus) {
+    if (!elapsed(c.busy_seconds) || !elapsed(c.cycles)) {
+      util::fatal("ckpt", "restore: an HPM counter's busy time or cycles "
+                          "are not finite and >= 0");
+    }
+  }
+  fault_.restore(s.fault);
+  for (std::size_t node = 0; node < cpus_.size(); ++node) {
+    cpus_[node]->counter().restore(s.cpus[node]);
+  }
+  network_->messages_ = s.net_messages;
+  network_->bytes_total_ = s.net_bytes;
+}
+
 }  // namespace opalsim::mach

@@ -61,6 +61,20 @@ class Machine {
   sim::FaultModel& fault() noexcept { return fault_; }
   const sim::FaultModel& fault() const noexcept { return fault_; }
 
+  // -- checkpoint/restart ----------------------------------------------------
+  // The dynamic state only; the configuration is rebuilt from the spec.
+
+  struct Snapshot {
+    sim::FaultModel::Snapshot fault;
+    std::vector<hpm::HpmCounter::Snapshot> cpus;  ///< index = node
+    std::uint64_t net_messages = 0;
+    std::uint64_t net_bytes = 0;
+  };
+  Snapshot snapshot() const;
+  /// Throws util::FatalError("ckpt"), changing nothing, unless the record
+  /// holds one counter per node, with finite busy time and cycles >= 0.
+  void restore(const Snapshot& s);
+
   /// Awaitable message transfer between nodes (contention included).
   sim::Task<void> transfer(int src, int dst, std::size_t bytes) {
     return network_->transfer(src, dst, bytes);

@@ -245,16 +245,20 @@ bool pairs_in_range(std::span<const PairIdx> pairs, std::uint32_t n) noexcept {
   });
 }
 
-void ServerDomain::restore(std::uint32_t n, std::vector<PairIdx> domain,
-                           std::vector<PairIdx> active, bool materialized) {
-  if (!pairs_in_range(domain, n) || !pairs_in_range(active, n) ||
-      active.size() > domain.size()) {
-    util::fatal("ckpt", "restore: a pair is not i < j < " + std::to_string(n) +
-                            " or the active list outgrows the domain");
+void ServerDomain::restore(const Snapshot& s, std::uint32_t n) {
+  // Both host paths emit the active list in domain order: match it greedily.
+  std::size_t matched = 0;
+  for (const PairIdx& pr : s.domain) {
+    if (matched < s.active.size() && pr == s.active[matched]) ++matched;
   }
-  *this = ServerDomain(std::move(domain));  // counters zero, caches cold
-  active_ = std::move(active);
-  materialized_ = materialized;
+  if (!pairs_in_range(s.domain, n) || matched != s.active.size()) {
+    util::fatal("ckpt", "restore: a pair is not i < j < " + std::to_string(n) +
+                            " or the active list is not drawn from the "
+                            "domain in order");
+  }
+  *this = ServerDomain(s.domain);  // counters zero, caches cold
+  active_ = s.active;
+  materialized_ = s.materialized;
 }
 
 std::uint16_t ServerDomain::run_offset(std::uint32_t i, std::uint32_t j,

@@ -136,21 +136,24 @@ class ServerDomain {
   /// Cumulative host-path counters since construction/restore.
   const PairUpdateStats& stats() const noexcept { return stats_; }
 
-  // -- checkpoint/restart (src/ckpt) ---------------------------------------
-  // Only the result state is serialized: static domain, materialized active
-  // list, materialization flag.  The grid and Verlet list are lazy caches
-  // rebuilt on demand, and both host paths produce the identical active
-  // list — so a resumed server replays the golden run's lists exactly.
-
   const std::vector<PairIdx>& domain() const noexcept { return domain_; }
-  const std::vector<PairIdx>& active_list() const noexcept { return active_; }
-  bool materialized() const noexcept { return materialized_; }
 
-  /// Restores serialized list state; caches start cold (resume only).
-  /// Throws util::FatalError("ckpt"), changing nothing, unless every pair
-  /// has i < j < n and the active list is no longer than the domain.
-  void restore(std::uint32_t n, std::vector<PairIdx> domain,
-               std::vector<PairIdx> active, bool materialized);
+  // -- checkpoint/restart ----------------------------------------------------
+  // The record holds only the result state: static domain, active list and
+  // materialization flag.  The grid and Verlet list are lazy caches rebuilt
+  // on demand, and both host paths produce the identical active list, so a
+  // resumed server replays the golden run's lists exactly.
+
+  struct Snapshot {
+    std::vector<PairIdx> domain;
+    std::vector<PairIdx> active;
+    bool materialized = false;
+  };
+  Snapshot snapshot() const { return {domain_, active_, materialized_}; }
+  /// Restores the record with cold caches and zero counters.  Throws
+  /// util::FatalError("ckpt"), changing nothing, unless every pair has
+  /// i < j < n and the active list is drawn from the domain in order.
+  void restore(const Snapshot& s, std::uint32_t n);
 
  private:
   bool update_cells(const MolecularComplex& mc, double c2, double cutoff);

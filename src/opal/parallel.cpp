@@ -1,9 +1,11 @@
 #include "opal/parallel.hpp"
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -47,45 +49,120 @@ struct ServerState {
     return replica.n() * (sizeof(MassCenter) + sizeof(Vec3)) +
            domain.list_bytes();
   }
+
+  ParallelOpal::ServerSnapshot snapshot() const {
+    return {domain.snapshot(), pairs_checked, pairs_evaluated, adopt_epoch};
+  }
+  void restore(const ParallelOpal::ServerSnapshot& s, std::uint32_t n) {
+    domain.restore(s.lists, n);
+    pairs_checked = s.pairs_checked;
+    pairs_evaluated = s.pairs_evaluated;
+    adopt_epoch = s.adopt_epoch;
+  }
 };
 
-// -- checkpoint/restart helpers ---------------------------------------------
-
-std::vector<double> flatten_vec3(const std::vector<Vec3>& v) {
-  std::vector<double> flat(3 * v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    flat[3 * i] = v[i].x;
-    flat[3 * i + 1] = v[i].y;
-    flat[3 * i + 2] = v[i].z;
+/// Restores every server from its record.  Throws util::FatalError("ckpt")
+/// unless there is one per server and no pair is held by two servers the
+/// restored `rpc` believes alive (a dead server keeps its pre-failover
+/// domain: failover moves only the client's copy).
+void restore_servers(std::vector<ServerState>& servers,
+                     const std::vector<ParallelOpal::ServerSnapshot>& snaps,
+                     const sciddle::Rpc& rpc, std::uint32_t n) {
+  if (snaps.size() != servers.size()) {
+    util::fatal("ckpt", "resume: the image holds " +
+                            std::to_string(snaps.size()) + " server records");
   }
-  return flat;
+  // One bit per pair, at its lexicographic index in the triangle.
+  const std::uint64_t nn = n;
+  std::vector<std::uint64_t> held((nn * (nn - 1) / 2 + 63) / 64);
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    servers[s].restore(snaps[s], n);
+    if (!rpc.server_alive(static_cast<int>(s))) continue;
+    for (const PairIdx& pr : servers[s].domain.domain()) {
+      const std::uint64_t k = pr.i * (2 * nn - pr.i - 1) / 2 + pr.j - pr.i - 1;
+      const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+      if (held[k / 64] & bit) {
+        util::fatal("ckpt", "resume: a pair is held by two live servers");
+      }
+      held[k / 64] |= bit;
+    }
+  }
 }
 
-std::vector<Vec3> unflatten_vec3(const std::vector<double>& flat) {
-  std::vector<Vec3> v(flat.size() / 3);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = Vec3{flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]};
-  }
-  return v;
-}
+/// The client's own state: everything its step loop carries from one step
+/// to the next, besides the positions, which live in the complex.
+struct ClientState {
+  ClientState(std::size_t n, double min_step)
+      : velocities(n), minimizer(min_step) {}
 
-std::vector<std::uint32_t> flatten_pairs(const std::vector<PairIdx>& ps) {
-  std::vector<std::uint32_t> flat;
-  flat.reserve(2 * ps.size());
-  for (const PairIdx& p : ps) {
-    flat.push_back(p.i);
-    flat.push_back(p.j);
-  }
-  return flat;
-}
+  int step = 0;  ///< next step to execute
+  double t_start = 0.0;
+  bool force_update = false;
+  std::vector<Vec3> velocities;
+  /// Coordinates of the last *scheduled* list rebuild.  A failover-forced
+  /// update re-ships these instead of the current positions: the adopters
+  /// then rebuild exactly the active set the dead server held, keeping the
+  /// cut-off list schedule — and hence the physics — identical to the
+  /// serial reference.
+  std::vector<double> update_coords;
+  SteepestDescent minimizer;
+  ParallelRunResult result;
+  std::uint64_t failover_epoch = 0;
+  /// Client-side copy of the pair assignment, used only in fault-tolerant
+  /// mode: the failover source of truth for redistributing a dead server's
+  /// work among the survivors.  Until the first failover no server has
+  /// adopted anything, so each server's domain still is its initial share:
+  /// the copy is taken from the servers on the first heal (or restored from
+  /// a checkpoint), and a failover-free run never holds it.
+  std::vector<std::vector<PairIdx>> assignment;
 
-std::vector<PairIdx> unflatten_pairs(const std::vector<std::uint32_t>& flat) {
-  std::vector<PairIdx> ps(flat.size() / 2);
-  for (std::size_t k = 0; k < ps.size(); ++k) {
-    ps[k] = PairIdx{flat[2 * k], flat[2 * k + 1]};
+  /// `servers` stand in for the assignment copy the client does not hold
+  /// yet (fault-tolerant mode only).
+  ParallelOpal::ClientSnapshot snapshot(
+      const MolecularComplex& mc, const std::vector<ServerState>& servers,
+      bool fault_tolerant) const {
+    ParallelOpal::ClientSnapshot s{step, t_start, force_update,
+                                   mc.flat_coordinates(), velocities,
+                                   update_coords, minimizer.snapshot(),
+                                   result.physics, result.metrics,
+                                   failover_epoch, assignment};
+    if (fault_tolerant && assignment.empty()) {
+      for (const ServerState& st : servers) {
+        s.assignment.push_back(st.domain.domain());
+      }
+    }
+    return s;
   }
-  return ps;
-}
+
+  /// Throws util::FatalError("ckpt"), changing nothing, unless the record
+  /// fits a run of `steps` steps on `num_servers` servers.
+  void restore(const ParallelOpal::ClientSnapshot& s, MolecularComplex& mc,
+               int steps, std::size_t num_servers, bool fault_tolerant) {
+    const std::size_t n = mc.n();
+    const auto in_range = [&](const std::vector<PairIdx>& a) {
+      return pairs_in_range(a, static_cast<std::uint32_t>(n));
+    };
+    if (s.step < 0 || s.step >= steps || s.positions.size() != 3 * n ||
+        s.velocities.size() != n ||
+        s.update_coords.size() != (s.step > 0 ? 3 * n : 0) ||
+        s.assignment.size() != (fault_tolerant ? num_servers : 0) ||
+        !std::all_of(s.assignment.begin(), s.assignment.end(), in_range)) {
+      util::fatal("ckpt", "resume: the client record at step " +
+                              std::to_string(s.step) + " does not fit the run");
+    }
+    minimizer.restore(s.minimizer, n);
+    mc.set_flat_coordinates(s.positions);
+    step = s.step;
+    t_start = s.t_start;
+    force_update = s.force_update;
+    velocities = s.velocities;
+    update_coords = s.update_coords;
+    result.physics = s.physics;
+    result.metrics = s.metrics;
+    failover_epoch = s.failover_epoch;
+    assignment = s.assignment;
+  }
+};
 
 /// Identity of everything that (re)builds the run's static structure:
 /// platform, fault schedule, complex, server count, step/update/physics
@@ -217,25 +294,6 @@ ParallelRunResult ParallelOpal::run() {
       util::fatal("ckpt", "checkpoint " + cfg_.resume_from +
                               " belongs to a different run configuration");
     }
-    // The fingerprint fixes p, so every per-server and per-node list must
-    // have exactly its entries before anything is restored from them.
-    const auto p = static_cast<std::size_t>(num_servers_);
-    const auto expect_count = [&](const char* what, std::size_t got,
-                                  std::size_t want) {
-      if (got != want) {
-        util::fatal("ckpt", "checkpoint " + cfg_.resume_from + " holds " +
-                                std::to_string(got) + " " + what +
-                                " records, the run has " +
-                                std::to_string(want));
-      }
-    };
-    const ckpt::RunSnapshot& s = *resume_snap;
-    expect_count("server", s.servers.size(), p);
-    expect_count("cpu", s.cpus.size(), p + 1);
-    expect_count("mailbox", s.mailboxes.size(), p + 1);
-    expect_count("alive", s.alive.size(), p);
-    expect_count("assignment", s.assignment.size(),
-                 middleware_.retry.enabled ? p : 0);
   }
 
   std::optional<obs::MemorySink> trace_sink;
@@ -254,17 +312,10 @@ ParallelRunResult ParallelOpal::run() {
   sciddle::Rpc rpc(pvm, num_servers_, middleware_);
   // Restore the clock before any spawn: every reconstruction event is then
   // scheduled at the checkpoint's virtual time.
-  if (resume_snap) engine.restore_clock(resume_snap->now);
+  if (resume_snap) engine.restore_clock(resume_snap->engine.now);
 
   const auto n = static_cast<std::uint32_t>(mc_.n());
   auto domains = build_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
-  // Client-side copy of the pair assignment, used only in fault-tolerant
-  // mode: the failover source of truth for redistributing a dead server's
-  // work among the survivors.  Until the first failover no server has
-  // adopted anything, so each server's domain still is its initial share:
-  // the copy is taken from the servers on the first heal (or restored from
-  // a checkpoint), and a failover-free run never holds it.
-  std::vector<std::vector<PairIdx>> assignment;
   std::vector<ServerState> servers;
   servers.reserve(num_servers_);
   for (int s = 0; s < num_servers_; ++s) {
@@ -339,148 +390,39 @@ ParallelRunResult ParallelOpal::run() {
   rpc.start();
 
   // --- client ----------------------------------------------------------
-  ParallelRunResult result;
-  RunMetrics& metrics = result.metrics;
-
-  std::uint64_t failover_epoch = 0;
-
-  // Checkpoint accounting (serialized into every image, self-inclusively).
-  std::uint64_t ckpt_images = 0;
-  std::uint64_t ckpt_bytes = 0;
-  std::uint64_t ckpt_deferred = 0;
+  const bool fault_tolerant = middleware_.retry.enabled;
+  ClientState client(mc_.n(), cfg_.min_step);
+  RunMetrics& metrics = client.result.metrics;
+  ckpt::Accounting ckpt_acct;  // serialized self-inclusively in each image
   std::coroutine_handle<> resume_fence;
 
-  // Captures everything that defines the run's future at a quiescent step
-  // boundary.  Client-coroutine locals arrive as parameters; all other state
-  // is read through the layers' checkpoint accessors.
-  auto make_snapshot = [&](int step, const std::vector<Vec3>& velocities,
-                           const std::vector<double>& update_coords,
-                           const SteepestDescent& minimizer, double t_start,
-                           bool force_update) {
-    ckpt::RunSnapshot s;
-    s.config_fingerprint = fingerprint;
-    s.now = engine.now();
-    s.next_event_seq = engine.next_event_seq();
-    const sim::EngineCounters ec = engine.counters();
-    s.events_processed = ec.events_processed;
-    s.q_pushes = ec.queue.pushes;
-    s.q_pops = ec.queue.pops;
-    s.q_cancels = ec.queue.cancels;
-    s.q_peak = ec.queue.peak_size;
-    s.step = step;
-    s.t_start = t_start;
-    s.force_update = force_update;
-    s.positions = mc_.flat_coordinates();
-    s.velocities = flatten_vec3(velocities);
-    s.update_coords = update_coords;
-    const SteepestDescent::Snapshot ms = minimizer.snapshot();
-    s.min_step_size = ms.step;
-    s.min_has_prev = ms.has_prev;
-    s.min_prev_energy = ms.prev_energy;
-    s.min_prev_pos = flatten_vec3(ms.prev_pos);
-    s.min_prev_grad = flatten_vec3(ms.prev_grad);
-    s.min_accepted = ms.accepted;
-    s.min_rejected = ms.rejected;
-    s.physics = result.physics;
-    s.metrics = metrics;
-    s.failover_epoch = failover_epoch;
-    if (middleware_.retry.enabled) {
-      s.assignment.reserve(servers.size());
-      for (std::size_t sv = 0; sv < servers.size(); ++sv) {
-        s.assignment.push_back(flatten_pairs(
-            assignment.empty() ? servers[sv].domain.domain() : assignment[sv]));
-      }
-    }
-    for (const ServerState& st : servers) {
-      ckpt::ServerSnap ss;
-      ss.domain = flatten_pairs(st.domain.domain());
-      ss.active = flatten_pairs(st.domain.active_list());
-      ss.materialized = st.domain.materialized();
-      ss.pairs_checked = st.pairs_checked;
-      ss.pairs_evaluated = st.pairs_evaluated;
-      ss.adopt_epoch = st.adopt_epoch;
-      s.servers.push_back(std::move(ss));
-    }
-    s.next_send_seq = pvm.next_send_seq();
-    s.mailboxes.resize(static_cast<std::size_t>(num_servers_) + 1);
-    for (int tid = 0; tid <= num_servers_; ++tid) {
-      for (const pvm::Message& m : pvm.mailbox_items(tid)) {
-        ckpt::MailboxItemSnap mi;
-        mi.src = m.src;
-        mi.tag = m.tag;
-        mi.seq = m.seq;
-        mi.checksum = m.checksum;
-        mi.corrupted = m.corrupted;
-        const std::span<const std::uint8_t> raw = m.body.raw_bytes();
-        mi.raw.assign(raw.begin(), raw.end());
-        mi.payload_bytes = m.body.byte_size();
-        s.mailboxes[static_cast<std::size_t>(tid)].push_back(std::move(mi));
-      }
-    }
-    s.alive = rpc.alive();
-    s.jitter_rng = rpc.jitter_rng().state();
-    const sciddle::RecoveryTotals& rt = rpc.recovery_totals();
-    s.rpc_retries = rt.retries;
-    s.rpc_timeouts = rt.timeouts;
-    s.rpc_heartbeats = rt.heartbeats;
-    s.rpc_stale_discarded = rt.stale_discarded;
-    s.rpc_servers_failed = rt.servers_failed;
-    s.rpc_recovery_time_s = rt.recovery_time_s;
-    s.next_call_id = rpc.next_call_id();
-    s.next_probe_id = rpc.next_probe_id();
-    const sim::FaultModel& fm = machine.fault();
-    for (const sim::NodeFault& nf : fm.spec().node_faults) {
-      s.node_faults.push_back({nf.node, nf.t_fail});
-    }
-    s.fault_enabled = fm.enabled();
-    const sim::FaultModel::Counters& fc = fm.counters();
-    s.f_seen = fc.messages_seen;
-    s.f_dropped = fc.dropped;
-    s.f_duplicated = fc.duplicated;
-    s.f_corrupted = fc.corrupted;
-    s.f_stalls = fc.daemon_stalls;
-    s.message_rng = fm.message_rng().state();
-    s.corrupt_rng = fm.corrupt_rng().state();
-    s.stall_rng = fm.stall_rng().state();
-    for (int node = 0; node <= num_servers_; ++node) {
-      const hpm::HpmCounter& hc = machine.cpu(node).counter();
-      const hpm::OpCounts& ops = hc.ops();
-      ckpt::CpuSnap c;
-      c.add = ops.add;
-      c.mul = ops.mul;
-      c.div = ops.div;
-      c.sqrt = ops.sqrt;
-      c.exp = ops.exp;
-      c.cmp = ops.cmp;
-      c.busy_seconds = hc.busy_seconds();
-      c.cycles = hc.cycles();
-      s.cpus.push_back(c);
-    }
-    s.net_messages = machine.network().messages_sent();
-    s.net_bytes = machine.network().bytes_sent();
-    s.sink_next_seq = trace_sink ? trace_sink->next_seq() : 0;
-    s.images_written = ckpt_images;
-    s.bytes_written = ckpt_bytes;  // finalized by the two-pass encode
-    s.deferred = ckpt_deferred;
-    return s;
+  // Everything that defines the run's future at a quiescent step boundary:
+  // each layer's record, the client's and the servers' included.
+  const auto make_snapshot = [&] {
+    std::vector<ServerSnapshot> server_snaps;
+    server_snaps.reserve(servers.size());
+    for (const ServerState& st : servers) server_snaps.push_back(st.snapshot());
+    return ckpt::RunSnapshot{
+        fingerprint, engine.snapshot(),
+        client.snapshot(mc_, servers, fault_tolerant),
+        std::move(server_snaps), pvm.snapshot(), rpc.snapshot(),
+        machine.snapshot(), trace_sink ? trace_sink->next_seq() : 0,
+        ckpt_acct};
   };
 
-  pvm.spawn(0, [&](pvm::PvmTask& client) -> sim::Task<void> {
-    std::vector<Vec3> velocities(mc_.n());
+  pvm.spawn(0, [&](pvm::PvmTask& task) -> sim::Task<void> {
     std::vector<Vec3> grad(mc_.n());
-    SteepestDescent minimizer(cfg_.min_step);
-    double t_start = engine.now();
-    int start_step = 0;
+    client.t_start = engine.now();
 
     // Failover: move every dead server's pairs to the survivors and ship
     // the delta over an "adopt" round.  Loops because a survivor can die
     // during the handoff itself, in which case its (already enlarged) share
     // is what the next pass redistributes.
     auto heal = [&](pvm::PvmTask& cl) -> sim::Task<void> {
-      if (assignment.empty()) {
-        assignment.reserve(servers.size());
+      if (client.assignment.empty()) {
+        client.assignment.reserve(servers.size());
         for (const ServerState& st : servers) {
-          assignment.push_back(st.domain.domain());
+          client.assignment.push_back(st.domain.domain());
         }
       }
       for (;;) {
@@ -488,7 +430,7 @@ ParallelRunResult ParallelOpal::run() {
         for (int s = 0; s < num_servers_; ++s) {
           if (rpc.server_alive(s)) {
             survivors.push_back(s);
-          } else if (!assignment[s].empty()) {
+          } else if (!client.assignment[s].empty()) {
             dead.push_back(s);
           }
         }
@@ -498,7 +440,7 @@ ParallelRunResult ParallelOpal::run() {
 
         std::vector<std::vector<PairIdx>> extra(num_servers_);
         for (int d : dead) {
-          std::vector<PairIdx>& pairs = assignment[d];
+          std::vector<PairIdx>& pairs = client.assignment[d];
           for (std::size_t k = 0; k < pairs.size(); ++k) {
             extra[survivors[k % survivors.size()]].push_back(pairs[k]);
           }
@@ -507,7 +449,7 @@ ParallelRunResult ParallelOpal::run() {
         }
         // Commit the client-side copy before shipping: if an adoptee dies
         // mid-handoff, its enlarged share is what must be redistributed.
-        const std::uint64_t epoch = ++failover_epoch;
+        const std::uint64_t epoch = ++client.failover_epoch;
         std::vector<pvm::PackBuffer> args(num_servers_);
         for (int s = 0; s < num_servers_; ++s) {
           std::vector<std::uint32_t> flat;
@@ -518,8 +460,8 @@ ParallelRunResult ParallelOpal::run() {
           }
           args[s].pack_u64(epoch);
           args[s].pack_u32_array(flat);
-          assignment[s].insert(assignment[s].end(), extra[s].begin(),
-                               extra[s].end());
+          client.assignment[s].insert(client.assignment[s].end(),
+                                      extra[s].begin(), extra[s].end());
         }
         const sciddle::CallAllStats st =
             co_await rpc.call_all(cl, "adopt", std::move(args), nullptr);
@@ -527,39 +469,16 @@ ParallelRunResult ParallelOpal::run() {
       }
     };
 
-    bool force_update = false;
-    // Coordinates of the last *scheduled* list rebuild.  A failover-forced
-    // update re-ships these instead of the current positions: the adopters
-    // then rebuild exactly the active set the dead server held, keeping the
-    // cut-off list schedule — and hence the physics — identical to the
-    // serial reference.
-    std::vector<double> update_coords;
-
     if (resume_snap) {
-      // Park until the outer restore sequence has rebuilt every layer, then
-      // rehydrate this coroutine's own locals and fall into the step loop
-      // exactly where the checkpointed run left it.
+      // Park until the outer restore sequence has rebuilt every layer, this
+      // client's state included, then fall into the step loop exactly where
+      // the checkpointed run left it.
       co_await ResumeFence{&resume_fence};
-      const ckpt::RunSnapshot& s = *resume_snap;
-      mc_.set_flat_coordinates(s.positions);
-      velocities = unflatten_vec3(s.velocities);
-      update_coords = s.update_coords;
-      SteepestDescent::Snapshot ms;
-      ms.step = s.min_step_size;
-      ms.has_prev = s.min_has_prev;
-      ms.prev_energy = s.min_prev_energy;
-      ms.prev_pos = unflatten_vec3(s.min_prev_pos);
-      ms.prev_grad = unflatten_vec3(s.min_prev_grad);
-      ms.accepted = s.min_accepted;
-      ms.rejected = s.min_rejected;
-      minimizer.restore(std::move(ms));
-      t_start = s.t_start;
-      force_update = s.force_update;
-      start_step = s.step;
     }
+    const int start_step = client.step;
 
     bool want_ckpt = false;  ///< a due checkpoint was deferred (not quiescent)
-    for (int step = start_step; step < cfg_.steps; ++step) {
+    for (int& step = client.step; step < cfg_.steps; ++step) {
       // Checkpoint hook: top of the step loop is the quiescent boundary.
       // A resumed run skips the boundary it was restored at — that image is
       // already on disk and its accounting is part of the snapshot.
@@ -574,7 +493,7 @@ ParallelRunResult ParallelOpal::run() {
             // Not quiescent (a stale duplicated transfer can still be in
             // flight in fault-tolerant mode): retry at the next boundary.
             want_ckpt = true;
-            ++ckpt_deferred;
+            ++ckpt_acct.deferred;
             if (obs::enabled()) {
               obs::instant(obs::Cat::kCkpt, "defer", engine.now(), 0,
                            {"step", static_cast<double>(step)});
@@ -585,15 +504,13 @@ ParallelRunResult ParallelOpal::run() {
               obs::instant(obs::Cat::kCkpt, "checkpoint", engine.now(), 0,
                            {"step", static_cast<double>(step)});
             }
-            ++ckpt_images;
-            ckpt::RunSnapshot snap = make_snapshot(
-                step, velocities, update_coords, minimizer, t_start,
-                force_update);
-            // bytes_written counts this image too.  All fields are
-            // fixed-width, so the size is invariant to the counter value and
-            // a second encode closes the self-reference.
-            ckpt_bytes += ckpt::encode(snap).size();
-            snap.bytes_written = ckpt_bytes;
+            ++ckpt_acct.images_written;
+            ckpt::RunSnapshot snap = make_snapshot();
+            // bytes_written counts this image too.  The counter is
+            // fixed-width, so the size is invariant to its value and a
+            // second encode closes the self-reference.
+            ckpt_acct.bytes_written += ckpt::encode(snap).size();
+            snap.accounting.bytes_written = ckpt_acct.bytes_written;
             ckpt::write_image_atomic(ckpt_out, ckpt::encode(snap));
           }
         }
@@ -607,7 +524,7 @@ ParallelRunResult ParallelOpal::run() {
       }
       const std::vector<double> coords = mc_.flat_coordinates();
       const bool scheduled_update = step % cfg_.update_every == 0;
-      if (scheduled_update) update_coords = coords;
+      if (scheduled_update) client.update_coords = coords;
       auto coord_args = [&] {
         std::vector<pvm::PackBuffer> args(num_servers_);
         for (auto& a : args) a.pack_f64_array(coords);
@@ -615,7 +532,7 @@ ParallelRunResult ParallelOpal::run() {
       };
       auto update_args = [&] {
         std::vector<pvm::PackBuffer> args(num_servers_);
-        for (auto& a : args) a.pack_f64_array(update_coords);
+        for (auto& a : args) a.pack_f64_array(client.update_coords);
         return args;
       };
 
@@ -628,13 +545,13 @@ ParallelRunResult ParallelOpal::run() {
       std::vector<pvm::PackBuffer> replies;
       bool update_done = false;  // this step's scheduled update succeeded
       for (bool step_done = false; !step_done;) {
-        if (force_update || (scheduled_update && !update_done)) {
+        if (client.force_update || (scheduled_update && !update_done)) {
           const sciddle::CallAllStats st =
-              co_await rpc.call_all(client, "update", update_args(), nullptr);
+              co_await rpc.call_all(task, "update", update_args(), nullptr);
           if (!st.failed_servers.empty()) {
             metrics.recovery += st.total();  // void round, redo after heal
-            co_await heal(client);
-            force_update = true;
+            co_await heal(task);
+            client.force_update = true;
             continue;
           }
           ++metrics.list_updates;
@@ -651,18 +568,18 @@ ParallelRunResult ParallelOpal::run() {
             // whole cost is recovery, not the model's update phases.
             metrics.recovery += st.total();
           }
-          force_update = false;
+          client.force_update = false;
         }
 
         replies.clear();
         const sciddle::CallAllStats st =
-            co_await rpc.call_all(client, "nbint", coord_args(), &replies);
+            co_await rpc.call_all(task, "nbint", coord_args(), &replies);
         if (!st.failed_servers.empty()) {
           metrics.recovery += st.total();  // void round, redo after heal
-          co_await heal(client);
+          co_await heal(task);
           // Adopted pairs need fresh active lists before the re-issued
           // nbint sees them.
-          force_update = true;
+          client.force_update = true;
           continue;
         }
         metrics.call_nbi += st.call_time;
@@ -688,9 +605,9 @@ ParallelRunResult ParallelOpal::run() {
         }
         seq_ops += OpMixes::reduce_center * mc_.n();
       }
-      finish_step(mc_, cfg_, step, evdw, ecoul, velocities, grad, minimizer,
-                  result.physics, seq_ops);
-      co_await client.cpu().compute(
+      finish_step(mc_, cfg_, step, evdw, ecoul, client.velocities, grad,
+                  client.minimizer, client.result.physics, seq_ops);
+      co_await task.cpu().compute(
           seq_ops, mc_.n() * (sizeof(MassCenter) + 2 * sizeof(Vec3)));
       metrics.seq_comp += engine.now() - t_seq0;
       if (obs::enabled()) {
@@ -699,8 +616,8 @@ ParallelRunResult ParallelOpal::run() {
       }
     }
 
-    metrics.wall = engine.now() - t_start;
-    co_await rpc.shutdown(client);
+    metrics.wall = engine.now() - client.t_start;
+    co_await rpc.shutdown(task);
   });
 
   if (resume_snap) {
@@ -712,74 +629,17 @@ ParallelRunResult ParallelOpal::run() {
       util::fatal("ckpt", "resume: client never reached the resume fence",
                   engine.now());
     }
+    // Each restore checks its record against the rebuilt run before it
+    // changes anything.  The RPC layer goes before the servers, whose
+    // disjointness check reads its failure detector's belief.
     const ckpt::RunSnapshot& s = *resume_snap;
-    engine.restore_counters(
-        s.next_event_seq, s.events_processed,
-        sim::EventQueueStats{s.q_pushes, s.q_pops, s.q_cancels, s.q_peak});
-    for (int node = 0; node <= num_servers_; ++node) {
-      const ckpt::CpuSnap& c = s.cpus[static_cast<std::size_t>(node)];
-      machine.cpu(node).counter().restore(
-          hpm::OpCounts{c.add, c.mul, c.div, c.sqrt, c.exp, c.cmp},
-          c.busy_seconds, c.cycles);
-    }
-    machine.network().restore_counters(s.net_messages, s.net_bytes);
-    std::vector<sim::NodeFault> node_faults;
-    node_faults.reserve(s.node_faults.size());
-    for (const ckpt::NodeFaultSnap& nf : s.node_faults) {
-      node_faults.push_back({nf.node, nf.t_fail});
-    }
-    machine.fault().restore(
-        std::move(node_faults), s.fault_enabled,
-        sim::FaultModel::Counters{s.f_seen, s.f_dropped, s.f_duplicated,
-                                  s.f_corrupted, s.f_stalls});
-    machine.fault().message_rng().set_state(s.message_rng);
-    machine.fault().corrupt_rng().set_state(s.corrupt_rng);
-    machine.fault().stall_rng().set_state(s.stall_rng);
-    pvm.restore_send_seq(s.next_send_seq);
-    for (std::size_t tid = 0; tid < s.mailboxes.size(); ++tid) {
-      for (const ckpt::MailboxItemSnap& mi : s.mailboxes[tid]) {
-        pvm::Message m;
-        m.src = mi.src;
-        m.tag = mi.tag;
-        m.seq = mi.seq;
-        m.checksum = mi.checksum;
-        m.corrupted = mi.corrupted;
-        m.body = pvm::PackBuffer::from_raw(
-            mi.raw, static_cast<std::size_t>(mi.payload_bytes));
-        pvm.restore_mailbox_item(static_cast<int>(tid), std::move(m));
-      }
-    }
-    rpc.restore(s.alive,
-                sciddle::RecoveryTotals{s.rpc_retries, s.rpc_timeouts,
-                                        s.rpc_heartbeats, s.rpc_stale_discarded,
-                                        s.rpc_servers_failed,
-                                        s.rpc_recovery_time_s},
-                s.next_call_id, s.next_probe_id);
-    rpc.jitter_rng().set_state(s.jitter_rng);
-    for (int sv = 0; sv < num_servers_; ++sv) {
-      const ckpt::ServerSnap& ss = s.servers[static_cast<std::size_t>(sv)];
-      ServerState& st = servers[static_cast<std::size_t>(sv)];
-      st.domain.restore(n, unflatten_pairs(ss.domain),
-                        unflatten_pairs(ss.active), ss.materialized);
-      st.pairs_checked = ss.pairs_checked;
-      st.pairs_evaluated = ss.pairs_evaluated;
-      st.adopt_epoch = ss.adopt_epoch;
-    }
-    result.physics = s.physics;
-    metrics = s.metrics;
-    failover_epoch = s.failover_epoch;
-    if (middleware_.retry.enabled) {
-      assignment.assign(static_cast<std::size_t>(num_servers_), {});
-      for (std::size_t i = 0; i < s.assignment.size(); ++i) {
-        assignment[i] = unflatten_pairs(s.assignment[i]);
-        if (!pairs_in_range(assignment[i], n)) {
-          util::fatal("ckpt", "resume: an assigned pair is out of range");
-        }
-      }
-    }
-    ckpt_images = s.images_written;
-    ckpt_bytes = s.bytes_written;
-    ckpt_deferred = s.deferred;
+    engine.restore(s.engine);
+    machine.restore(s.machine);
+    pvm.restore(s.pvm);
+    rpc.restore(s.rpc);
+    restore_servers(servers, s.servers, rpc, n);
+    client.restore(s.client, mc_, cfg_.steps, servers.size(), fault_tolerant);
+    ckpt_acct = s.accounting;
     // Install the sink continuing the recorded event sequence: the resumed
     // tail's seq numbers line up with the golden run's.
     if (!trace_path.empty()) {
@@ -791,10 +651,8 @@ ParallelRunResult ParallelOpal::run() {
     // resume — no event is scheduled, no sequence number consumed) and run
     // the tail to completion.
     resume_fence.resume();
-    engine.run();
-  } else {
-    engine.run();
   }
+  engine.run();
 
   const sim::FaultModel::Counters& fc = machine.fault().counters();
   metrics.msgs_dropped = fc.dropped;
@@ -810,8 +668,8 @@ ParallelRunResult ParallelOpal::run() {
     metrics.pairs_checked += servers[s].pairs_checked;
     metrics.pairs_evaluated += servers[s].pairs_evaluated;
     const auto& counter = machine.cpu(s + 1).counter();
-    result.server_busy.push_back(counter.busy_seconds());
-    result.server_counted_mflop.push_back(
+    client.result.server_busy.push_back(counter.busy_seconds());
+    client.result.server_counted_mflop.push_back(
         counter.counted_mflop(platform_.cpu.intrinsics));
   }
 
@@ -862,9 +720,9 @@ ParallelRunResult ParallelOpal::run() {
     reg.add("rpc.heartbeats", rt.heartbeats);
     reg.add("rpc.servers_failed", rt.servers_failed);
     if (ckpt_active) {
-      reg.add("ckpt.images_written", ckpt_images);
-      reg.add("ckpt.bytes_written", ckpt_bytes);
-      reg.add("ckpt.deferred", ckpt_deferred);
+      reg.add("ckpt.images_written", ckpt_acct.images_written);
+      reg.add("ckpt.bytes_written", ckpt_acct.bytes_written);
+      reg.add("ckpt.deferred", ckpt_acct.deferred);
     }
     reg.set("run.par_update_s", metrics.par_update);
     reg.set("run.par_nbint_s", metrics.par_nbint);
@@ -877,10 +735,10 @@ ParallelRunResult ParallelOpal::run() {
     auto& busy = reg.histogram(
         "run.server_busy_s",
         {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0});
-    for (const double b : result.server_busy) busy.observe(b);
+    for (const double b : client.result.server_busy) busy.observe(b);
     obs::write_file(obs::unique_output_path(metrics_path), reg.to_json());
   }
-  return result;
+  return std::move(client.result);
 }
 
 }  // namespace opalsim::opal

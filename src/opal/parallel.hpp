@@ -16,12 +16,15 @@
 // RunMetrics is the measured breakdown the paper's Figures 1-2 plot.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "mach/platform.hpp"
 #include "opal/complex.hpp"
 #include "opal/config.hpp"
 #include "opal/metrics.hpp"
+#include "opal/pairs.hpp"
+#include "opal/serial.hpp"
 #include "sciddle/rpc.hpp"
 
 namespace opalsim::opal {
@@ -47,6 +50,34 @@ class ParallelOpal {
 
   int num_servers() const noexcept { return num_servers_; }
   const SimulationConfig& config() const noexcept { return cfg_; }
+
+  // -- checkpoint records of the state run() owns beside the layers --------
+
+  /// The client's state at the top of a step.
+  struct ClientSnapshot {
+    int step = 0;          ///< next step to execute
+    double t_start = 0.0;  ///< engine time at client start
+    bool force_update = false;
+    std::vector<double> positions;      ///< flat 3n coordinates
+    std::vector<Vec3> velocities;
+    /// Flat 3n coordinates of the last scheduled list update; empty until
+    /// step 0 has run.
+    std::vector<double> update_coords;
+    SteepestDescent::Snapshot minimizer;
+    SimResult physics;
+    RunMetrics metrics;
+    std::uint64_t failover_epoch = 0;
+    /// Client-side pair assignment (fault-tolerant mode; empty otherwise).
+    std::vector<std::vector<PairIdx>> assignment;
+  };
+
+  /// One server's pair lists and work counters.
+  struct ServerSnapshot {
+    ServerDomain::Snapshot lists;
+    std::uint64_t pairs_checked = 0;
+    std::uint64_t pairs_evaluated = 0;
+    std::uint64_t adopt_epoch = 0;  ///< highest failover epoch applied
+  };
 
  private:
   mach::PlatformSpec platform_;

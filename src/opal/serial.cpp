@@ -1,9 +1,12 @@
 #include "opal/serial.hpp"
 
+#include <string>
+
 #include "opal/forcefield.hpp"
 #include "opal/soa.hpp"
 #include "opal/trajectory.hpp"
 #include "opal/pairs.hpp"
+#include "util/fatal.hpp"
 
 namespace opalsim::opal {
 
@@ -39,29 +42,38 @@ void fill_observables(const MolecularComplex& mc,
 
 void SteepestDescent::advance(MolecularComplex& mc, double energy,
                               const std::vector<Vec3>& grad) {
-  if (has_prev_ && energy > prev_energy_) {
+  if (state_.has_prev && energy > state_.prev_energy) {
     // Reject: backtrack to the previous accepted configuration and descend
     // again with half the step, along the gradient evaluated there.
-    ++rejected_;
-    step_ *= 0.5;
+    ++state_.rejected;
+    state_.step *= 0.5;
     for (std::size_t i = 0; i < mc.n(); ++i) {
-      mc.centers[i].position = prev_pos_[i] - prev_grad_[i] * step_;
+      mc.centers[i].position =
+          state_.prev_pos[i] - state_.prev_grad[i] * state_.step;
     }
     return;
   }
   // Accept: remember this configuration and take a (slightly larger) step.
-  ++accepted_;
-  has_prev_ = true;
-  prev_energy_ = energy;
-  prev_pos_.resize(mc.n());
-  prev_grad_.assign(grad.begin(), grad.end());
+  ++state_.accepted;
+  state_.has_prev = true;
+  state_.prev_energy = energy;
+  state_.prev_pos.resize(mc.n());
+  state_.prev_grad.assign(grad.begin(), grad.end());
   for (std::size_t i = 0; i < mc.n(); ++i) {
-    prev_pos_[i] = mc.centers[i].position;
+    state_.prev_pos[i] = mc.centers[i].position;
   }
-  step_ *= 1.1;
+  state_.step *= 1.1;
   for (std::size_t i = 0; i < mc.n(); ++i) {
-    mc.centers[i].position -= grad[i] * step_;
+    mc.centers[i].position -= grad[i] * state_.step;
   }
+}
+
+void SteepestDescent::restore(const Snapshot& s, std::size_t n) {
+  if (s.has_prev && (s.prev_pos.size() != n || s.prev_grad.size() != n)) {
+    util::fatal("ckpt", "restore: the minimizer's previous configuration "
+                        "does not hold " + std::to_string(n) + " centers");
+  }
+  state_ = s;
 }
 
 void finish_step(MolecularComplex& mc, const SimulationConfig& cfg, int step,

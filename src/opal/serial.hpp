@@ -27,21 +27,7 @@ void leapfrog_step(MolecularComplex& mc, std::vector<Vec3>& velocities,
 /// is identical to dynamics.
 class SteepestDescent {
  public:
-  explicit SteepestDescent(double initial_step) : step_(initial_step) {}
-
-  /// Advances the configuration given the just-evaluated potential energy
-  /// and gradient at the current positions.
-  void advance(MolecularComplex& mc, double energy,
-               const std::vector<Vec3>& grad);
-
-  double step_size() const noexcept { return step_; }
-  double best_energy() const noexcept { return prev_energy_; }
-  std::uint64_t accepted() const noexcept { return accepted_; }
-  std::uint64_t rejected() const noexcept { return rejected_; }
-
-  // -- checkpoint/restart (src/ckpt) ---------------------------------------
-
-  /// Full minimizer state at a step boundary.
+  /// Full minimizer state at a step boundary: its checkpoint record.
   struct Snapshot {
     double step = 0.0;
     bool has_prev = false;
@@ -51,28 +37,27 @@ class SteepestDescent {
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
   };
-  Snapshot snapshot() const {
-    return {step_, has_prev_, prev_energy_, prev_pos_, prev_grad_,
-            accepted_, rejected_};
-  }
-  void restore(Snapshot s) {
-    step_ = s.step;
-    has_prev_ = s.has_prev;
-    prev_energy_ = s.prev_energy;
-    prev_pos_ = std::move(s.prev_pos);
-    prev_grad_ = std::move(s.prev_grad);
-    accepted_ = s.accepted;
-    rejected_ = s.rejected;
-  }
+
+  explicit SteepestDescent(double initial_step) { state_.step = initial_step; }
+
+  /// Advances the configuration given the just-evaluated potential energy
+  /// and gradient at the current positions.
+  void advance(MolecularComplex& mc, double energy,
+               const std::vector<Vec3>& grad);
+
+  double step_size() const noexcept { return state_.step; }
+  double best_energy() const noexcept { return state_.prev_energy; }
+  std::uint64_t accepted() const noexcept { return state_.accepted; }
+  std::uint64_t rejected() const noexcept { return state_.rejected; }
+
+  const Snapshot& snapshot() const noexcept { return state_; }
+  /// Throws util::FatalError("ckpt"), changing nothing, when the record has
+  /// a previous configuration whose positions or gradient do not hold `n`
+  /// entries: a rejected step backtracks through both.
+  void restore(const Snapshot& s, std::size_t n);
 
  private:
-  double step_;
-  bool has_prev_ = false;
-  double prev_energy_ = 0.0;
-  std::vector<Vec3> prev_pos_;
-  std::vector<Vec3> prev_grad_;
-  std::uint64_t accepted_ = 0;
-  std::uint64_t rejected_ = 0;
+  Snapshot state_;
 };
 
 /// Computes kinetic energy, temperature and instantaneous virial pressure

@@ -1,8 +1,9 @@
 #include "pvm/pvm_system.hpp"
 
 #include <cassert>
-#include <type_traits>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "obs/trace.hpp"
 #include "util/domains.hpp"
@@ -199,6 +200,29 @@ sim::ProcessHandle PvmSystem::process(int tid) const {
 
 sim::Mailbox<Message>& PvmSystem::mailbox(int tid) {
   return *tasks_.at(tid).mailbox;
+}
+
+PvmSystem::Snapshot PvmSystem::snapshot() const {
+  Snapshot s{next_send_seq_, {}};
+  for (const TaskEntry& t : tasks_) {
+    const std::deque<Message>& items = t.mailbox->items();
+    s.mailboxes.emplace_back(items.begin(), items.end());
+  }
+  return s;
+}
+
+void PvmSystem::restore(const Snapshot& s) {
+  if (s.mailboxes.size() != tasks_.size()) {
+    util::fatal("ckpt", "restore: " + std::to_string(s.mailboxes.size()) +
+                            " mailboxes for " + std::to_string(tasks_.size()) +
+                            " tasks");
+  }
+  next_send_seq_ = s.next_send_seq;
+  for (std::size_t tid = 0; tid < tasks_.size(); ++tid) {
+    for (const Message& m : s.mailboxes[tid]) {
+      tasks_[tid].mailbox->restore_item(m);
+    }
+  }
 }
 
 void PvmSystem::audit_note_delivery(int src_tid, int dst_tid,

@@ -108,23 +108,21 @@ class PvmSystem {
   void audit_note_delivery(int src_tid, int dst_tid, std::uint64_t seq,
                            bool faults_active);
 
-  // -- checkpoint/restart (src/ckpt) ---------------------------------------
+  // -- checkpoint/restart ----------------------------------------------------
+  // The layer's record: the wire sequence counter and every undelivered
+  // message.  At a quiescent boundary only the client's mailbox can hold
+  // items (stale duplicated replies); server mailboxes are provably drained.
 
-  /// Next wire sequence number do_send will assign.
-  std::uint64_t next_send_seq() const noexcept { return next_send_seq_; }
-  /// Overwrites the wire sequence counter (resume only).
-  void restore_send_seq(std::uint64_t seq) noexcept { next_send_seq_ = seq; }
-
-  /// Undelivered messages parked in `tid`'s mailbox, oldest first.  At a
-  /// quiescent boundary only the client's mailbox can be non-empty (stale
-  /// duplicated replies); server mailboxes are provably drained.
-  const std::deque<Message>& mailbox_items(int tid) {
-    return mailbox(tid).items();
-  }
-  /// Re-stores an undelivered message during resume (no getter delivery).
-  void restore_mailbox_item(int tid, Message m) {
-    mailbox(tid).restore_item(std::move(m));
-  }
+  struct Snapshot {
+    std::uint64_t next_send_seq = 1;
+    /// Undelivered messages per task, oldest first (index = tid).
+    std::vector<std::vector<Message>> mailboxes;
+  };
+  Snapshot snapshot() const;
+  /// Re-stores undelivered messages without delivering to a parked getter.
+  /// Throws util::FatalError("ckpt"), changing nothing, unless the record
+  /// holds one mailbox per spawned task.
+  void restore(const Snapshot& s);
 
  private:
   friend class PvmTask;

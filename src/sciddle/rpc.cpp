@@ -1,7 +1,9 @@
 #include "sciddle/rpc.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "sim/fault.hpp"
@@ -45,6 +47,21 @@ Rpc::Rpc(pvm::PvmSystem& pvm, int num_servers, Options opts)
   if (pvm.machine().num_nodes() < num_servers + 1)
     throw std::invalid_argument("Rpc: machine too small for servers+client");
   options_.retry.validate();
+}
+
+void Rpc::restore(const Snapshot& s) {
+  const auto dead = static_cast<std::uint64_t>(
+      std::count(s.alive.begin(), s.alive.end(), false));
+  if (s.alive.size() != alive_.size() || dead == alive_.size() ||
+      s.totals.servers_failed != dead) {
+    util::fatal("ckpt", "restore: the failure detector's state does not "
+                        "fit " + std::to_string(alive_.size()) + " servers");
+  }
+  alive_ = s.alive;
+  jitter_rng_.set_state(s.jitter_rng);
+  totals_ = s.totals;
+  next_call_id_ = s.next_call_id;
+  next_probe_id_ = s.next_probe_id;
 }
 
 void Rpc::register_proc(std::string name, Handler handler) {

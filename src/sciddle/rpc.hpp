@@ -181,25 +181,25 @@ class Rpc {
   }
   const RecoveryTotals& recovery_totals() const noexcept { return totals_; }
 
-  // -- checkpoint/restart (src/ckpt) ---------------------------------------
-  // The RPC layer's future behaviour is determined by (alive_, jitter
-  // stream, totals, call/probe id counters); procs_/tids are rebuilt from
-  // config on resume.
+  // -- checkpoint/restart ----------------------------------------------------
+  // The layer's future behaviour is determined by this record; procs_ and
+  // the server tids are rebuilt from config on resume.
 
-  util::Xoshiro256& jitter_rng() noexcept { return jitter_rng_; }
-  const util::Xoshiro256& jitter_rng() const noexcept { return jitter_rng_; }
-  std::uint64_t next_call_id() const noexcept { return next_call_id_; }
-  std::uint64_t next_probe_id() const noexcept { return next_probe_id_; }
-  const std::vector<bool>& alive() const noexcept { return alive_; }
-
-  /// Restores failure-detector belief and protocol counters (resume only).
-  void restore(const std::vector<bool>& alive, const RecoveryTotals& totals,
-               std::uint64_t call_id, std::uint64_t probe_id) {
-    alive_ = alive;
-    totals_ = totals;
-    next_call_id_ = call_id;
-    next_probe_id_ = probe_id;
+  struct Snapshot {
+    std::vector<bool> alive;  ///< the failure detector's belief per server
+    util::Xoshiro256::State jitter_rng{};
+    RecoveryTotals totals;
+    std::uint64_t next_call_id = 1;
+    std::uint64_t next_probe_id = 1;
+  };
+  Snapshot snapshot() const {
+    return {alive_, jitter_rng_.state(), totals_, next_call_id_,
+            next_probe_id_};
   }
+  /// Throws util::FatalError("ckpt"), changing nothing, unless the record
+  /// holds one alive entry per server, some of them alive (the run fails
+  /// otherwise), and totals.servers_failed counts the others.
+  void restore(const Snapshot& s);
 
   /// Message tags on the wire.
   static constexpr int kTagCall = 1001;

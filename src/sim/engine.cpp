@@ -1,9 +1,11 @@
 #include "sim/engine.hpp"
 
+#include <cmath>
 #include <string>
 
 #include "obs/trace.hpp"
 #include "util/domains.hpp"
+#include "util/fatal.hpp"
 
 namespace opalsim::sim {
 
@@ -117,6 +119,27 @@ void Engine::rethrow_pending_failure() {
       std::rethrow_exception(r.state->exception);
     }
   }
+}
+
+void Engine::restore_clock(SimTime t) {
+  if (!(std::isfinite(t) && t >= 0.0)) {
+    util::fatal("ckpt", "restore: clock " + std::to_string(t) +
+                            " is not finite and >= 0");
+  }
+  now_ = t;
+}
+
+void Engine::restore(const Snapshot& s) {
+  const EventQueueStats& q = s.queue;
+  if (s.next_seq != q.pushes || s.events_processed != q.pops ||
+      q.pops > q.pushes || q.cancels != q.pushes - q.pops ||
+      q.peak_size > q.pushes) {
+    util::fatal("ckpt", "restore: the event counters do not describe a "
+                        "quiescent engine", now_);
+  }
+  next_seq_ = s.next_seq;
+  processed_ = s.events_processed;
+  queue_.restore_stats(q);
 }
 
 }  // namespace opalsim::sim

@@ -110,8 +110,7 @@ class ProcessHandle {
   std::shared_ptr<detail::ProcessState> state_;
 };
 
-/// Snapshot of the engine's hot-path counters (the engine.* metrics that
-/// ParallelOpal writes and checkpoints carry).
+/// The engine's hot-path counters (the engine.* metrics ParallelOpal writes).
 struct EngineCounters {
   std::uint64_t events_processed = 0;
   EventQueueStats queue;
@@ -188,21 +187,27 @@ class Engine {
   /// a run boundary is quiescent iff this is zero.
   std::size_t pending_events() const noexcept { return queue_.size(); }
 
-  // -- Checkpoint/restart hooks (src/ckpt) -----------------------------------
-  // Only meaningful on a freshly constructed engine that is being rebuilt
-  // from a snapshot: restore_clock() warps virtual time forward before any
-  // process is spawned; restore_counters() swaps in the golden run's event
-  // accounting once the rebuild's own bookkeeping events have drained.
+  // -- checkpoint/restart ----------------------------------------------------
+  // A resume warps a fresh engine's clock before anything is spawned, drains
+  // the rebuilt task graph, then swaps in the golden run's accounting.
 
-  /// Warps the virtual clock (resume only; never call on a live engine).
-  void restore_clock(SimTime t) noexcept { now_ = t; }
-  /// Overwrites event accounting with snapshot values (resume only).
-  void restore_counters(std::uint64_t next_seq, std::uint64_t processed,
-                        const EventQueueStats& queue_stats) {
-    next_seq_ = next_seq;
-    processed_ = processed;
-    queue_.restore_stats(queue_stats);
+  struct Snapshot {
+    SimTime now = 0.0;
+    std::uint64_t next_seq = 0;
+    std::uint64_t events_processed = 0;
+    EventQueueStats queue;
+  };
+  Snapshot snapshot() const {
+    return {now_, next_seq_, processed_, queue_.stats()};
   }
+
+  /// Warps a fresh engine's clock.  Throws util::FatalError("ckpt"),
+  /// changing nothing, unless `t` is finite and >= 0.
+  void restore_clock(SimTime t);
+  /// Restores a drained engine's accounting.  Throws util::FatalError("ckpt"),
+  /// changing nothing, unless no event is pending: each push took the next
+  /// sequence number and was popped (one processed event) or cancelled.
+  void restore(const Snapshot& s);
 
  private:
   struct Root {

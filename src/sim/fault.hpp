@@ -124,26 +124,32 @@ class FaultModel {
   };
   const Counters& counters() const noexcept { return counters_; }
 
-  // -- checkpoint/restart (src/ckpt) ---------------------------------------
-  // The model's future decisions are fully determined by (spec node_faults +
-  // dynamic kills, enabled flag, the three stream states, counters); the
+  // -- checkpoint/restart ----------------------------------------------------
+  // The model's future decisions are fully determined by this record; the
   // static rate/degradation config is rebuilt from the run config.
 
-  util::Xoshiro256& message_rng() noexcept { return message_rng_; }
-  util::Xoshiro256& corrupt_rng() noexcept { return corrupt_rng_; }
-  util::Xoshiro256& stall_rng() noexcept { return stall_rng_; }
-  const util::Xoshiro256& message_rng() const noexcept { return message_rng_; }
-  const util::Xoshiro256& corrupt_rng() const noexcept { return corrupt_rng_; }
-  const util::Xoshiro256& stall_rng() const noexcept { return stall_rng_; }
-
-  /// Restores the dynamic state captured at a quiescent boundary (resume
-  /// only).  `node_faults` replaces the spec's list wholesale — it includes
-  /// both configured and dynamically killed nodes.
-  void restore(std::vector<NodeFault> node_faults, bool enabled,
-               const Counters& counters) {
-    spec_.node_faults = std::move(node_faults);
-    enabled_ = enabled;
-    counters_ = counters;
+  struct Snapshot {
+    /// The spec's node deaths followed by those kill_node() recorded.
+    std::vector<NodeFault> node_faults;
+    bool enabled = false;
+    Counters counters;
+    util::Xoshiro256::State message_rng{};
+    util::Xoshiro256::State corrupt_rng{};
+    util::Xoshiro256::State stall_rng{};
+  };
+  Snapshot snapshot() const {
+    return {spec_.node_faults, enabled_, counters_, message_rng_.state(),
+            corrupt_rng_.state(), stall_rng_.state()};
+  }
+  /// Restores the dynamic state (resume only).  Every value of the record
+  /// is a state the model can be in, so nothing is refused.
+  void restore(const Snapshot& s) {
+    spec_.node_faults = s.node_faults;
+    enabled_ = s.enabled;
+    counters_ = s.counters;
+    message_rng_.set_state(s.message_rng);
+    corrupt_rng_.set_state(s.corrupt_rng);
+    stall_rng_.set_state(s.stall_rng);
   }
 
  private:

@@ -40,6 +40,7 @@ constexpr std::uint64_t splitmix64_hash(std::uint64_t x) noexcept {
 class Xoshiro256 {
  public:
   using result_type = std::uint64_t;
+  using State = std::array<std::uint64_t, 4>;
 
   explicit Xoshiro256(std::uint64_t seed) noexcept {
     SplitMix64 sm(seed);
@@ -92,10 +93,8 @@ class Xoshiro256 {
 
   /// Raw generator state, for checkpoint images.  Restoring a saved state
   /// makes the stream continue exactly where the snapshot left it.
-  std::array<std::uint64_t, 4> state() const noexcept {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) noexcept {
+  State state() const noexcept { return {s_[0], s_[1], s_[2], s_[3]}; }
+  void set_state(const State& s) noexcept {
     for (int i = 0; i < 4; ++i) s_[i] = s[i];
   }
 

@@ -8,6 +8,7 @@
 // trace instants — any divergence is a replay bug, never a flag artifact.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,7 @@
 namespace {
 
 namespace fs = std::filesystem;
+using opalsim::ckpt::RunSnapshot;
 using opalsim::mach::PlatformSpec;
 using opalsim::mach::with_faults;
 using opalsim::opal::make_large_complex;
@@ -34,6 +36,7 @@ using opalsim::opal::make_small_complex;
 using opalsim::opal::MolecularComplex;
 using opalsim::opal::ParallelOpal;
 using opalsim::opal::ParallelRunResult;
+using opalsim::opal::RunMode;
 using opalsim::opal::SimResult;
 using opalsim::opal::SimulationConfig;
 using opalsim::sim::FaultSpec;
@@ -174,19 +177,21 @@ class CheckpointResumeTest : public ::testing::Test {
   /// CRC is valid) and resumes from it.  The resume must be refused with
   /// FatalError("ckpt"), not crash or run on.
   void expect_forged_image_refused(
-      const std::function<void(opalsim::ckpt::RunSnapshot&)>& forge) {
+      const std::function<void(RunSnapshot&)>& forge,
+      RunMode mode = RunMode::Dynamics) {
     SimulationConfig cfg;
     cfg.steps = 4;
     cfg.cutoff = 10.0;
+    cfg.mode = mode;
     cfg.checkpoint_at_step = 2;
     cfg.checkpoint_out = image_;
     const MolecularComplex mc = make_small_complex();
     ParallelOpal golden(opalsim::mach::fast_cops(), mc, 3, cfg,
                         ft_middleware());
     (void)golden.run();
-    opalsim::ckpt::RunSnapshot s = opalsim::ckpt::load_snapshot(image_);
+    RunSnapshot s = opalsim::ckpt::load_snapshot(image_);
     ASSERT_EQ(s.servers.size(), 3u);
-    ASSERT_TRUE(s.servers[0].materialized);
+    ASSERT_TRUE(s.servers[0].lists.materialized);
     forge(s);
     opalsim::ckpt::write_image_atomic(image_, opalsim::ckpt::encode(s));
 
@@ -290,6 +295,17 @@ TEST_F(CheckpointResumeTest, MinimizationModeByteIdentical) {
                           make_medium_complex(), 2, {});
 }
 
+TEST_F(CheckpointResumeTest, CheckpointAtStepZeroByteIdentical) {
+  // The image holds no update coordinates and no minimizer history yet.
+  SimulationConfig cfg;
+  cfg.steps = 4;
+  cfg.cutoff = 10.0;
+  cfg.update_every = 2;
+  cfg.checkpoint_at_step = 0;
+  expect_resume_identical(cfg, opalsim::mach::fast_cops(),
+                          make_small_complex(), 3, ft_middleware());
+}
+
 TEST_F(CheckpointResumeTest, CheckpointStableMetricsKeySet) {
   SimulationConfig cfg;
   cfg.steps = 4;
@@ -345,52 +361,138 @@ TEST_F(CheckpointResumeTest, FingerprintMismatchRefusesResume) {
 // them and an out-of-bounds access.
 
 TEST_F(CheckpointResumeTest, ForgedDomainIndexIsRefused) {
-  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
-    s.servers[0].domain.at(1) = 50'000'000;  // j of the first pair
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.servers[0].lists.domain.at(0).j = 50'000'000;  // j of the first pair
   });
 }
 
 TEST_F(CheckpointResumeTest, ForgedActivePairIsRefused) {
-  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
-    std::vector<std::uint32_t>& active = s.servers[1].active;
-    ASSERT_GE(active.size(), 2u);
-    std::swap(active[0], active[1]);  // (j, i): i > j
+  expect_forged_image_refused([](RunSnapshot& s) {
+    std::vector<opalsim::opal::PairIdx>& active = s.servers[1].lists.active;
+    ASSERT_GE(active.size(), 1u);
+    std::swap(active[0].i, active[0].j);  // (j, i): i > j
   });
 }
 
 TEST_F(CheckpointResumeTest, ForgedActiveLongerThanDomainIsRefused) {
-  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
-    opalsim::ckpt::ServerSnap& ss = s.servers[2];
+  expect_forged_image_refused([](RunSnapshot& s) {
+    opalsim::opal::ServerDomain::Snapshot& ss = s.servers[2].lists;
     ss.active = ss.domain;
     ss.active.insert(ss.active.end(), ss.domain.begin(),
-                     ss.domain.begin() + 2);
+                     ss.domain.begin() + 1);
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedActivePairOutsideDomainIsRefused) {
+  // In range, but another server's pair: it would be evaluated twice.
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.servers[1].lists.active.at(0) = s.servers[0].lists.domain.at(0);
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedPairOnTwoLiveServersIsRefused) {
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.servers[1].lists.domain.push_back(s.servers[0].lists.domain.at(0));
   });
 }
 
 TEST_F(CheckpointResumeTest, ForgedMissingCpuSnapIsRefused) {
   expect_forged_image_refused(
-      [](opalsim::ckpt::RunSnapshot& s) { s.cpus.pop_back(); });
+      [](RunSnapshot& s) { s.machine.cpus.pop_back(); });
+}
+
+TEST_F(CheckpointResumeTest, ForgedNonFiniteBusyTimeIsRefused) {
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.machine.cpus.at(1).busy_seconds = std::nan("");
+  });
 }
 
 TEST_F(CheckpointResumeTest, ForgedExtraMailboxesAreRefused) {
-  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
-    s.mailboxes.resize(s.mailboxes.size() + 50);
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.pvm.mailboxes.resize(s.pvm.mailboxes.size() + 50);
   });
 }
 
 TEST_F(CheckpointResumeTest, ForgedServerAliveAndAssignmentCountsAreRefused) {
   expect_forged_image_refused(
-      [](opalsim::ckpt::RunSnapshot& s) { s.servers.pop_back(); });
+      [](RunSnapshot& s) { s.servers.pop_back(); });
   expect_forged_image_refused(
-      [](opalsim::ckpt::RunSnapshot& s) { s.alive.push_back(true); });
+      [](RunSnapshot& s) { s.rpc.alive.push_back(true); });
   expect_forged_image_refused(
-      [](opalsim::ckpt::RunSnapshot& s) { s.assignment.pop_back(); });
+      [](RunSnapshot& s) { s.client.assignment.pop_back(); });
+}
+
+TEST_F(CheckpointResumeTest, ForgedFailureDetectorStateIsRefused) {
+  // A dead server the totals do not count, and no live server at all.
+  expect_forged_image_refused(
+      [](RunSnapshot& s) { s.rpc.alive.at(0) = false; });
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.rpc.alive.assign(s.rpc.alive.size(), false);
+    s.rpc.totals.servers_failed = s.rpc.alive.size();
+  });
 }
 
 TEST_F(CheckpointResumeTest, ForgedAssignedPairIsRefused) {
-  expect_forged_image_refused([](opalsim::ckpt::RunSnapshot& s) {
-    s.assignment.at(0).at(1) = 50'000'000;
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.client.assignment.at(0).at(0).j = 50'000'000;
   });
+}
+
+TEST_F(CheckpointResumeTest, ForgedShortVelocitiesAreRefused) {
+  // Overflowed the heap in fill_observables.
+  expect_forged_image_refused(
+      [](RunSnapshot& s) { s.client.velocities.pop_back(); });
+}
+
+TEST_F(CheckpointResumeTest, ForgedEmptyVelocitiesAreRefused) {
+  // Bound a reference to a null element in fill_observables.
+  expect_forged_image_refused(
+      [](RunSnapshot& s) { s.client.velocities.clear(); });
+}
+
+TEST_F(CheckpointResumeTest, ForgedShortPositionsAreRefused) {
+  // Escaped as std::invalid_argument from set_flat_coordinates.
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.client.positions.resize(s.client.positions.size() - 3);
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedShortUpdateCoordinatesAreRefused) {
+  // A failover-forced update ships them to every server.
+  expect_forged_image_refused([](RunSnapshot& s) {
+    s.client.update_coords.resize(s.client.update_coords.size() - 3);
+  });
+}
+
+TEST_F(CheckpointResumeTest, ForgedShortMinimizerHistoryIsRefused) {
+  // A previous energy below any reached forces the rejecting branch, which
+  // backtracks through n previous positions and gradients.
+  expect_forged_image_refused(
+      [](RunSnapshot& s) {
+        opalsim::opal::SteepestDescent::Snapshot& m = s.client.minimizer;
+        ASSERT_TRUE(m.has_prev);
+        m.prev_pos.pop_back();
+        m.prev_grad.pop_back();
+        m.prev_energy = -1e300;
+      },
+      RunMode::Minimization);
+}
+
+TEST_F(CheckpointResumeTest, ForgedStepOutsideRunIsRefused) {
+  // Step -5 ran 5 steps more than configured; step 4 of 4 ran none.
+  expect_forged_image_refused([](RunSnapshot& s) { s.client.step = -5; });
+  expect_forged_image_refused([](RunSnapshot& s) { s.client.step = 4; });
+}
+
+TEST_F(CheckpointResumeTest, ForgedClockIsRefused) {
+  // A NaN clock escaped as "all servers failed".
+  expect_forged_image_refused(
+      [](RunSnapshot& s) { s.engine.now = std::nan(""); });
+  expect_forged_image_refused([](RunSnapshot& s) { s.engine.now = -1.0; });
+}
+
+TEST_F(CheckpointResumeTest, ForgedRegressedEventSeqIsRefused) {
+  expect_forged_image_refused([](RunSnapshot& s) { --s.engine.next_seq; });
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -19,9 +20,9 @@ namespace {
 namespace fs = std::filesystem;
 using opalsim::ckpt::decode;
 using opalsim::ckpt::encode;
-using opalsim::ckpt::MailboxItemSnap;
 using opalsim::ckpt::RunSnapshot;
-using opalsim::ckpt::ServerSnap;
+using ClientSnapshot = opalsim::opal::ParallelOpal::ClientSnapshot;
+using ServerSnapshot = opalsim::opal::ParallelOpal::ServerSnapshot;
 using opalsim::util::BinReader;
 using opalsim::util::BinWriter;
 using opalsim::util::crc32;
@@ -113,71 +114,68 @@ TEST(BinIo, CountIsBoundedByBytesLeftOverElementSize) {
 RunSnapshot sample_snapshot() {
   RunSnapshot s;
   s.config_fingerprint = 0x1122334455667788ull;
-  s.now = 12.25;
-  s.next_event_seq = 900;
-  s.events_processed = 850;
-  s.q_pushes = 1000;
-  s.q_pops = 990;
-  s.q_cancels = 10;
-  s.q_peak = 17;
-  s.step = 5;
-  s.t_start = 0.5;
-  s.force_update = true;
-  s.positions = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  s.velocities = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
-  s.update_coords = {9.0, 8.0, 7.0, 6.0, 5.0, 4.0};
-  s.min_step_size = 1e-5;
-  s.min_has_prev = true;
-  s.min_prev_energy = -3.25;
-  s.min_prev_pos = {1.0, 1.0, 1.0};
-  s.min_prev_grad = {0.5, 0.5, 0.5};
-  s.min_accepted = 3;
-  s.min_rejected = 1;
-  s.physics.evdw = -10.5;
-  s.physics.ecoul = 2.25;
-  s.physics.bonded.bond = 0.125;
-  s.metrics.wall = 99.5;
-  s.metrics.retries = 4;
-  s.failover_epoch = 2;
-  s.assignment = {{0, 1, 2, 3}, {4, 5}};
-  ServerSnap sv;
-  sv.domain = {0, 1, 2, 3};
-  sv.active = {0, 1};
-  sv.materialized = true;
+  s.engine.now = 12.25;
+  s.engine.next_seq = 900;
+  s.engine.events_processed = 850;
+  s.engine.queue = {1000, 990, 10, 17};
+  ClientSnapshot& c = s.client;
+  c.step = 5;
+  c.t_start = 0.5;
+  c.force_update = true;
+  c.positions = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  c.velocities = {{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}};
+  c.update_coords = {9.0, 8.0, 7.0, 6.0, 5.0, 4.0};
+  c.minimizer.step = 1e-5;
+  c.minimizer.has_prev = true;
+  c.minimizer.prev_energy = -3.25;
+  c.minimizer.prev_pos = {{1.0, 1.0, 1.0}};
+  c.minimizer.prev_grad = {{0.5, 0.5, 0.5}};
+  c.minimizer.accepted = 3;
+  c.minimizer.rejected = 1;
+  c.physics.evdw = -10.5;
+  c.physics.ecoul = 2.25;
+  c.physics.bonded.bond = 0.125;
+  c.metrics.wall = 99.5;
+  c.metrics.retries = 4;
+  c.failover_epoch = 2;
+  c.assignment = {{{0, 1}, {2, 3}}, {{4, 5}}};
+  ServerSnapshot sv;
+  sv.lists.domain = {{0, 1}, {2, 3}};
+  sv.lists.active = {{0, 1}};
+  sv.lists.materialized = true;
   sv.pairs_checked = 40;
   sv.pairs_evaluated = 20;
   sv.adopt_epoch = 2;
   s.servers = {sv};
-  s.next_send_seq = 123;
-  MailboxItemSnap mi;
+  s.pvm.next_send_seq = 123;
+  opalsim::pvm::Message mi;
   mi.src = 3;
   mi.tag = 1002;
   mi.seq = 88;
   mi.checksum = 0xFEED;
   mi.corrupted = true;
-  mi.raw = {9, 9, 9};
-  mi.payload_bytes = 3;
-  s.mailboxes = {{}, {mi}};
-  s.alive = {true, false, true};
-  s.jitter_rng = {1, 2, 3, 4};
-  s.rpc_retries = 5;
-  s.rpc_recovery_time_s = 0.75;
-  s.next_call_id = 44;
-  s.next_probe_id = 7;
-  s.node_faults = {{2, 3.5}};
-  s.fault_enabled = true;
-  s.f_seen = 100;
-  s.f_dropped = 2;
-  s.message_rng = {5, 6, 7, 8};
-  s.corrupt_rng = {9, 10, 11, 12};
-  s.stall_rng = {13, 14, 15, 16};
-  s.cpus = {{1, 2, 3, 4, 5, 6, 7.5, 8.5}, {9, 10, 11, 12, 13, 14, 15.5, 16.5}};
-  s.net_messages = 400;
-  s.net_bytes = 123456;
+  const std::vector<std::uint8_t> raw = {9, 9, 9};
+  mi.body = opalsim::pvm::PackBuffer::from_raw(raw, raw.size());
+  s.pvm.mailboxes = {{}, {mi}};
+  s.rpc.alive = {true, false, true};
+  s.rpc.jitter_rng = {1, 2, 3, 4};
+  s.rpc.totals.retries = 5;
+  s.rpc.totals.recovery_time_s = 0.75;
+  s.rpc.next_call_id = 44;
+  s.rpc.next_probe_id = 7;
+  s.machine.fault.node_faults = {{2, 3.5}};
+  s.machine.fault.enabled = true;
+  s.machine.fault.counters.messages_seen = 100;
+  s.machine.fault.counters.dropped = 2;
+  s.machine.fault.message_rng = {5, 6, 7, 8};
+  s.machine.fault.corrupt_rng = {9, 10, 11, 12};
+  s.machine.fault.stall_rng = {13, 14, 15, 16};
+  s.machine.cpus = {{{1, 2, 3, 4, 5, 6}, 7.5, 8.5},
+                    {{9, 10, 11, 12, 13, 14}, 15.5, 16.5}};
+  s.machine.net_messages = 400;
+  s.machine.net_bytes = 123456;
   s.sink_next_seq = 777;
-  s.images_written = 3;
-  s.bytes_written = 30000;
-  s.deferred = 1;
+  s.accounting = {3, 30000, 1};
   return s;
 }
 
@@ -185,68 +183,73 @@ TEST(SnapshotCodec, RoundTripsEveryField) {
   const RunSnapshot s = sample_snapshot();
   const RunSnapshot d = decode(encode(s));
   EXPECT_EQ(d.config_fingerprint, s.config_fingerprint);
-  EXPECT_EQ(d.now, s.now);
-  EXPECT_EQ(d.next_event_seq, s.next_event_seq);
-  EXPECT_EQ(d.events_processed, s.events_processed);
-  EXPECT_EQ(d.q_pushes, s.q_pushes);
-  EXPECT_EQ(d.q_peak, s.q_peak);
-  EXPECT_EQ(d.step, s.step);
-  EXPECT_EQ(d.t_start, s.t_start);
-  EXPECT_EQ(d.force_update, s.force_update);
-  EXPECT_EQ(d.positions, s.positions);
-  EXPECT_EQ(d.velocities, s.velocities);
-  EXPECT_EQ(d.update_coords, s.update_coords);
-  EXPECT_EQ(d.min_step_size, s.min_step_size);
-  EXPECT_EQ(d.min_has_prev, s.min_has_prev);
-  EXPECT_EQ(d.min_prev_pos, s.min_prev_pos);
-  EXPECT_EQ(d.min_accepted, s.min_accepted);
-  EXPECT_EQ(d.physics.evdw, s.physics.evdw);
-  EXPECT_EQ(d.physics.bonded.bond, s.physics.bonded.bond);
-  EXPECT_EQ(d.metrics.wall, s.metrics.wall);
-  EXPECT_EQ(d.metrics.retries, s.metrics.retries);
-  EXPECT_EQ(d.failover_epoch, s.failover_epoch);
-  EXPECT_EQ(d.assignment, s.assignment);
+  EXPECT_EQ(d.engine.now, s.engine.now);
+  EXPECT_EQ(d.engine.next_seq, s.engine.next_seq);
+  EXPECT_EQ(d.engine.events_processed, s.engine.events_processed);
+  EXPECT_EQ(d.engine.queue.pushes, s.engine.queue.pushes);
+  EXPECT_EQ(d.engine.queue.peak_size, s.engine.queue.peak_size);
+  EXPECT_EQ(d.client.step, s.client.step);
+  EXPECT_EQ(d.client.t_start, s.client.t_start);
+  EXPECT_EQ(d.client.force_update, s.client.force_update);
+  EXPECT_EQ(d.client.positions, s.client.positions);
+  EXPECT_EQ(d.client.velocities, s.client.velocities);
+  EXPECT_EQ(d.client.update_coords, s.client.update_coords);
+  EXPECT_EQ(d.client.minimizer.step, s.client.minimizer.step);
+  EXPECT_EQ(d.client.minimizer.has_prev, s.client.minimizer.has_prev);
+  EXPECT_EQ(d.client.minimizer.prev_pos, s.client.minimizer.prev_pos);
+  EXPECT_EQ(d.client.minimizer.accepted, s.client.minimizer.accepted);
+  EXPECT_EQ(d.client.physics.evdw, s.client.physics.evdw);
+  EXPECT_EQ(d.client.physics.bonded.bond, s.client.physics.bonded.bond);
+  EXPECT_EQ(d.client.metrics.wall, s.client.metrics.wall);
+  EXPECT_EQ(d.client.metrics.retries, s.client.metrics.retries);
+  EXPECT_EQ(d.client.failover_epoch, s.client.failover_epoch);
+  EXPECT_EQ(d.client.assignment, s.client.assignment);
   ASSERT_EQ(d.servers.size(), 1u);
-  EXPECT_EQ(d.servers[0].domain, s.servers[0].domain);
-  EXPECT_EQ(d.servers[0].active, s.servers[0].active);
-  EXPECT_EQ(d.servers[0].materialized, s.servers[0].materialized);
+  EXPECT_EQ(d.servers[0].lists.domain, s.servers[0].lists.domain);
+  EXPECT_EQ(d.servers[0].lists.active, s.servers[0].lists.active);
+  EXPECT_EQ(d.servers[0].lists.materialized, s.servers[0].lists.materialized);
   EXPECT_EQ(d.servers[0].adopt_epoch, s.servers[0].adopt_epoch);
-  EXPECT_EQ(d.next_send_seq, s.next_send_seq);
-  ASSERT_EQ(d.mailboxes.size(), 2u);
-  EXPECT_TRUE(d.mailboxes[0].empty());
-  ASSERT_EQ(d.mailboxes[1].size(), 1u);
-  EXPECT_EQ(d.mailboxes[1][0].src, 3);
-  EXPECT_EQ(d.mailboxes[1][0].seq, 88u);
-  EXPECT_EQ(d.mailboxes[1][0].corrupted, true);
-  EXPECT_EQ(d.mailboxes[1][0].raw, (std::vector<std::uint8_t>{9, 9, 9}));
-  EXPECT_EQ(d.alive, s.alive);
-  EXPECT_EQ(d.jitter_rng, s.jitter_rng);
-  EXPECT_EQ(d.rpc_retries, s.rpc_retries);
-  EXPECT_EQ(d.rpc_recovery_time_s, s.rpc_recovery_time_s);
-  EXPECT_EQ(d.next_call_id, s.next_call_id);
-  ASSERT_EQ(d.node_faults.size(), 1u);
-  EXPECT_EQ(d.node_faults[0].node, 2);
-  EXPECT_EQ(d.node_faults[0].t_fail, 3.5);
-  EXPECT_EQ(d.fault_enabled, s.fault_enabled);
-  EXPECT_EQ(d.f_seen, s.f_seen);
-  EXPECT_EQ(d.message_rng, s.message_rng);
-  EXPECT_EQ(d.stall_rng, s.stall_rng);
-  ASSERT_EQ(d.cpus.size(), 2u);
-  EXPECT_EQ(d.cpus[1].cmp, 14u);
-  EXPECT_EQ(d.cpus[1].cycles, 16.5);
-  EXPECT_EQ(d.net_bytes, s.net_bytes);
+  EXPECT_EQ(d.pvm.next_send_seq, s.pvm.next_send_seq);
+  ASSERT_EQ(d.pvm.mailboxes.size(), 2u);
+  EXPECT_TRUE(d.pvm.mailboxes[0].empty());
+  ASSERT_EQ(d.pvm.mailboxes[1].size(), 1u);
+  EXPECT_EQ(d.pvm.mailboxes[1][0].src, 3);
+  EXPECT_EQ(d.pvm.mailboxes[1][0].seq, 88u);
+  EXPECT_EQ(d.pvm.mailboxes[1][0].corrupted, true);
+  const std::span<const std::uint8_t> raw =
+      d.pvm.mailboxes[1][0].body.raw_bytes();
+  EXPECT_EQ(std::vector<std::uint8_t>(raw.begin(), raw.end()),
+            (std::vector<std::uint8_t>{9, 9, 9}));
+  EXPECT_EQ(d.pvm.mailboxes[1][0].body.byte_size(), 3u);
+  EXPECT_EQ(d.rpc.alive, s.rpc.alive);
+  EXPECT_EQ(d.rpc.jitter_rng, s.rpc.jitter_rng);
+  EXPECT_EQ(d.rpc.totals.retries, s.rpc.totals.retries);
+  EXPECT_EQ(d.rpc.totals.recovery_time_s, s.rpc.totals.recovery_time_s);
+  EXPECT_EQ(d.rpc.next_call_id, s.rpc.next_call_id);
+  ASSERT_EQ(d.machine.fault.node_faults.size(), 1u);
+  EXPECT_EQ(d.machine.fault.node_faults[0].node, 2);
+  EXPECT_EQ(d.machine.fault.node_faults[0].t_fail, 3.5);
+  EXPECT_EQ(d.machine.fault.enabled, s.machine.fault.enabled);
+  EXPECT_EQ(d.machine.fault.counters.messages_seen,
+            s.machine.fault.counters.messages_seen);
+  EXPECT_EQ(d.machine.fault.message_rng, s.machine.fault.message_rng);
+  EXPECT_EQ(d.machine.fault.stall_rng, s.machine.fault.stall_rng);
+  ASSERT_EQ(d.machine.cpus.size(), 2u);
+  EXPECT_EQ(d.machine.cpus[1].ops.cmp, 14u);
+  EXPECT_EQ(d.machine.cpus[1].cycles, 16.5);
+  EXPECT_EQ(d.machine.net_bytes, s.machine.net_bytes);
   EXPECT_EQ(d.sink_next_seq, s.sink_next_seq);
-  EXPECT_EQ(d.images_written, s.images_written);
-  EXPECT_EQ(d.bytes_written, s.bytes_written);
-  EXPECT_EQ(d.deferred, s.deferred);
+  EXPECT_EQ(d.accounting.images_written, s.accounting.images_written);
+  EXPECT_EQ(d.accounting.bytes_written, s.accounting.bytes_written);
+  EXPECT_EQ(d.accounting.deferred, s.accounting.deferred);
 }
 
 TEST(SnapshotCodec, SizeInvariantToCounterValues) {
   // The two-pass self-inclusive bytes_written accounting relies on this.
   RunSnapshot s = sample_snapshot();
   const std::size_t base = encode(s).size();
-  s.bytes_written = 0xFFFFFFFFFFFFull;
-  s.images_written = 9999;
+  s.accounting.bytes_written = 0xFFFFFFFFFFFFull;
+  s.accounting.images_written = 9999;
   EXPECT_EQ(encode(s).size(), base);
 }
 
@@ -314,6 +317,23 @@ TEST(SnapshotCodec, EncodesZeroLpClockCountAndRejectsNonZero) {
   img[kLpCountOffset] = 1;
   reseal(img);
   expect_bad_image(img, "per-LP clocks");
+}
+
+TEST(SnapshotCodec, RefusesFlatCountThatSplitsAnElement) {
+  // Velocities go on the wire as 3 doubles per Vec3; their count follows
+  // magic, version, fingerprint, the engine record, the LP-clock slot, the
+  // client's step, t_start and force_update, and its 6 positions.  Drop the
+  // last double and count 5: the image still parses, but 5 values are not
+  // whole Vec3s.
+  constexpr std::size_t kVelocityCountOffset =
+      8 + 4 + 8 + 7 * 8 + 8 + 4 + 8 + 1 + (8 + 6 * 8);
+  std::vector<std::uint8_t> img = encode(sample_snapshot());
+  ASSERT_EQ(img[kVelocityCountOffset], 6u);
+  img[kVelocityCountOffset] = 5;
+  const auto last = img.begin() + kVelocityCountOffset + 8 + 5 * 8;
+  img.erase(last, last + 8);
+  reseal(img);
+  expect_bad_image(img, "do not split");
 }
 
 TEST(SnapshotCodec, DetectsTrailingBytes) {
@@ -434,37 +454,37 @@ TEST_F(StoreTest, WriteThenLoadRoundTrips) {
 
 TEST_F(StoreTest, SecondWriteKeepsPreviousImage) {
   RunSnapshot s = sample_snapshot();
-  s.step = 3;
+  s.client.step = 3;
   opalsim::ckpt::write_image_atomic(path_, encode(s));
-  s.step = 6;
+  s.client.step = 6;
   opalsim::ckpt::write_image_atomic(path_, encode(s));
-  EXPECT_EQ(opalsim::ckpt::load_snapshot(path_).step, 6);
+  EXPECT_EQ(opalsim::ckpt::load_snapshot(path_).client.step, 6);
   EXPECT_EQ(decode([this] {
               std::ifstream in(path_ + ".prev", std::ios::binary);
               return std::vector<std::uint8_t>(
                   (std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
-            }()).step,
+            }()).client.step,
             3);
 }
 
 TEST_F(StoreTest, TornPrimaryFallsBackToPrev) {
   RunSnapshot s = sample_snapshot();
-  s.step = 3;
+  s.client.step = 3;
   const auto good = encode(s);
   write_raw(path_ + ".prev", good);
   // Torn primary: half an image, as a mid-write crash leaves it.
   std::vector<std::uint8_t> torn(good.begin(),
                                  good.begin() + static_cast<long>(good.size() / 2));
   write_raw(path_, torn);
-  EXPECT_EQ(opalsim::ckpt::load_snapshot(path_).step, 3);
+  EXPECT_EQ(opalsim::ckpt::load_snapshot(path_).client.step, 3);
 }
 
 TEST_F(StoreTest, MissingPrimaryFallsBackToPrev) {
   RunSnapshot s = sample_snapshot();
-  s.step = 4;
+  s.client.step = 4;
   write_raw(path_ + ".prev", encode(s));
-  EXPECT_EQ(opalsim::ckpt::load_snapshot(path_).step, 4);
+  EXPECT_EQ(opalsim::ckpt::load_snapshot(path_).client.step, 4);
 }
 
 TEST_F(StoreTest, NoUsableImageThrowsListingBoth) {

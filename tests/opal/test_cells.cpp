@@ -464,7 +464,7 @@ TEST(CellListEquivalence, UpdateStatsCountPathsTaken) {
 
   // restore() resets the counters (resumed runs cannot reproduce them)
   // and invalidates the list: the next update rebuilds it.
-  dom.restore(static_cast<std::uint32_t>(mc.n()), dom.domain(), {}, false);
+  dom.restore({dom.domain(), {}, false}, static_cast<std::uint32_t>(mc.n()));
   EXPECT_EQ(dom.stats().updates, 0u);
   EXPECT_EQ(dom.stats().cell_updates, 0u);
   EXPECT_EQ(dom.stats().verlet_rebuilds, 0u);
