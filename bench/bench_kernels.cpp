@@ -52,12 +52,20 @@ void BM_UpdateSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateSweep)->Arg(0)->Arg(1);  // 0 = brute force, 1 = cell list
 
+/// Arg 0: a cut-off 10 A active list of the full triangle (rows of ~12
+/// pairs, the list-served workloads' shape).  Arg 1: server 0's whole
+/// domain under the default hashed distribution at p = 7 with no cut-off
+/// (rows of ~n/14 pairs, large_nocut's shape).
 void BM_NonbondedBatchSoA(benchmark::State& state) {
   const auto& mc = bench_complex();
-  auto domains = opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
-                                     opal::DistributionStrategy::RowCyclic, 1);
+  const bool long_rows = state.range(0) == 1;
+  auto domains = opal::build_domains(
+      static_cast<std::uint32_t>(mc.n()), long_rows ? 7 : 1,
+      long_rows ? opal::DistributionStrategy::PseudoRandomHistorical
+                : opal::DistributionStrategy::RowCyclic,
+      1);
   opal::ServerDomain dom(std::move(domains[0]));
-  dom.update(mc, 10.0);
+  dom.update(mc, long_rows ? 0.0 : 10.0);
   opal::CentersSoA soa;
   soa.refresh(mc);
   std::vector<opal::Vec3> grad(mc.n());
@@ -67,11 +75,13 @@ void BM_NonbondedBatchSoA(benchmark::State& state) {
     opal::nonbonded_batch(soa, dom.active(), evdw, ecoul, grad);
     benchmark::DoNotOptimize(evdw);
     benchmark::DoNotOptimize(ecoul);
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dom.active_size()));
 }
-BENCHMARK(BM_NonbondedBatchSoA);
+BENCHMARK(BM_NonbondedBatchSoA)->Arg(0)->Arg(1);  // 0 = cut-off, 1 = long rows
 
 void BM_CellGridBuild(benchmark::State& state) {
   const auto& mc = bench_complex();
@@ -102,14 +112,19 @@ void BM_BondedTerms(benchmark::State& state) {
 }
 BENCHMARK(BM_BondedTerms);
 
+/// The workloads' strategy (PseudoRandomHistorical) at p = 1, which skips
+/// hashing, and p = 7, which hashes every pair twice.
 void BM_BuildDomains(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(bench_complex().n());
   const int p = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto d = opal::build_domains(
-        n, p, opal::DistributionStrategy::PseudoRandomUniform, 1);
-    benchmark::DoNotOptimize(d);
+        n, p, opal::DistributionStrategy::PseudoRandomHistorical, 1);
+    benchmark::DoNotOptimize(d.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * (n - 1) / 2);
 }
 BENCHMARK(BM_BuildDomains)->Arg(1)->Arg(7);
 

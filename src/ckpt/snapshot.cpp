@@ -144,13 +144,35 @@ void fields(auto& io, Record<RunSnapshot> auto& s) {
 
 // -- the two directions ------------------------------------------------------
 
+/// Stands in for util::BinWriter to size an image without writing it.
+class ByteCounter {
+ public:
+  void put_u8(std::uint8_t) { n_ += 1; }
+  void put_u32(std::uint32_t) { n_ += 4; }
+  void put_u64(std::uint64_t) { n_ += 8; }
+  void put_i32(std::int32_t) { n_ += 4; }
+  void put_f64(double) { n_ += 8; }
+  void put_bool(bool) { n_ += 1; }
+  std::size_t size() const noexcept { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+/// Walks the field lists into `Sink`: util::BinWriter encodes, ByteCounter
+/// counts the bytes the encoding takes.
+template <class Sink>
 class Writer {
  public:
+  Writer() = default;
+  /// Reserves `bytes` up front, so the encoding never reallocates.
+  explicit Writer(std::size_t bytes) { w_.reserve(bytes); }
+
   template <class... T>
   void operator()(const T&... xs) {
     (field(xs), ...);
   }
-  std::size_t size() const noexcept { return w_.bytes().size(); }
+  std::size_t size() const noexcept { return w_.size(); }  // ByteCounter
   std::vector<std::uint8_t> take() noexcept { return w_.take(); }
 
  private:
@@ -181,14 +203,14 @@ class Writer {
     fields(*this, record);
   }
 
-  util::BinWriter w_;
+  Sink w_;
 };
 
 /// Wire size of a default T (empty vectors are a bare count): the least
 /// any encoded T can occupy.
 template <class T>
 std::size_t min_wire_bytes() {
-  Writer w;
+  Writer<ByteCounter> w;
   w(T{});
   return w.size();
 }
@@ -249,15 +271,29 @@ class Reader {
   util::BinReader r_;
 };
 
-}  // namespace
-
-std::vector<std::uint8_t> encode(const RunSnapshot& s) {
-  Writer w;
+/// Everything before the CRC trailer.
+template <class Sink>
+void write_image(Writer<Sink>& w, const RunSnapshot& s) {
   for (const char c : kMagic) w(static_cast<std::uint8_t>(c));
   w(kVersion, s);
+}
+
+constexpr std::size_t kCrcBytes = 4;
+
+}  // namespace
+
+std::size_t encoded_size(const RunSnapshot& s) {
+  Writer<ByteCounter> c;
+  write_image(c, s);
+  return c.size() + kCrcBytes;
+}
+
+std::vector<std::uint8_t> encode(const RunSnapshot& s) {
+  Writer<util::BinWriter> w(encoded_size(s));
+  write_image(w, s);
   std::vector<std::uint8_t> image = w.take();
   const std::uint32_t crc = util::crc32(image.data(), image.size());
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < kCrcBytes; ++i) {
     image.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
   }
   return image;

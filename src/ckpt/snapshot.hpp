@@ -30,6 +30,7 @@
 // be half-applied.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,8 +70,12 @@ struct RunSnapshot {
 };
 
 /// Encodes a snapshot into a complete image (magic + version + payload +
-/// CRC trailer).
+/// CRC trailer), written once into a buffer of exactly encoded_size(s).
 std::vector<std::uint8_t> encode(const RunSnapshot& s);
+
+/// encode(s).size(), counted without encoding.  Every counter in the image
+/// is fixed-width, so the size does not depend on the counters' values.
+std::size_t encoded_size(const RunSnapshot& s);
 
 /// Decodes and verifies an image; throws util::FatalError (subsystem
 /// "ckpt") on bad magic, version mismatch, CRC failure, or truncation.

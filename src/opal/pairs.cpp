@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "opal/forcefield.hpp"
+#include "util/fastmod.hpp"
 #include "util/fatal.hpp"
 #include "util/rng.hpp"
 
@@ -82,35 +83,73 @@ std::string to_string(DistributionStrategy s) {
   return "?";
 }
 
-int pair_owner(DistributionStrategy strategy, std::uint64_t k,
-               std::uint32_t i, std::uint32_t j, std::uint32_t n, int p,
-               std::uint64_t seed) {
-  (void)j;
-  const auto up = static_cast<std::uint64_t>(p);
-  switch (strategy) {
-    case DistributionStrategy::PseudoRandomHistorical: {
-      const std::uint64_t h = util::splitmix64_hash(k ^ seed);
-      auto server = static_cast<int>(h % up);
-      // Parity correlation of the historical generator: when p is even,
-      // one in eight pairs headed for an odd-ranked server lands on its
-      // even-ranked neighbour instead (~12% systematic imbalance).
-      if (p % 2 == 0 && ((h >> 32) & 7u) == 0) server &= ~1;
-      return server;
-    }
-    case DistributionStrategy::PseudoRandomUniform:
-      return static_cast<int>(util::splitmix64_hash(k ^ seed) % up);
-    case DistributionStrategy::RowCyclic:
-      return static_cast<int>(i % up);
-    case DistributionStrategy::Folded: {
-      const std::uint32_t row = i <= n - 2 - i ? i : n - 2 - i;
-      return static_cast<int>(row % up);
-    }
-    case DistributionStrategy::EvenMultiplierBug:
-      // gcd(multiplier, p) = 2 for even p: odd-ranked servers get nothing.
-      return static_cast<int>((k * 2654435762ull) % up);
+namespace {
+
+// -- owners: each strategy's formula, once ----------------------------------
+//
+// An owner functor is built once per (strategy, n, p, seed) and maps pair
+// number k = (i, j) in lex order to its server.  No formula reads j.
+
+/// The two hashed strategies: splitmix64 of k ^ seed, reduced mod p.
+struct HashedOwner {
+  std::uint64_t seed;
+  util::FastMod mod;
+  /// Parity correlation of the historical generator: when p is even, one
+  /// in eight pairs headed for an odd-ranked server lands on its
+  /// even-ranked neighbour instead (~12% systematic imbalance).
+  bool parity_bias;
+  std::uint32_t operator()(std::uint64_t k, std::uint32_t) const noexcept {
+    const std::uint64_t h = util::splitmix64_hash(k ^ seed);
+    const std::uint32_t server = mod(h);
+    return parity_bias && ((h >> 32) & 7u) == 0 ? server & ~1u : server;
   }
-  return 0;
+};
+
+/// Row i goes to server i mod p (loop-invariant within a row).
+struct RowCyclicOwner {
+  std::uint32_t p;
+  std::uint32_t operator()(std::uint64_t, std::uint32_t i) const noexcept {
+    return i % p;
+  }
+};
+
+/// Rows i and n-2-i share a server: row min(i, n-2-i) mod p.
+struct FoldedOwner {
+  std::uint32_t n, p;
+  std::uint32_t operator()(std::uint64_t, std::uint32_t i) const noexcept {
+    const std::uint32_t row = i <= n - 2 - i ? i : n - 2 - i;
+    return row % p;
+  }
+};
+
+/// gcd(multiplier, p) = 2 for even p: odd-ranked servers get nothing.
+struct EvenMultiplierOwner {
+  util::FastMod mod;
+  std::uint32_t operator()(std::uint64_t k, std::uint32_t) const noexcept {
+    return mod(k * 2654435762ull);
+  }
+};
+
+/// Calls `f(owner)` with the strategy's owner functor, so the pair loops
+/// are compiled once per strategy with the formula inlined.
+template <class F>
+void with_owner(DistributionStrategy strategy, std::uint32_t n,
+                std::uint32_t p, std::uint64_t seed, F&& f) {
+  switch (strategy) {
+    case DistributionStrategy::PseudoRandomHistorical:
+      return f(HashedOwner{seed, util::FastMod(p), p % 2 == 0});
+    case DistributionStrategy::PseudoRandomUniform:
+      return f(HashedOwner{seed, util::FastMod(p), false});
+    case DistributionStrategy::RowCyclic:
+      return f(RowCyclicOwner{p});
+    case DistributionStrategy::Folded:
+      return f(FoldedOwner{n, p});
+    case DistributionStrategy::EvenMultiplierBug:
+      return f(EvenMultiplierOwner{util::FastMod(p)});
+  }
 }
+
+}  // namespace
 
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
@@ -119,32 +158,35 @@ std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
   if (n < 2) throw std::invalid_argument("build_domains: need >= 2 centers");
   std::vector<std::vector<PairIdx>> domains(p);
   const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  // First pass: exact per-server counts.  The old total/p + 1 heuristic
-  // over-allocates badly for skewed strategies (EvenMultiplierBug puts
-  // everything on half the servers) and still reallocates for the heavy
-  // ones.  Owners are memoized in a compact buffer when p fits so the
-  // hashed strategies are not evaluated twice.
-  std::vector<std::uint64_t> counts(p, 0);
-  const bool memoize = p <= 65535;
-  std::vector<std::uint16_t> owners;
-  if (memoize) owners.resize(total);
-  std::uint64_t k = 0;
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-      const int owner = pair_owner(strategy, k, i, j, n, p, seed);
-      ++counts[owner];
-      if (memoize) owners[k] = static_cast<std::uint16_t>(owner);
+  if (p == 1) {  // every strategy's owner is 0
+    domains[0].reserve(total);
+    for (std::uint32_t i = 0; i + 1 < n; ++i) {
+      for (std::uint32_t j = i + 1; j < n; ++j) domains[0].push_back({i, j});
     }
+    return domains;
   }
-  for (int s = 0; s < p; ++s) domains[s].reserve(counts[s]);
-  k = 0;
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-      const int owner =
-          memoize ? owners[k] : pair_owner(strategy, k, i, j, n, p, seed);
-      domains[owner].push_back(PairIdx{i, j});
-    }
-  }
+  // Two exact passes over the triangle: count each server's pairs, then
+  // evaluate every owner again and write into domains sized exactly.  An
+  // owner memo would save the second evaluation but cost 2 bytes per pair
+  // of freshly touched memory (39.5 MB on the large complex), which is
+  // slower to fault in than the owner is to recompute.
+  with_owner(strategy, n, static_cast<std::uint32_t>(p), seed,
+             [&](const auto& owner) {
+               std::vector<std::uint64_t> counts(p, 0);
+               std::uint64_t k = 0;
+               for (std::uint32_t i = 0; i + 1 < n; ++i) {
+                 for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
+                   ++counts[owner(k, i)];
+                 }
+               }
+               for (int s = 0; s < p; ++s) domains[s].reserve(counts[s]);
+               k = 0;
+               for (std::uint32_t i = 0; i + 1 < n; ++i) {
+                 for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
+                   domains[owner(k, i)].push_back(PairIdx{i, j});
+                 }
+               }
+             });
   return domains;
 }
 

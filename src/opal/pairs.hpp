@@ -77,13 +77,11 @@ struct PairUpdateStats {
   std::uint64_t verlet_rebuilds = 0;  ///< rebuilds of the Verlet list
 };
 
-/// Owner server of pair number `k` = (i,j) under the given strategy.
-int pair_owner(DistributionStrategy strategy, std::uint64_t k,
-               std::uint32_t i, std::uint32_t j, std::uint32_t n, int p,
-               std::uint64_t seed);
-
-/// Enumerates all n(n-1)/2 pairs once and builds each server's static
-/// domain.  Deterministic in (n, p, strategy, seed).
+/// Builds each server's static domain: every pair (i, j), i < j < n, goes
+/// to the one server the strategy names, and each domain lists its pairs in
+/// lex order.  Deterministic in (n, p, strategy, seed).  Two passes over
+/// the triangle (count, then fill domains sized exactly) with no per-pair
+/// memo; at p = 1 the single domain is the triangle itself.
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed);

@@ -506,10 +506,10 @@ ParallelRunResult ParallelOpal::run() {
             }
             ++ckpt_acct.images_written;
             ckpt::RunSnapshot snap = make_snapshot();
-            // bytes_written counts this image too.  The counter is
-            // fixed-width, so the size is invariant to its value and a
-            // second encode closes the self-reference.
-            ckpt_acct.bytes_written += ckpt::encode(snap).size();
+            // bytes_written counts this image too: its size is counted
+            // first (fixed-width counters, so the size does not depend on
+            // the value set next), then the image is encoded once.
+            ckpt_acct.bytes_written += ckpt::encoded_size(snap);
             snap.accounting.bytes_written = ckpt_acct.bytes_written;
             ckpt::write_image_atomic(ckpt_out, ckpt::encode(snap));
           }

@@ -46,7 +46,6 @@ class SteepestDescent {
                const std::vector<Vec3>& grad);
 
   double step_size() const noexcept { return state_.step; }
-  double best_energy() const noexcept { return state_.prev_energy; }
   std::uint64_t accepted() const noexcept { return state_.accepted; }
   std::uint64_t rejected() const noexcept { return state_.rejected; }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 #include "opal/forcefield.hpp"
 
@@ -101,7 +102,8 @@ constexpr std::size_t kLaneBlock = 32;
 /// slower than the plain per-pair loop, because every vector load of a
 /// freshly scalar-written lane array stalls on store-forwarding.  The pair
 /// indices, though, are copied by a separate index pass: reading PairIdx
-/// inside the SIMD loop instead measured +28–35% wall on large_nocut.
+/// inside the SIMD loop instead measured +28–35% wall on large_nocut.  In
+/// a row block only pi[0] is set: every lane's i is that one center.
 struct alignas(64) PairBlock {
   std::uint32_t pi[kLaneBlock], pj[kLaneBlock];
   double lj[kLaneBlock], coul[kLaneBlock];
@@ -116,8 +118,11 @@ struct alignas(64) PairBlock {
 /// add/sub/mul/div/sqrt are correctly rounded, and -ffp-contract=off keeps
 /// FMA contraction out at every -march level).  With kTable the two LJ
 /// combinations are loaded from the type-pair table, whose entries are the
-/// same expressions on the same operands.
-template <bool kTable>
+/// same expressions on the same operands.  With kRow every lane shares
+/// i = pi[0], whose operands are loaded once: x/y/z[i], kC*q[i] (the left
+/// step of the left-to-right kC*q_i*q_j, so the same bits) and the table
+/// row of type[i].
+template <bool kTable, bool kRow>
 void nonbonded_math_block(PairBlock& b, std::size_t m, const CentersSoA& s) {
   const double* x = s.x.data();
   const double* y = s.y.data();
@@ -129,29 +134,44 @@ void nonbonded_math_block(PairBlock& b, std::size_t m, const CentersSoA& s) {
   const double* t12 = s.lj_c12.data();
   const double* t6 = s.lj_c6.data();
   const std::uint32_t nt = s.lj_ntypes;  // T·T <= n, so type pairs fit u32
+  double xr = 0.0, yr = 0.0, zr = 0.0, kqr = 0.0, c12r = 0.0, c6r = 0.0;
+  if constexpr (kRow) {
+    const std::uint32_t i = b.pi[0];
+    xr = x[i];
+    yr = y[i];
+    zr = z[i];
+    kqr = kCoulombConstant * q[i];
+    if constexpr (kTable) {
+      t12 += type[i] * nt;
+      t6 += type[i] * nt;
+    } else {
+      c12r = c12v[i];
+      c6r = c6v[i];
+    }
+  }
 #pragma omp simd
   for (std::size_t k = 0; k < m; ++k) {
-    const std::uint32_t i = b.pi[k];
+    const std::uint32_t i = kRow ? 0 : b.pi[k];
     const std::uint32_t j = b.pj[k];
-    const double dx = x[i] - x[j];
-    const double dy = y[i] - y[j];
-    const double dz = z[i] - z[j];
+    const double dx = (kRow ? xr : x[i]) - x[j];
+    const double dy = (kRow ? yr : y[i]) - y[j];
+    const double dz = (kRow ? zr : z[i]) - z[j];
     const double r2 = dx * dx + dy * dy + dz * dz;
     const double inv_r2 = 1.0 / r2;
     const double inv_r = std::sqrt(inv_r2);
     const double inv_r6 = inv_r2 * inv_r2 * inv_r2;
     double c12 = 0.0, c6 = 0.0;
     if constexpr (kTable) {
-      const std::uint32_t ab = type[i] * nt + type[j];
+      const std::uint32_t ab = kRow ? type[j] : type[i] * nt + type[j];
       c12 = t12[ab];
       c6 = t6[ab];
     } else {
-      c12 = std::sqrt(c12v[i] * c12v[j]);
-      c6 = std::sqrt(c6v[i] * c6v[j]);
+      c12 = std::sqrt((kRow ? c12r : c12v[i]) * c12v[j]);
+      c6 = std::sqrt((kRow ? c6r : c6v[i]) * c6v[j]);
     }
     b.lj[k] = (c12 * inv_r6 - c6) * inv_r6;
     // kC*qi*qj associates left-to-right in the scalar kernel; keep it.
-    const double coul = kCoulombConstant * q[i] * q[j] * inv_r;
+    const double coul = (kRow ? kqr : kCoulombConstant * q[i]) * q[j] * inv_r;
     b.coul[k] = coul;
     const double dvdr_over_r =
         (-12.0 * c12 * inv_r6 + 6.0 * c6) * inv_r6 * inv_r2 - coul * inv_r2;
@@ -159,6 +179,17 @@ void nonbonded_math_block(PairBlock& b, std::size_t m, const CentersSoA& s) {
     b.gy[k] = dy * dvdr_over_r;
     b.gz[k] = dz * dvdr_over_r;
   }
+}
+
+/// True when all kLaneBlock pairs from `p` share one i.  The end test
+/// settles most mixed blocks with one compare; the full test is branch-free
+/// and vectorizes.
+bool one_row(const PairIdx* p) noexcept {
+  const std::uint32_t i = p[0].i;
+  if (p[kLaneBlock - 1].i != i) return false;
+  bool same = true;
+  for (std::size_t k = 1; k + 1 < kLaneBlock; ++k) same &= p[k].i == i;
+  return same;
 }
 
 // Lane-blocked evaluation in three passes per block:
@@ -173,7 +204,17 @@ void nonbonded_math_block(PairBlock& b, std::size_t m, const CentersSoA& s) {
 // lives in three registers while consecutive pairs share i, and is stored
 // when i changes and after the last pair: the same additions in the same
 // order, minus the store-to-load chain through memory.  No grad[j] -= g of
-// the row can touch it, since every pair has j != i.
+// the row can touch it, since every pair has j != i.  A row that re-opens
+// later (a domain after a failover adoption) reloads the stored g[i].
+//
+// A full block whose pairs all lie in one row is a *row block*: its index
+// pass copies only j, the math loads row i's operands once, and the commit
+// tests for a row change once instead of per pair.  On the hashed p = 7
+// domain of large_nocut (rows of ~450 pairs) nearly every block is one; on
+// 10 A active lists (rows of ~12 pairs) few are, and those blocks run the
+// per-pair form.  Walking the span row by row with blocks cut at each row
+// end measured 1.25x slower there: a partial block and three mispredicted
+// loop exits per row.
 template <bool kTable>
 void nonbonded_rows(const CentersSoA& soa, std::span<const PairIdx> pairs,
                     double& evdw, double& ecoul, Vec3* g) {
@@ -182,39 +223,53 @@ void nonbonded_rows(const CentersSoA& soa, std::span<const PairIdx> pairs,
   double vdw = evdw, coul = ecoul;
   std::uint32_t row = pairs[0].i;
   double ax = g[row].x, ay = g[row].y, az = g[row].z;
+  const auto open_row = [&](std::uint32_t i) {
+    g[row] = Vec3{ax, ay, az};
+    row = i;
+    ax = g[row].x;
+    ay = g[row].y;
+    az = g[row].z;
+  };
   PairBlock b;
-  for (std::size_t t = 0; t < npairs; t += kLaneBlock) {
-    const std::size_t m = std::min(kLaneBlock, npairs - t);
-    for (std::size_t k = 0; k < m; ++k) {
-      b.pi[k] = pairs[t + k].i;
-      b.pj[k] = pairs[t + k].j;
-    }
-    if (m == kLaneBlock) {
-      // Constant trip count: the vector body needs no scalar epilogue,
-      // which measures a few percent faster than the variable-m call.
-      nonbonded_math_block<kTable>(b, kLaneBlock, soa);
-    } else {
-      nonbonded_math_block<kTable>(b, m, soa);
-    }
+  const auto commit = [&](std::size_t m, auto row_block) {
     for (std::size_t k = 0; k < m; ++k) {
       vdw += b.lj[k];
       coul += b.coul[k];
-      const std::uint32_t i = b.pi[k];
-      const std::uint32_t j = b.pj[k];
-      if (i != row) {
-        g[row] = Vec3{ax, ay, az};
-        row = i;
-        ax = g[row].x;
-        ay = g[row].y;
-        az = g[row].z;
+      if constexpr (!decltype(row_block)::value) {
+        if (b.pi[k] != row) open_row(b.pi[k]);
       }
       ax += b.gx[k];
       ay += b.gy[k];
       az += b.gz[k];
-      g[j].x -= b.gx[k];
-      g[j].y -= b.gy[k];
-      g[j].z -= b.gz[k];
+      Vec3& gj = g[b.pj[k]];
+      gj.x -= b.gx[k];
+      gj.y -= b.gy[k];
+      gj.z -= b.gz[k];
     }
+  };
+  for (std::size_t t = 0; t < npairs; t += kLaneBlock) {
+    const std::size_t m = std::min(kLaneBlock, npairs - t);
+    const PairIdx* p = pairs.data() + t;
+    if (m == kLaneBlock && one_row(p)) {
+      b.pi[0] = p[0].i;
+      for (std::size_t k = 0; k < kLaneBlock; ++k) b.pj[k] = p[k].j;
+      nonbonded_math_block<kTable, true>(b, kLaneBlock, soa);
+      if (b.pi[0] != row) open_row(b.pi[0]);
+      commit(kLaneBlock, std::true_type{});
+      continue;
+    }
+    for (std::size_t k = 0; k < m; ++k) {
+      b.pi[k] = p[k].i;
+      b.pj[k] = p[k].j;
+    }
+    if (m == kLaneBlock) {
+      // Constant trip count: the vector body needs no scalar epilogue,
+      // which measures a few percent faster than the variable-m call.
+      nonbonded_math_block<kTable, false>(b, kLaneBlock, soa);
+    } else {
+      nonbonded_math_block<kTable, false>(b, m, soa);
+    }
+    commit(m, std::false_type{});
   }
   g[row] = Vec3{ax, ay, az};
   evdw = vdw;

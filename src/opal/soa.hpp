@@ -4,15 +4,18 @@
 // The AoS MassCenter layout costs one 64-byte line per center touched even
 // though the kernel needs only position, charge and the two LJ
 // coefficients; mirroring those six fields into contiguous arrays roughly
-// halves the memory traffic of the pair loop.  nonbonded_batch additionally
-// runs the per-pair arithmetic in a lane-blocked form (copy a block of pair
-// indices into lane arrays, evaluate the math loop under `#pragma omp simd`,
-// then commit energies and gradients strictly in pair order) so the
+// halves the memory traffic of the pair loop.  nonbonded_batch runs the
+// per-pair arithmetic in a lane-blocked form (copy a block of 32 pair
+// indices into lane arrays, evaluate the math loop under `#pragma omp
+// simd`, then commit energies and gradients strictly in pair order) so the
 // autovectorizer emits packed code.  The commit keeps g[i] in registers
 // while consecutive pairs share i (a row) and stores it when the row ends;
 // since a pair never names its own center twice, no g[j] update of the row
 // touches g[i], so every addition still happens in the same order on the
-// same values.  When the complex has few LJ types (T·T <= n centers; the
+// same values.  A block whose 32 pairs all lie in one row is a row block:
+// only j is copied, row i's position, kC*q_i and LJ row are loaded once,
+// and the commit tests for a row change once.  When the complex has few LJ
+// types (T·T <= n centers; the
 // synthetic complexes have two), the two LJ combination sqrts are read from
 // a per-type-pair table instead of computed per pair.  Every lane computes
 // expression-for-expression the arithmetic of the per-pair AoS kernel

@@ -166,7 +166,6 @@ class Rpc {
   sim::Task<void> shutdown(pvm::PvmTask& client);
 
   int num_servers() const noexcept { return num_servers_; }
-  const std::vector<int>& server_tids() const noexcept { return server_tids_; }
   const Options& options() const noexcept { return options_; }
   pvm::PvmSystem& pvm() noexcept { return *pvm_; }
 

@@ -55,6 +55,7 @@ class BinWriter {
     for (const double x : xs) put_f64(x);
   }
 
+  void reserve(std::size_t n) { bytes_.reserve(n); }
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "util/env.hpp"
 
 namespace opalsim::util {
@@ -13,10 +17,32 @@ namespace {
 /// to degrade nested fan-out to an inline loop.
 thread_local bool t_in_dispatch = false;
 
+/// Pool threads run whole simulations, each allocating and freeing pair
+/// domains and lists of up to tens of MB.  glibc raises its mmap threshold
+/// (to at most 32 MiB) when such a mapped block is freed and its trim
+/// threshold to twice that, so an arena gives memory back only when that
+/// much lies free at its top: a sweep kept every thread's largest run
+/// resident.  Fixing the mmap threshold at that 32 MiB keeps run-sized
+/// blocks in the arenas, where the next run reuses their pages without
+/// faulting them in again, and fixing the trim threshold at 8 MiB returns
+/// any larger free top.  DESIGN.md, "Parallel sweep runner", has the
+/// measurements behind the two values.  Process-wide, so done once.
+void fix_malloc_thresholds() {
+#if defined(__GLIBC__)
+  static const bool fixed = [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 8 << 20);
+    return true;
+  }();
+  (void)fixed;
+#endif
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads)
     : blocks_(static_cast<std::size_t>(std::max(1u, threads)) + 1) {
+  fix_malloc_thresholds();
   threads = std::max(1u, threads);
   workers_.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {

@@ -52,7 +52,9 @@ struct DispatchStats {
 class ThreadPool {
  public:
   /// Spawns `threads` workers (>= 1; parallel_for_indexed short-circuits a
-  /// 1-thread pool inline).
+  /// 1-thread pool inline).  The first pool of a process fixes glibc's
+  /// mmap and trim thresholds (32 and 8 MiB), so the arenas of threads
+  /// that run whole simulations do not keep their largest run resident.
   explicit ThreadPool(unsigned threads = default_threads());
   ~ThreadPool();
 

@@ -20,6 +20,7 @@ namespace {
 namespace fs = std::filesystem;
 using opalsim::ckpt::decode;
 using opalsim::ckpt::encode;
+using opalsim::ckpt::encoded_size;
 using opalsim::ckpt::RunSnapshot;
 using ClientSnapshot = opalsim::opal::ParallelOpal::ClientSnapshot;
 using ServerSnapshot = opalsim::opal::ParallelOpal::ServerSnapshot;
@@ -245,12 +246,22 @@ TEST(SnapshotCodec, RoundTripsEveryField) {
 }
 
 TEST(SnapshotCodec, SizeInvariantToCounterValues) {
-  // The two-pass self-inclusive bytes_written accounting relies on this.
+  // The self-inclusive bytes_written accounting (size first, then the
+  // counter set, then one encode) relies on this.
   RunSnapshot s = sample_snapshot();
   const std::size_t base = encode(s).size();
   s.accounting.bytes_written = 0xFFFFFFFFFFFFull;
   s.accounting.images_written = 9999;
   EXPECT_EQ(encode(s).size(), base);
+  EXPECT_EQ(encoded_size(s), base);
+}
+
+TEST(SnapshotCodec, EncodedSizeCountsTheImageExactly) {
+  for (const RunSnapshot& s : {RunSnapshot{}, sample_snapshot()}) {
+    const std::vector<std::uint8_t> img = encode(s);
+    EXPECT_EQ(encoded_size(s), img.size());
+    EXPECT_EQ(img.capacity(), img.size()) << "the image reallocated";
+  }
 }
 
 void expect_bad_image(const std::vector<std::uint8_t>& img,

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "opal/complex.hpp"
+#include "util/fastmod.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -148,6 +152,105 @@ TEST(Distribution, RejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(build_domains(1, 2, DistributionStrategy::Folded, 1),
                std::invalid_argument);
+}
+
+/// Oracle: the owner of pair number k = (i, j) by each strategy's formula
+/// with the plain `%`, evaluated per pair.
+std::uint64_t oracle_owner(DistributionStrategy strategy, std::uint64_t k,
+                           std::uint32_t i, std::uint32_t n, std::uint64_t p,
+                           std::uint64_t seed) {
+  switch (strategy) {
+    case DistributionStrategy::PseudoRandomHistorical: {
+      const std::uint64_t h = opalsim::util::splitmix64_hash(k ^ seed);
+      std::uint64_t server = h % p;
+      if (p % 2 == 0 && ((h >> 32) & 7u) == 0) server &= ~std::uint64_t{1};
+      return server;
+    }
+    case DistributionStrategy::PseudoRandomUniform:
+      return opalsim::util::splitmix64_hash(k ^ seed) % p;
+    case DistributionStrategy::RowCyclic:
+      return i % p;
+    case DistributionStrategy::Folded:
+      return std::min(i, n - 2 - i) % p;
+    case DistributionStrategy::EvenMultiplierBug:
+      return (k * 2654435762ull) % p;
+  }
+  return p;
+}
+
+TEST(Distribution, BuildMatchesPerPairOracle) {
+  // Every strategy, p from one server to past 65,535 (the old owner memo
+  // stopped at u16), tiny to mid-size triangles, three seeds: each domain
+  // is exactly the oracle's pairs in lex order.
+  const DistributionStrategy strategies[] = {
+      DistributionStrategy::PseudoRandomHistorical,
+      DistributionStrategy::PseudoRandomUniform,
+      DistributionStrategy::RowCyclic, DistributionStrategy::Folded,
+      DistributionStrategy::EvenMultiplierBug};
+  for (const DistributionStrategy strategy : strategies) {
+    for (const int p : {1, 2, 3, 7, 8, 64, 65536, 70000}) {
+      for (const std::uint32_t n : {2u, 3u, 97u, 400u}) {
+        for (const std::uint64_t seed :
+             {std::uint64_t{0}, std::uint64_t{42}, ~std::uint64_t{0}}) {
+          SCOPED_TRACE(to_string(strategy) + " p=" + std::to_string(p) +
+                       " n=" + std::to_string(n) +
+                       " seed=" + std::to_string(seed));
+          std::vector<std::vector<PairIdx>> want(p);
+          std::uint64_t k = 0;
+          for (std::uint32_t i = 0; i + 1 < n; ++i) {
+            for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
+              const std::uint64_t owner = oracle_owner(
+                  strategy, k, i, n, static_cast<std::uint64_t>(p), seed);
+              ASSERT_LT(owner, static_cast<std::uint64_t>(p));
+              want[owner].push_back({i, j});
+            }
+          }
+          const auto got = build_domains(n, p, strategy, seed);
+          ASSERT_EQ(got.size(), want.size());
+          for (int s = 0; s < p; ++s) {
+            ASSERT_EQ(got[s], want[s]) << "server " << s;
+            EXPECT_EQ(got[s].capacity(), got[s].size()) << "server " << s;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FastMod, MatchesPercentAtBoundaries) {
+  // Divisors across the u32 range, dividends at 0, 2^64 - 1 and around
+  // multiples of d (where a truncated reciprocal would first go wrong),
+  // plus pseudo-random values.
+  using opalsim::util::FastMod;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint32_t> divisors{1, 2, 3, 5, 7, 8, 10, 64, 65535,
+                                      65536, 65537, 70000, 1u << 31,
+                                      (1u << 31) - 1, (1u << 31) + 1,
+                                      0xFFFFFFFEu, 0xFFFFFFFFu};
+  opalsim::util::SplitMix64 rng(2019);
+  for (int t = 0; t < 64; ++t) {
+    divisors.push_back(static_cast<std::uint32_t>(rng.next() >> (t % 32)) |
+                       1u);
+  }
+  for (const std::uint32_t d : divisors) {
+    const FastMod mod(d);
+    std::vector<std::uint64_t> hs{0, 1, kMax, kMax - 1, d, d - 1ull,
+                                  d + 1ull};
+    const std::uint64_t top = kMax / d;  // largest multiple is top·d
+    for (const std::uint64_t q :
+         {std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{1} << 32,
+          top / 2, top - 1, top}) {
+      if (q == 0 || q > top) continue;
+      hs.push_back(q * d - 1);
+      hs.push_back(q * d);
+      if (q * d < kMax) hs.push_back(q * d + 1);
+    }
+    for (int t = 0; t < 256; ++t) hs.push_back(rng.next());
+    for (const std::uint64_t h : hs) {
+      ASSERT_EQ(mod(h), h % d) << h << " mod " << d;
+    }
+  }
+  EXPECT_THROW(FastMod(0), std::invalid_argument);
 }
 
 TEST(ServerDomain, NoCutoffKeepsAllPairsWithoutMaterializing) {

@@ -262,6 +262,76 @@ TEST(SoABatch, RowRunCrossesLaneBlocks) {
   expect_batch_identical(mc, pairs);
 }
 
+/// One complex per LJ path: the synthetic complex (two types, table) and
+/// per-center coefficients (direct combination).
+std::vector<opal::MolecularComplex> both_lj_paths() {
+  std::vector<opal::MolecularComplex> out;
+  out.push_back(test_complex(60, 60, 51));
+  out.push_back(random_lj_complex(120, 53));
+  return out;
+}
+
+TEST(SoABatch, RowLengthsAroundTheLaneBlock) {
+  // A row of `len` pairs, then a row of 32 and a short one, starting at
+  // the span's first pair or one pair in: rows that fill a lane block
+  // exactly, fall one short or one over, or span whole blocks take the
+  // one-row block form, with or without a row change at its start.
+  for (const auto& mc : both_lj_paths()) {
+    opal::CentersSoA soa;
+    soa.refresh(mc);
+    for (const std::uint32_t lead : {0u, 1u}) {
+      for (const std::uint32_t len : {1u, 31u, 32u, 33u, 65u}) {
+        std::vector<opal::PairIdx> pairs(lead, opal::PairIdx{0, 1});
+        for (std::uint32_t j = 4; j < 4 + len; ++j) pairs.push_back({3, j});
+        for (std::uint32_t j = 6; j < 38; ++j) pairs.push_back({5, j});
+        for (std::uint32_t j = 9; j < 12; ++j) pairs.push_back({8, j});
+        SCOPED_TRACE("table " + std::to_string(soa.lj_ntypes) + ", lead " +
+                     std::to_string(lead) + ", row of " +
+                     std::to_string(len));
+        expect_batch_identical(mc, pairs);
+      }
+    }
+  }
+}
+
+TEST(SoABatch, EmptySpanLeavesEverythingUntouched) {
+  for (const auto& mc : both_lj_paths()) {
+    opal::CentersSoA soa;
+    soa.refresh(mc);
+    double evdw = -0.0, ecoul = 1.5;
+    std::vector<opal::Vec3> grad(mc.n(), opal::Vec3{1.0, -2.0, 3.0});
+    opal::nonbonded_batch(soa, {}, evdw, ecoul, grad);
+    EXPECT_EQ(bits(evdw), bits(-0.0));
+    EXPECT_EQ(bits(ecoul), bits(1.5));
+    for (const opal::Vec3& g : grad) {
+      EXPECT_EQ(g.x, 1.0);
+      EXPECT_EQ(g.y, -2.0);
+      EXPECT_EQ(g.z, 3.0);
+    }
+  }
+}
+
+TEST(SoABatch, RowReopensAfterItsCenterWasAPartner) {
+  // Row 7 stops, pair (2, 7) subtracts from g[7] as a partner, then row 7
+  // re-opens: the re-opened run must load g[7] with that update in it.
+  // With `gap` 40 the re-open falls inside a mixed block; with 63 the pair
+  // (2, 7) ends block 1 and the re-opened run begins a one-row block.
+  for (const auto& mc : both_lj_paths()) {
+    for (const std::uint32_t gap : {40u, 63u}) {
+      std::vector<opal::PairIdx> pairs;
+      for (std::uint32_t j = 8; j < 8 + gap; ++j) pairs.push_back({7, j});
+      pairs.push_back({2, 7});
+      for (std::uint32_t j = 8 + gap; j < 48 + gap; ++j) {
+        pairs.push_back({7, j});
+      }
+      pairs.push_back({7, 8});
+      SCOPED_TRACE("centers " + std::to_string(mc.n()) + ", gap " +
+                   std::to_string(gap));
+      expect_batch_identical(mc, pairs);
+    }
+  }
+}
+
 TEST(SoABatch, SyntheticComplexTakesLjTable) {
   // Solute and water centers: two LJ types, so the type-pair table
   // replaces the two per-pair LJ sqrts.
