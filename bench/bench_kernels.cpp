@@ -10,6 +10,7 @@
 #include "opal/pairs.hpp"
 #include "opal/serial.hpp"
 #include "opal/soa.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -52,13 +53,12 @@ void BM_UpdateSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateSweep)->Arg(0)->Arg(1);  // 0 = brute force, 1 = cell list
 
-/// Arg 0: a cut-off 10 A active list of the full triangle (rows of ~12
-/// pairs, the list-served workloads' shape).  Arg 1: server 0's whole
-/// domain under the default hashed distribution at p = 7 with no cut-off
-/// (rows of ~n/14 pairs, large_nocut's shape).
-void BM_NonbondedBatchSoA(benchmark::State& state) {
-  const auto& mc = bench_complex();
-  const bool long_rows = state.range(0) == 1;
+/// The two kernel shapes.  Arg 0: a cut-off 10 A active list of the full
+/// triangle (rows of ~12 pairs, the list-served workloads' shape).  Arg 1:
+/// server 0's whole domain under the default hashed distribution at p = 7
+/// with no cut-off (rows of ~n/14 pairs, large_nocut's shape).
+opal::ServerDomain kernel_shape(const opal::MolecularComplex& mc,
+                                bool long_rows) {
   auto domains = opal::build_domains(
       static_cast<std::uint32_t>(mc.n()), long_rows ? 7 : 1,
       long_rows ? opal::DistributionStrategy::PseudoRandomHistorical
@@ -66,13 +66,22 @@ void BM_NonbondedBatchSoA(benchmark::State& state) {
       1);
   opal::ServerDomain dom(std::move(domains[0]));
   dom.update(mc, long_rows ? 0.0 : 10.0);
+  return dom;
+}
+
+/// Times nonbonded_batch on `pool`: a one-thread pool runs the inline
+/// 32-lane block loop, a larger one the pipeline (both shapes exceed its
+/// four-chunk threshold).
+void run_nonbonded_batch(benchmark::State& state, util::ThreadPool& pool) {
+  const auto& mc = bench_complex();
+  const opal::ServerDomain dom = kernel_shape(mc, state.range(0) == 1);
   opal::CentersSoA soa;
   soa.refresh(mc);
   std::vector<opal::Vec3> grad(mc.n());
   for (auto _ : state) {
     std::fill(grad.begin(), grad.end(), opal::Vec3{});
     double evdw = 0.0, ecoul = 0.0;
-    opal::nonbonded_batch(soa, dom.active(), evdw, ecoul, grad);
+    opal::nonbonded_batch(soa, dom.active(), evdw, ecoul, grad, pool);
     benchmark::DoNotOptimize(evdw);
     benchmark::DoNotOptimize(ecoul);
     benchmark::DoNotOptimize(grad.data());
@@ -81,7 +90,19 @@ void BM_NonbondedBatchSoA(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dom.active_size()));
 }
+
+void BM_NonbondedBatchSoA(benchmark::State& state) {
+  util::ThreadPool one(1);
+  run_nonbonded_batch(state, one);
+}
 BENCHMARK(BM_NonbondedBatchSoA)->Arg(0)->Arg(1);  // 0 = cut-off, 1 = long rows
+
+/// The pipeline on the process-wide pool (OPALSIM_THREADS workers, else
+/// one per hardware thread), as single runs use it.
+void BM_NonbondedBatchSoAPooled(benchmark::State& state) {
+  run_nonbonded_batch(state, util::ThreadPool::shared());
+}
+BENCHMARK(BM_NonbondedBatchSoAPooled)->Arg(0)->Arg(1)->UseRealTime();
 
 void BM_CellGridBuild(benchmark::State& state) {
   const auto& mc = bench_complex();

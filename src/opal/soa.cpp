@@ -1,10 +1,12 @@
 #include "opal/soa.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <type_traits>
+#include <memory>
+#include <thread>
 
 #include "opal/forcefield.hpp"
 
@@ -192,51 +194,91 @@ bool one_row(const PairIdx* p) noexcept {
   return same;
 }
 
-// Lane-blocked evaluation in three passes per block:
-//   index   — copy the block's pair indices into lane arrays;
-//   math    — the SIMD loop above, lanes fully independent, operands
-//             gathered by indexed loads inside the loop;
-//   commit  — energies and gradients accumulated strictly in pair order.
-// The commit order is the whole ballgame: grad[i] += g / grad[j] -= g
-// touch overlapping centers across pairs, and the energy sums are FP
-// accumulations, so replaying them in the original sequence is what keeps
-// the batch bit-identical to the per-pair AoS loop.  The row's grad[i]
-// lives in three registers while consecutive pairs share i, and is stored
-// when i changes and after the last pair: the same additions in the same
-// order, minus the store-to-load chain through memory.  No grad[j] -= g of
-// the row can touch it, since every pair has j != i.  A row that re-opens
-// later (a domain after a failover adoption) reloads the stored g[i].
-//
-// A full block whose pairs all lie in one row is a *row block*: its index
-// pass copies only j, the math loads row i's operands once, and the commit
-// tests for a row change once instead of per pair.  On the hashed p = 7
-// domain of large_nocut (rows of ~450 pairs) nearly every block is one; on
-// 10 A active lists (rows of ~12 pairs) few are, and those blocks run the
-// per-pair form.  Walking the span row by row with blocks cut at each row
-// end measured 1.25x slower there: a partial block and three mispredicted
-// loop exits per row.
+/// The index and math passes of the `m` pairs at `p` (m <= kLaneBlock)
+/// into `b`; returns whether the block is a row block.  A full block whose
+/// pairs all lie in one row copies only j, and the math loads row i's
+/// operands once.
 template <bool kTable>
-void nonbonded_rows(const CentersSoA& soa, std::span<const PairIdx> pairs,
-                    double& evdw, double& ecoul, Vec3* g) {
-  const std::size_t npairs = pairs.size();
-  if (npairs == 0) return;
-  double vdw = evdw, coul = ecoul;
-  std::uint32_t row = pairs[0].i;
-  double ax = g[row].x, ay = g[row].y, az = g[row].z;
-  const auto open_row = [&](std::uint32_t i) {
-    g[row] = Vec3{ax, ay, az};
-    row = i;
-    ax = g[row].x;
-    ay = g[row].y;
-    az = g[row].z;
-  };
-  PairBlock b;
-  const auto commit = [&](std::size_t m, auto row_block) {
+bool compute_block(PairBlock& b, const PairIdx* p, std::size_t m,
+                   const CentersSoA& soa) {
+  if (m == kLaneBlock && one_row(p)) {
+    b.pi[0] = p[0].i;
+    for (std::size_t k = 0; k < kLaneBlock; ++k) b.pj[k] = p[k].j;
+    nonbonded_math_block<kTable, true>(b, kLaneBlock, soa);
+    return true;
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    b.pi[k] = p[k].i;
+    b.pj[k] = p[k].j;
+  }
+  if (m == kLaneBlock) {
+    // Constant trip count: the vector body needs no scalar epilogue,
+    // which measures a few percent faster than the variable-m call.
+    nonbonded_math_block<kTable, false>(b, kLaneBlock, soa);
+  } else {
+    nonbonded_math_block<kTable, false>(b, m, soa);
+  }
+  return false;
+}
+
+// The commit pass: energies and gradients accumulated strictly in pair
+// order.  The commit order is the whole ballgame: grad[i] += g /
+// grad[j] -= g touch overlapping centers across pairs, and the energy sums
+// are FP accumulations, so replaying them in the original sequence is what
+// keeps the batch bit-identical to the per-pair AoS loop.  The row's
+// grad[i] lives in three registers while consecutive pairs share i, and is
+// stored when i changes and after the last pair: the same additions in the
+// same order, minus the store-to-load chain through memory.  No
+// grad[j] -= g of the row can touch it, since every pair has j != i.  A
+// row that re-opens later (a domain after a failover adoption) reloads the
+// stored g[i].  A row block tests for a row change once, before its pairs.
+//
+// The running state lives in the Committer between blocks and in locals
+// within one, so the sums and the row stay in registers across the g[j]
+// stores however the drivers are inlined.
+class Committer {
+ public:
+  Committer(double evdw, double ecoul, std::uint32_t row, Vec3* g) noexcept
+      : g_(g), vdw_(evdw), coul_(ecoul), row_(row), a_(g[row]) {}
+
+  void commit(const PairBlock& b, std::size_t m, bool row_block) noexcept {
+    if (row_block) {
+      if (b.pi[0] != row_) {
+        g_[row_] = a_;
+        row_ = b.pi[0];
+        a_ = g_[row_];
+      }
+      add<true>(b, kLaneBlock);
+    } else {
+      add<false>(b, m);
+    }
+  }
+
+  /// Stores the open row and hands back the two energy sums.
+  void finish(double& evdw, double& ecoul) noexcept {
+    g_[row_] = a_;
+    evdw = vdw_;
+    ecoul = coul_;
+  }
+
+ private:
+  template <bool kRowBlock>
+  void add(const PairBlock& b, std::size_t m) noexcept {
+    Vec3* g = g_;
+    double vdw = vdw_, coul = coul_;
+    std::uint32_t row = row_;
+    double ax = a_.x, ay = a_.y, az = a_.z;
     for (std::size_t k = 0; k < m; ++k) {
       vdw += b.lj[k];
       coul += b.coul[k];
-      if constexpr (!decltype(row_block)::value) {
-        if (b.pi[k] != row) open_row(b.pi[k]);
+      if constexpr (!kRowBlock) {
+        if (b.pi[k] != row) {
+          g[row] = Vec3{ax, ay, az};
+          row = b.pi[k];
+          ax = g[row].x;
+          ay = g[row].y;
+          az = g[row].z;
+        }
       }
       ax += b.gx[k];
       ay += b.gy[k];
@@ -246,46 +288,249 @@ void nonbonded_rows(const CentersSoA& soa, std::span<const PairIdx> pairs,
       gj.y -= b.gy[k];
       gj.z -= b.gz[k];
     }
-  };
-  for (std::size_t t = 0; t < npairs; t += kLaneBlock) {
-    const std::size_t m = std::min(kLaneBlock, npairs - t);
-    const PairIdx* p = pairs.data() + t;
-    if (m == kLaneBlock && one_row(p)) {
-      b.pi[0] = p[0].i;
-      for (std::size_t k = 0; k < kLaneBlock; ++k) b.pj[k] = p[k].j;
-      nonbonded_math_block<kTable, true>(b, kLaneBlock, soa);
-      if (b.pi[0] != row) open_row(b.pi[0]);
-      commit(kLaneBlock, std::true_type{});
-      continue;
-    }
-    for (std::size_t k = 0; k < m; ++k) {
-      b.pi[k] = p[k].i;
-      b.pj[k] = p[k].j;
-    }
-    if (m == kLaneBlock) {
-      // Constant trip count: the vector body needs no scalar epilogue,
-      // which measures a few percent faster than the variable-m call.
-      nonbonded_math_block<kTable, false>(b, kLaneBlock, soa);
-    } else {
-      nonbonded_math_block<kTable, false>(b, m, soa);
-    }
-    commit(m, std::false_type{});
+    vdw_ = vdw;
+    coul_ = coul;
+    row_ = row;
+    a_ = Vec3{ax, ay, az};
   }
-  g[row] = Vec3{ax, ay, az};
-  evdw = vdw;
-  ecoul = coul;
+
+  Vec3* g_;
+  double vdw_, coul_;
+  std::uint32_t row_;
+  Vec3 a_;  ///< the open row's g[row_]
+};
+
+/// The inline driver: the span in lane blocks, each computed and committed
+/// before the next.  On the hashed p = 7 domain of large_nocut (rows of
+/// ~450 pairs) nearly every block is a row block; on 10 A active lists
+/// (rows of ~12 pairs) few are, and those blocks run the per-pair form.
+/// Walking the span row by row with blocks cut at each row end measured
+/// 1.25x slower there: a partial block and three mispredicted loop exits
+/// per row.
+template <bool kTable>
+void commit_inline(const CentersSoA& soa, const PairIdx* p, std::size_t n,
+                   Committer& c) {
+  PairBlock b;
+  for (std::size_t t = 0; t < n; t += kLaneBlock) {
+    const std::size_t m = std::min(kLaneBlock, n - t);
+    c.commit(b, m, compute_block<kTable>(b, p + t, m, soa));
+  }
+}
+
+template <bool kTable>
+void nonbonded_rows(const CentersSoA& soa, std::span<const PairIdx> pairs,
+                    double& evdw, double& ecoul, Vec3* g) {
+  if (pairs.empty()) return;
+  Committer c(evdw, ecoul, pairs[0].i, g);
+  commit_inline<kTable>(soa, pairs.data(), pairs.size(), c);
+  c.finish(evdw, ecoul);
+}
+
+void nonbonded_inline(const CentersSoA& soa, std::span<const PairIdx> pairs,
+                      double& evdw, double& ecoul, Vec3* g) {
+  // The table path is chosen by the input (few LJ types), not by a knob;
+  // both paths, and both drivers, produce the same bits.
+  if (soa.lj_type.empty()) {
+    nonbonded_rows<false>(soa, pairs, evdw, ecoul, g);
+  } else {
+    nonbonded_rows<true>(soa, pairs, evdw, ecoul, g);
+  }
+}
+
+// The pipelined driver.  A span of at least kMinChunks chunks, called
+// outside any dispatch on a pool of more than one thread, is cut into
+// chunks of kChunkBlocks lane blocks.  Helpers claim chunks in order from
+// one cursor and run their index and math passes into a ring of
+// kRingSlots result slots; the calling thread is the one committer and
+// applies chunk after chunk in pair order, so every FP operation and every
+// accumulation order is the inline driver's and the bits are the same for
+// any number of helpers.  Progress never depends on a helper: a chunk no
+// helper has claimed when the committer reaches it is claimed and run
+// inline by the committer, and a block a helper has not finished yet is
+// computed by the committer itself (the helper's copy is then dropped).
+// Helpers claim only chunks whose slot the committer has passed, one
+// writer at a time holds a slot, and a helper that gets a slot after the
+// committer passed its chunk writes nothing, so a late writer can never
+// overwrite a newer chunk.  See DESIGN.md, "SoA nonbonded batch".
+constexpr std::size_t kChunkBlocks = 64;  ///< 2,048 pairs, ~96 KiB a slot
+constexpr std::size_t kChunkPairs = kChunkBlocks * kLaneBlock;
+constexpr std::size_t kRingSlots = 8;
+constexpr std::size_t kMinChunks = 4;
+/// How far ahead of its commit the committer prefetches slot blocks.
+constexpr std::size_t kPrefetchBlocks = 4;
+/// The committer sets the pace; helpers past the ones that keep its ring
+/// full only spin.
+constexpr unsigned kMaxHelpers = 2;
+
+struct RingSlot {
+  PairBlock blocks[kChunkBlocks];
+  bool row[kChunkBlocks];
+  /// One past the newest block written, counted in blocks from the span's
+  /// start: block k of chunk c is in the slot once done > c*kChunkBlocks+k.
+  alignas(64) std::atomic<std::size_t> done{0};
+  /// Held by the one helper writing the slot.
+  std::atomic<bool> busy{false};
+};
+
+/// One ring per committing thread, allocated at its first pipelined call.
+thread_local std::unique_ptr<RingSlot[]> t_ring;
+
+struct Pipeline {
+  const CentersSoA& soa;
+  const PairIdx* pairs;
+  std::size_t npairs;
+  std::size_t nchunks;
+  RingSlot* ring;
+  double* evdw;
+  double* ecoul;
+  Vec3* g;
+  alignas(64) std::atomic<std::size_t> next_claim{0};   ///< chunks claimed
+  alignas(64) std::atomic<std::size_t> next_commit{0};  ///< chunks committed
+};
+
+/// Asks for a block a helper wrote into its own core's cache to be moved
+/// to this core's L2.  A committer that only reads the slots otherwise
+/// waits on each cross-core line in turn.
+void prefetch(const PairBlock& b) noexcept {
+  const auto* bytes = reinterpret_cast<const char*>(&b);
+  for (std::size_t o = 0; o < sizeof(PairBlock); o += 64) {
+    __builtin_prefetch(bytes + o, 0, 2);
+  }
+}
+
+/// Spin-wait step: a pause, then a yield once the wait is long.
+void backoff(unsigned& spins) noexcept {
+  if (++spins < 64) {
+    util::cpu_relax();
+  } else {
+    std::this_thread::yield();
+  }
+}
+
+template <bool kTable>
+void help_chunks(void* ctx) {
+  auto& pl = *static_cast<Pipeline*>(ctx);
+  for (;;) {
+    unsigned spins = 0;
+    std::size_t ch = pl.next_claim.load(std::memory_order_relaxed);
+    for (;;) {
+      if (ch >= pl.nchunks) return;
+      if (ch >= pl.next_commit.load(std::memory_order_acquire) + kRingSlots) {
+        backoff(spins);  // the ring is full: wait for the committer
+        ch = pl.next_claim.load(std::memory_order_relaxed);
+      } else if (pl.next_claim.compare_exchange_weak(
+                     ch, ch + 1, std::memory_order_relaxed)) {
+        break;
+      }
+    }
+    RingSlot& s = pl.ring[ch % kRingSlots];
+    while (s.busy.exchange(true, std::memory_order_acquire)) backoff(spins);
+    if (pl.next_commit.load(std::memory_order_acquire) <= ch) {
+      const std::size_t first = ch * kChunkPairs;
+      const std::size_t n = std::min(kChunkPairs, pl.npairs - first);
+      for (std::size_t k = 0; k * kLaneBlock < n; ++k) {
+        const std::size_t t = k * kLaneBlock;
+        s.row[k] = compute_block<kTable>(
+            s.blocks[k], pl.pairs + first + t, std::min(kLaneBlock, n - t),
+            pl.soa);
+        s.done.store(ch * kChunkBlocks + k + 1, std::memory_order_release);
+      }
+    }
+    s.busy.store(false, std::memory_order_release);
+  }
+}
+
+template <bool kTable>
+void commit_chunks(void* ctx) {
+  auto& pl = *static_cast<Pipeline*>(ctx);
+  Committer c(*pl.evdw, *pl.ecoul, pl.pairs[0].i, pl.g);
+  PairBlock b;
+  for (std::size_t ch = 0; ch < pl.nchunks; ++ch) {
+    const std::size_t first = ch * kChunkPairs;
+    const std::size_t n = std::min(kChunkPairs, pl.npairs - first);
+    const PairIdx* p = pl.pairs + first;
+    RingSlot& s = pl.ring[ch % kRingSlots];
+    std::size_t unclaimed = ch;
+    if (pl.next_claim.load(std::memory_order_relaxed) == ch &&
+        pl.next_claim.compare_exchange_strong(unclaimed, ch + 1,
+                                              std::memory_order_relaxed)) {
+      commit_inline<kTable>(pl.soa, p, n, c);
+    } else {
+      const std::size_t base = ch * kChunkBlocks;
+      for (std::size_t k = 0; k * kLaneBlock < n;) {
+        const std::size_t done = s.done.load(std::memory_order_acquire);
+        const std::size_t ready = done > base ? done - base : 0;
+        if (ready > k) {
+          for (; k < ready; ++k) {
+            if (k + kPrefetchBlocks < ready) {
+              prefetch(s.blocks[k + kPrefetchBlocks]);
+            }
+            const std::size_t t = k * kLaneBlock;
+            c.commit(s.blocks[k], std::min(kLaneBlock, n - t), s.row[k]);
+          }
+        } else {
+          const std::size_t t = k * kLaneBlock;
+          const std::size_t m = std::min(kLaneBlock, n - t);
+          c.commit(b, m, compute_block<kTable>(b, p + t, m, pl.soa));
+          ++k;
+        }
+      }
+    }
+    // Release: a helper that sees the store may overwrite what was read.
+    pl.next_commit.store(ch + 1, std::memory_order_release);
+  }
+  c.finish(*pl.evdw, *pl.ecoul);
+}
+
+template <bool kTable>
+void nonbonded_pipelined(const CentersSoA& soa,
+                         std::span<const PairIdx> pairs, double& evdw,
+                         double& ecoul, Vec3* g, util::ThreadPool& pool) {
+  if (!t_ring) t_ring.reset(new RingSlot[kRingSlots]);
+  for (std::size_t k = 0; k < kRingSlots; ++k) {
+    t_ring[k].done.store(0, std::memory_order_relaxed);
+  }
+  Pipeline pl{soa,
+                      pairs.data(),
+                      pairs.size(),
+                      (pairs.size() + kChunkPairs - 1) / kChunkPairs,
+                      t_ring.get(),
+                      &evdw,
+                      &ecoul,
+                      g};
+  pool.run_assisted(kMaxHelpers, help_chunks<kTable>, commit_chunks<kTable>,
+                    &pl);
+}
+
+/// True when a span of `n` pairs would take the pipelined driver on a pool
+/// of more than one thread.
+bool pipelines(std::size_t n) noexcept {
+  return n >= kMinChunks * kChunkPairs && !util::ThreadPool::in_dispatch();
 }
 
 }  // namespace
 
 void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
-                     double& evdw, double& ecoul, std::span<Vec3> grad) {
-  // The table path is chosen by the input (few LJ types), not by a knob;
-  // both paths produce the same bits.
-  if (soa.lj_type.empty()) {
-    nonbonded_rows<false>(soa, pairs, evdw, ecoul, grad.data());
+                     double& evdw, double& ecoul, std::span<Vec3> grad,
+                     util::ThreadPool& pool) {
+  if (pool.size() <= 1 || !pipelines(pairs.size())) {
+    nonbonded_inline(soa, pairs, evdw, ecoul, grad.data());
+  } else if (soa.lj_type.empty()) {
+    nonbonded_pipelined<false>(soa, pairs, evdw, ecoul, grad.data(), pool);
   } else {
-    nonbonded_rows<true>(soa, pairs, evdw, ecoul, grad.data());
+    nonbonded_pipelined<true>(soa, pairs, evdw, ecoul, grad.data(), pool);
+  }
+}
+
+void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
+                     double& evdw, double& ecoul, std::span<Vec3> grad) {
+  // The process-wide pool is built only once a span is large enough to
+  // use it, so set-up and small runs never start its threads.
+  if (pipelines(pairs.size())) {
+    nonbonded_batch(soa, pairs, evdw, ecoul, grad,
+                    util::ThreadPool::shared());
+  } else {
+    nonbonded_inline(soa, pairs, evdw, ecoul, grad.data());
   }
 }
 

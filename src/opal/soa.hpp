@@ -24,7 +24,17 @@
 // correctly rounded expression on the same operands, IEEE
 // add/sub/mul/div/sqrt are correctly rounded, and the tree is built with
 // -ffp-contract=off — so energies and gradients are bit-identical to the
-// AoS kernel no matter the ISA; only host wall time changes.  See
+// AoS kernel no matter the ISA; only host wall time changes.
+//
+// A span of at least 4 chunks of 2,048 pairs, called outside any pool
+// dispatch, is pipelined across a thread pool: helpers run the index and
+// math passes of chunks ahead into a ring of 8 result slots while the
+// calling thread commits chunk after chunk in pair order, carrying the
+// row accumulator across chunks.  Each block is the inline driver's block
+// and the commit is the same commit, so the bits do not depend on the
+// pool size; the calling thread computes any block no helper has
+// finished, so progress never waits on a helper.  Sweep runs (inside a
+// dispatch) and small spans stay on the inline 32-lane block loop.  See
 // DESIGN.md, "Host execution engine".
 #pragma once
 
@@ -35,6 +45,7 @@
 #include "opal/complex.hpp"
 #include "opal/pairs.hpp"
 #include "opal/vec3.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opalsim::opal {
 
@@ -69,8 +80,17 @@ struct CentersSoA {
 
 /// Evaluates the nonbonded term over `pairs` in order, accumulating into
 /// the scalars and `grad` exactly as the per-pair AoS loop would.  Every
-/// pair names two distinct centers (i != j).
+/// pair names two distinct centers (i != j).  A large span is pipelined on
+/// util::ThreadPool::shared(), built at the first such call (sized by
+/// OPALSIM_THREADS; a malformed value throws util::FatalError there).
 void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
                      double& evdw, double& ecoul, std::span<Vec3> grad);
+
+/// The same, pipelined on `pool` instead when the span is large enough;
+/// a pool of one thread, or a call inside a dispatch, runs inline.  Same
+/// bits as the overload above for every pool.
+void nonbonded_batch(const CentersSoA& soa, std::span<const PairIdx> pairs,
+                     double& evdw, double& ecoul, std::span<Vec3> grad,
+                     util::ThreadPool& pool);
 
 }  // namespace opalsim::opal

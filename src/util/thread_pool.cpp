@@ -1,21 +1,58 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
 
 #include "util/env.hpp"
+#include "util/fatal.hpp"
+#include "util/host_timer.hpp"
 
 namespace opalsim::util {
 
 namespace {
 
 /// Set while a thread is executing indices of a dispatch_indexed call —
-/// both workers and the dispatching caller.  parallel_for_indexed reads it
-/// to degrade nested fan-out to an inline loop.
+/// both workers and the dispatching caller — or helping an assisted call.
+/// parallel_for_indexed and run_assisted read it to degrade nested fan-out
+/// to an inline loop.
 thread_local bool t_in_dispatch = false;
+
+/// How long a worker polls for the next job before it sleeps on the
+/// condition variable.
+constexpr double kPollBeforeSleepS = 50e-6;
+
+/// How long an assisted caller waits, once main has returned, for its
+/// helpers to leave before it counts one as late.  A running helper leaves
+/// within one chunk's math (~10 µs for the nonbonded kernel); a late one
+/// has most likely lost its CPU to another thread, and the caller then
+/// sleeps until it is scheduled again, which on a host with more runnable
+/// threads than CPUs costs milliseconds a call.  So a late call starts or
+/// quadruples a back-off (8, 32, 128, ... up to kMaxAssistBackoff calls)
+/// during which main runs alone, and each call without a late helper
+/// shrinks it by a quarter: under sustained contention it keeps growing,
+/// and on a host with spare CPUs, where a late helper comes about once in
+/// thousands of calls, it costs little.
+constexpr double kLateAfterS = 50e-6;
+constexpr unsigned kMinAssistBackoff = 8;
+constexpr unsigned kMaxAssistBackoff = 4096;
+
+/// Spins until done() or `seconds` have passed; returns done().  The clock
+/// is read once every 64 pause steps.
+template <typename Done>
+bool poll_for(double seconds, Done done) {
+  const HostTimer timer;
+  for (;;) {
+    for (int k = 0; k < 64; ++k) {
+      if (done()) return true;
+      cpu_relax();
+    }
+    if (timer.seconds() >= seconds) return done();
+  }
+}
 
 /// Pool threads run whole simulations, each allocating and freeing pair
 /// domains and lists of up to tens of MB.  glibc raises its mmap threshold
@@ -85,6 +122,7 @@ void ThreadPool::dispatch_indexed(std::size_t count,
       blocks_[b].end = count * (b + 1) / nb;
     }
     active_ = &job;
+    published_seq_.store(job.seq, std::memory_order_relaxed);
   }
   cv_.notify_all();
   // The caller is a participant too: it takes the last block (workers take
@@ -137,22 +175,114 @@ void ThreadPool::run_blocks(IndexedJob& job, unsigned my_block) {
   stat_steals_.fetch_add(steals, std::memory_order_relaxed);
 }
 
+void ThreadPool::run_assisted(unsigned helpers, void (*help)(void*),
+                              void (*main)(void*), void* ctx) {
+  helpers = std::min(helpers, size());
+  // try_lock, not lock: a caller that finds the pool busy runs alone rather
+  // than queueing behind another thread's job.  Never tried inside a
+  // dispatch, whose caller already holds it.
+  if (helpers == 0 || in_dispatch()) {
+    main(ctx);
+    return;
+  }
+  if (!dispatch_mutex_.try_lock()) {
+    main(ctx);
+    return;
+  }
+  if (assist_skip_ > 0) {
+    --assist_skip_;
+    dispatch_mutex_.unlock();
+    main(ctx);
+    return;
+  }
+  AssistJob job;
+  job.help = help;
+  job.ctx = ctx;
+  job.open = helpers;
+  {
+    ScopedLock lk(mutex_);
+    job.seq = ++dispatch_seq_;
+    assist_ = &job;
+    published_seq_.store(job.seq, std::memory_order_relaxed);
+  }
+  for (unsigned h = 0; h < helpers; ++h) cv_.notify_one();
+  stat_assists_.fetch_add(1, std::memory_order_relaxed);
+  main(ctx);
+  {
+    ScopedLock lk(mutex_);
+    job.open = 0;  // a worker that has not woken yet stays out
+  }
+  const bool late = !poll_for(kLateAfterS, [&] {
+    return job.participants.load(std::memory_order_acquire) == 0;
+  });
+  {
+    ScopedLock lk(mutex_);
+    done_cv_.wait(mutex_, [&] {
+      mutex_.assert_held();
+      return job.participants.load(std::memory_order_relaxed) == 0;
+    });
+    assist_ = nullptr;
+  }
+  if (late) {
+    assist_backoff_ = std::clamp(4 * assist_backoff_, kMinAssistBackoff,
+                                 kMaxAssistBackoff);
+    assist_skip_ = assist_backoff_;
+  } else {
+    assist_backoff_ -= assist_backoff_ / 4;
+  }
+  dispatch_mutex_.unlock();
+}
+
 void ThreadPool::worker_loop(unsigned worker_index) {
-  std::uint64_t last_seen = 0;  // newest dispatch this worker served
+  std::uint64_t last_seen = 0;  // newest dispatch or assisted call served
   for (;;) {
+    // Poll a while before sleeping: a single run issues its pipelined
+    // kernel calls back to back, and waking a sleeping helper for each
+    // would cost a good part of what a short call gains.
+    poll_for(kPollBeforeSleepS, [&] {
+      return published_seq_.load(std::memory_order_relaxed) != last_seen;
+    });
     IndexedJob* ij = nullptr;
+    AssistJob* aj = nullptr;
     {
       ScopedLock lk(mutex_);
+      const auto new_job = [&] {
+        mutex_.assert_held();
+        return active_ != nullptr && active_->seq != last_seen;
+      };
+      const auto open_assist = [&] {
+        mutex_.assert_held();
+        return assist_ != nullptr && assist_->seq != last_seen &&
+               assist_->open > 0;
+      };
       cv_.wait(mutex_, [&] {
         mutex_.assert_held();
-        return stop_ || (active_ != nullptr && active_->seq != last_seen);
+        return stop_ || new_job() || open_assist();
       });
-      if (active_ == nullptr || active_->seq == last_seen) return;  // stop_
-      // Register as a participant under the mutex: the dispatcher only
+      // Register as a participant under the mutex: the caller only
       // reclaims the job's stack frame once participants drops to zero.
-      ij = active_;
-      last_seen = ij->seq;
-      ++ij->participants;
+      if (new_job()) {
+        ij = active_;
+        last_seen = ij->seq;
+        ++ij->participants;
+      } else if (open_assist()) {
+        aj = assist_;
+        last_seen = aj->seq;
+        --aj->open;
+        aj->participants.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        return;  // stop_
+      }
+    }
+    if (aj != nullptr) {
+      t_in_dispatch = true;
+      aj->help(aj->ctx);
+      t_in_dispatch = false;
+      ScopedLock lk(mutex_);
+      if (aj->participants.fetch_sub(1, std::memory_order_release) == 1) {
+        done_cv_.notify_all();
+      }
+      continue;
     }
     run_blocks(*ij, worker_index);
     ScopedLock lk(mutex_);
@@ -168,18 +298,39 @@ DispatchStats ThreadPool::dispatch_stats() const noexcept {
       stat_dispatches_.load(std::memory_order_relaxed),
       stat_chunks_.load(std::memory_order_relaxed),
       stat_steals_.load(std::memory_order_relaxed),
+      stat_assists_.load(std::memory_order_relaxed),
   };
 }
 
 bool ThreadPool::in_dispatch() noexcept { return t_in_dispatch; }
 
-unsigned ThreadPool::default_threads() {
-  if (env_string("OPALSIM_THREADS")) {
-    const long v = env_long("OPALSIM_THREADS", 1);
-    return v > 0 ? static_cast<unsigned>(v) : 1u;
+unsigned ThreadPool::parse_threads(std::string_view text) {
+  unsigned v = 0;
+  bool ok = !text.empty();
+  for (const char c : text) {
+    if (c < '0' || c > '9' || v > kMaxThreads) {
+      ok = false;
+      break;
+    }
+    v = v * 10 + static_cast<unsigned>(c - '0');
   }
+  if (!ok || v < 1 || v > kMaxThreads) {
+    fatal("util", "OPALSIM_THREADS must be a whole number in [1, " +
+                      std::to_string(kMaxThreads) + "], got \"" +
+                      std::string(text) + "\"");
+  }
+  return v;
+}
+
+unsigned ThreadPool::default_threads() {
+  if (const auto v = env_string("OPALSIM_THREADS")) return parse_threads(*v);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+ThreadPool& ThreadPool::shared() {
+  static ThreadPool pool(default_threads());
+  return pool;
 }
 
 }  // namespace opalsim::util

@@ -1,10 +1,16 @@
 // A small fixed-size worker pool for fanning independent DES runs across
-// hardware threads.
+// hardware threads, and for lending helpers to one kernel call.
 //
 // Every simulation engine in this codebase is self-contained (its own
 // sim::Engine, RNG and state), so whole runs parallelize trivially; what
 // must NOT change is the output: parallel_for_indexed commits results by
 // index, so a sweep's tables and CSVs are byte-identical to a serial run.
+//
+// run_assisted lends idle workers to one call on the calling thread (the
+// nonbonded kernel's pipeline, opal/soa.cpp): the caller does the job and
+// helpers take parts of it it has not reached yet, so the caller never
+// waits on a helper to make progress.  ThreadPool::shared() is the
+// process-wide pool those calls use, built at the first one.
 //
 // Index fan-out goes through dispatch_indexed: a chunked work-stealing
 // distribution instead of one queued closure per index.  Each participant
@@ -16,10 +22,13 @@
 // worker loop.  See DESIGN.md, "Host execution engine".
 //
 // Lock discipline (statically proven under clang -Wthread-safety):
-//   mutex_          guards the stop flag, the active dispatch pointer and
-//                   its participant count.
-//   dispatch_mutex_ serializes dispatch_indexed callers; always acquired
-//                   before mutex_ (never the other way around).
+//   mutex_          guards the stop flag, the active dispatch and assisted
+//                   call pointers and their participant counts (an
+//                   assisted call's count is also polled lock-free).
+//   dispatch_mutex_ serializes dispatch_indexed and run_assisted callers
+//                   (run_assisted only tries it) and guards the assisted
+//                   calls' back-off; always acquired before mutex_ (never
+//                   the other way around).
 //   blocks_         is intentionally unguarded: the per-block cursor is an
 //                   atomic, and the non-atomic `end` is published to
 //                   workers by the mutex_ acquire they perform before
@@ -30,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -39,6 +49,13 @@
 
 namespace opalsim::util {
 
+/// One spin-wait step: the CPU's pause hint where it has one.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 /// Cumulative counters of the chunked dispatch path (bench/metrics
 /// introspection).  `chunks` is deterministic in (count, pool size) per
 /// dispatch; `steals` depends on scheduling and must never feed anything
@@ -47,6 +64,7 @@ struct DispatchStats {
   std::uint64_t dispatches = 0;  ///< dispatch_indexed fan-outs served
   std::uint64_t chunks = 0;      ///< index chunks handed out
   std::uint64_t steals = 0;      ///< chunks taken from another block
+  std::uint64_t assists = 0;     ///< run_assisted calls offered helpers
 };
 
 class ThreadPool {
@@ -74,16 +92,44 @@ class ThreadPool {
                                   void (*fn)(void*, std::size_t), void* ctx)
       EXCLUDES(dispatch_mutex_, mutex_);
 
+  /// Runs main(ctx) on the calling thread while up to `helpers` idle
+  /// workers each run help(ctx) once beside it, and returns once main has
+  /// returned and every helper that started has returned.  A helper that
+  /// has not started by the time main returns never starts, so main must
+  /// be able to finish the whole job alone; helpers only take the parts it
+  /// has not reached.  Neither function may throw or use this pool.
+  /// Inside a dispatch, while another thread holds the pool, or while the
+  /// pool backs off after helpers that were late (a helper still inside
+  /// 50 µs after main returned), main runs alone.
+  HOST_ONLY void run_assisted(unsigned helpers, void (*help)(void*),
+                              void (*main)(void*), void* ctx)
+      EXCLUDES(dispatch_mutex_, mutex_);
+
   /// Counters across the pool's lifetime (totals over all dispatches).
   DispatchStats dispatch_stats() const noexcept;
 
-  /// True while the current thread is running indices of a dispatch —
-  /// nested fan-out must degrade to an inline loop, not deadlock.
+  /// True while the current thread is running indices of a dispatch, or
+  /// is a helper of an assisted call — nested fan-out must degrade to an
+  /// inline loop, not deadlock.
   static bool in_dispatch() noexcept;
 
+  /// Largest pool OPALSIM_THREADS may ask for.
+  static constexpr unsigned kMaxThreads = 256;
+
+  /// Parses an OPALSIM_THREADS value: a whole decimal number in
+  /// [1, kMaxThreads] and nothing else (no sign, space or suffix).  Throws
+  /// util::FatalError("util") naming the variable otherwise.
+  HOST_ONLY static unsigned parse_threads(std::string_view text);
+
   /// Number of worker threads a pool gets by default: OPALSIM_THREADS when
-  /// set (clamped to >= 1), else the hardware concurrency.
+  /// set (through parse_threads, so a malformed value throws), else the
+  /// hardware concurrency.
   HOST_ONLY static unsigned default_threads();
+
+  /// The process-wide pool of default_threads() workers that lends helpers
+  /// to single kernel calls; built at the first call, so a malformed
+  /// OPALSIM_THREADS throws there and no pool is built.
+  HOST_ONLY static ThreadPool& shared();
 
  private:
   /// One dispatch in flight; lives on the dispatcher's stack.
@@ -95,6 +141,16 @@ class ThreadPool {
     std::uint64_t seq = 0;                  ///< latch against re-entry
     std::atomic<std::size_t> completed{0};  ///< indices fully run
     int participants = 0;  ///< workers inside; guarded by the pool's mutex_
+  };
+  /// One assisted call in flight; lives on the caller's stack.  `open` is
+  /// guarded by the pool's mutex_.
+  struct AssistJob {
+    void (*help)(void*) = nullptr;
+    void* ctx = nullptr;
+    std::uint64_t seq = 0;  ///< latch against re-entry
+    unsigned open = 0;      ///< helper places not yet taken
+    /// Helpers inside; changed under the mutex, also polled without it.
+    std::atomic<int> participants{0};
   };
   /// Per-participant index block; `next` is the only contended word on the
   /// hot path, so each block gets its own cache line.
@@ -111,13 +167,23 @@ class ThreadPool {
   CondVar done_cv_;  ///< wakes the waiting dispatcher
   bool stop_ GUARDED_BY(mutex_) = false;
   IndexedJob* active_ GUARDED_BY(mutex_) = nullptr;  ///< current dispatch
+  AssistJob* assist_ GUARDED_BY(mutex_) = nullptr;   ///< current assisted call
   std::uint64_t dispatch_seq_ GUARDED_BY(mutex_) = 0;
+  /// dispatch_seq_ of the newest job, polled without the mutex by workers
+  /// that have just finished one.
+  std::atomic<std::uint64_t> published_seq_{0};
   std::vector<Block> blocks_;  ///< workers + 1 caller block; fixed size
-  /// Serializes dispatch_indexed callers; acquired before mutex_.
+  /// Serializes dispatch_indexed and run_assisted callers; acquired before
+  /// mutex_.
   Mutex dispatch_mutex_ ACQUIRED_BEFORE(mutex_);
+  /// Back-off after a late helper: assisted calls left to run main alone,
+  /// and the length of the next back-off.
+  unsigned assist_skip_ GUARDED_BY(dispatch_mutex_) = 0;
+  unsigned assist_backoff_ GUARDED_BY(dispatch_mutex_) = 0;
   std::atomic<std::uint64_t> stat_dispatches_{0};
   std::atomic<std::uint64_t> stat_chunks_{0};
   std::atomic<std::uint64_t> stat_steals_{0};
+  std::atomic<std::uint64_t> stat_assists_{0};
   std::vector<std::thread> workers_;
 };
 

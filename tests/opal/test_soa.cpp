@@ -6,7 +6,9 @@
 // after a failover adoption), and on both LJ paths (type-pair table and
 // per-pair combination).  The batch feeds positions, which feed pair
 // lists, which feed virtual time: one flipped bit here would fan out into
-// every golden oracle.
+// every golden oracle.  The pipelined driver (helpers computing chunks
+// ahead of one in-order committer) must give the inline driver's bits at
+// every pool size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 #include "opal/pairs.hpp"
 #include "opal/soa.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 #include "nonbonded_oracle.hpp"
 
@@ -401,6 +404,137 @@ TEST(SoABatch, SignedZeroLjCoefficientsAreDistinctTypes) {
   opal::nonbonded_batch(soa, mixed, evdw, ecoul, grad);
   expect_bits_equal(evdw, ecoul, grad, evdw_ref, ecoul_ref, grad_ref);
   expect_batch_identical(mc, all_pairs(4));
+}
+
+/// Runs the batch on `pool` and on the inline driver (a one-thread pool)
+/// and requires the same bits from both, starting from a nonzero gradient
+/// and signed energies so the carried-in state counts too.
+void expect_pooled_identical(const opal::CentersSoA& soa,
+                             std::span<const opal::PairIdx> pairs,
+                             util::ThreadPool& pool) {
+  util::ThreadPool one(1);
+  double evdw_ref = -0.0, ecoul_ref = 0.25;
+  std::vector<opal::Vec3> grad_ref(soa.size(), opal::Vec3{0.5, -1.0, 2.0});
+  opal::nonbonded_batch(soa, pairs, evdw_ref, ecoul_ref, grad_ref, one);
+  double evdw = -0.0, ecoul = 0.25;
+  std::vector<opal::Vec3> grad(soa.size(), opal::Vec3{0.5, -1.0, 2.0});
+  opal::nonbonded_batch(soa, pairs, evdw, ecoul, grad, pool);
+  expect_bits_equal(evdw, ecoul, grad, evdw_ref, ecoul_ref, grad_ref);
+}
+
+/// 300 centers: 44,850 pairs, room for spans past the pipeline's ring.
+std::vector<opal::MolecularComplex> pipeline_complexes() {
+  std::vector<opal::MolecularComplex> out;
+  out.push_back(test_complex(100, 200, 61));  // two LJ types: table
+  out.push_back(random_lj_complex(300, 67));  // per-center LJ: direct
+  return out;
+}
+
+TEST(SoABatchPooled, BitIdenticalAtEverySpanLengthAndPoolSize) {
+  // Spans of 0 and 1 pairs, and around the pipeline's 2,048-pair chunks,
+  // its four-chunk threshold (8,192) and its eight-slot ring (16,384), and
+  // two that end in a partial lane block (9 chunks and 33 pairs; 16 chunks
+  // and 31 pairs); the full triangle's rows cross chunk boundaries.  Pools
+  // of 1 (inline), 2, 3 and 8 threads.
+  for (const auto& mc : pipeline_complexes()) {
+    opal::CentersSoA soa;
+    soa.refresh(mc);
+    const auto full = all_pairs(static_cast<std::uint32_t>(mc.n()));
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      util::ThreadPool pool(threads);
+      for (const std::size_t count :
+           {std::size_t{0}, std::size_t{1}, std::size_t{2047},
+            std::size_t{2048}, std::size_t{8191}, std::size_t{8192},
+            std::size_t{8193}, std::size_t{16383}, std::size_t{16384},
+            std::size_t{16385}, std::size_t{18465}, std::size_t{32799},
+            full.size()}) {
+        SCOPED_TRACE("table " + std::to_string(soa.lj_ntypes) + ", pool " +
+                     std::to_string(threads) + ", pairs " +
+                     std::to_string(count));
+        expect_pooled_identical(
+            soa, std::span<const opal::PairIdx>(full).first(count), pool);
+      }
+      if (threads > 1) {
+        EXPECT_GT(pool.dispatch_stats().assists, 0u)
+            << "large spans must take the pipeline";
+      } else {
+        EXPECT_EQ(pool.dispatch_stats().assists, 0u);
+      }
+    }
+    expect_batch_identical(mc, full);
+  }
+}
+
+TEST(SoABatchPooled, RowCrossingAChunkBoundary) {
+  // Rows of 32 pairs, then one row of 280 that straddles pair 4,096 (the
+  // end of chunk 1), then rows of 32 again: row blocks on both sides of
+  // the cut, and an accumulator the committer carries from one chunk into
+  // the next.
+  for (const auto& mc : pipeline_complexes()) {
+    opal::CentersSoA soa;
+    soa.refresh(mc);
+    const auto n = static_cast<std::uint32_t>(mc.n());
+    std::vector<opal::PairIdx> pairs;
+    const auto add_row = [&](std::uint32_t i, std::uint32_t len) {
+      for (std::uint32_t k = 1; k <= len; ++k) {
+        pairs.push_back({i % n, (i + k) % n});
+      }
+    };
+    std::uint32_t i = 0;
+    while (pairs.size() < 3900) add_row(i++, 32);
+    const std::size_t row_start = pairs.size();
+    add_row(i++, 280);
+    ASSERT_LT(row_start, 4096u);
+    ASSERT_GT(pairs.size(), 4096u);
+    while (pairs.size() < 12000) add_row(i++, 32);
+    for (const unsigned threads : {2u, 3u, 8u}) {
+      util::ThreadPool pool(threads);
+      SCOPED_TRACE("pool " + std::to_string(threads));
+      expect_pooled_identical(soa, pairs, pool);
+    }
+    expect_batch_identical(mc, pairs);
+  }
+}
+
+TEST(SoABatchPooled, PostFailoverRowsReopenInLaterChunks) {
+  // Server 0 after adopting server 1's share: two lex-sorted runs, so rows
+  // of the first run re-open chunks later in the adopted one.
+  for (const auto& mc : pipeline_complexes()) {
+    opal::CentersSoA soa;
+    soa.refresh(mc);
+    auto domains = opal::build_domains(
+        static_cast<std::uint32_t>(mc.n()), 3,
+        opal::DistributionStrategy::PseudoRandomHistorical, 5);
+    opal::ServerDomain dom(std::move(domains[0]));
+    const std::size_t first_share = dom.domain_size();
+    dom.adopt(domains[1]);
+    const auto pairs = dom.active();
+    ASSERT_GT(first_share, std::size_t{4096});
+    ASSERT_GT(pairs.size(), first_share + std::size_t{4096});
+    ASSERT_EQ(pairs[first_share].i, pairs[0].i)
+        << "the adopted run re-opens row " << pairs[0].i;
+    for (const unsigned threads : {2u, 3u, 8u}) {
+      util::ThreadPool pool(threads);
+      SCOPED_TRACE("pool " + std::to_string(threads));
+      expect_pooled_identical(soa, pairs, pool);
+    }
+  }
+}
+
+TEST(SoABatchPooled, InsideADispatchStaysInline) {
+  // A sweep's runs call the kernel inside a dispatch: the call must run
+  // the inline driver (no assisted call on the kernel's pool) and still
+  // give the same bits.
+  const auto mc = pipeline_complexes().front();
+  opal::CentersSoA soa;
+  soa.refresh(mc);
+  const auto pairs = all_pairs(static_cast<std::uint32_t>(mc.n()));
+  util::ThreadPool sweep(3), kernel_pool(3);
+  util::parallel_for_indexed(sweep, 4, [&](std::size_t) {
+    EXPECT_TRUE(util::ThreadPool::in_dispatch());
+    expect_pooled_identical(soa, pairs, kernel_pool);
+  });
+  EXPECT_EQ(kernel_pool.dispatch_stats().assists, 0u);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "util/fatal.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -19,12 +21,175 @@ using namespace opalsim;
 TEST(ThreadPool, DefaultThreadsHonorsEnvOverride) {
   ::setenv("OPALSIM_THREADS", "3", 1);
   EXPECT_EQ(util::ThreadPool::default_threads(), 3u);
-  ::setenv("OPALSIM_THREADS", "0", 1);  // clamped to >= 1
-  EXPECT_EQ(util::ThreadPool::default_threads(), 1u);
-  ::setenv("OPALSIM_THREADS", "-5", 1);
-  EXPECT_EQ(util::ThreadPool::default_threads(), 1u);
   ::unsetenv("OPALSIM_THREADS");
   EXPECT_GE(util::ThreadPool::default_threads(), 1u);
+}
+
+TEST(ThreadPool, ParseThreadsAcceptsWholeDecimalsInRange) {
+  EXPECT_EQ(util::ThreadPool::parse_threads("1"), 1u);
+  EXPECT_EQ(util::ThreadPool::parse_threads("3"), 3u);
+  EXPECT_EQ(util::ThreadPool::parse_threads("007"), 7u);
+  EXPECT_EQ(util::ThreadPool::parse_threads("256"), 256u);
+  EXPECT_EQ(util::ThreadPool::kMaxThreads, 256u);
+}
+
+TEST(ThreadPool, ParseThreadsRefusesEverythingElse) {
+  // Empty, zero, signed, padded, suffixed, exponent, fractional and hex
+  // forms, and values past the cap or past 32 bits: each is refused by
+  // name, none is cut down to a number that parses.
+  for (const char* bad :
+       {"", "0", "-5", "+3", " 3", "3 ", "3x", "1e3", "3.0", "0x10", "257",
+        "1000", "4294967297", "99999999999999999999999"}) {
+    SCOPED_TRACE(std::string("OPALSIM_THREADS=\"") + bad + "\"");
+    try {
+      util::ThreadPool::parse_threads(bad);
+      ADD_FAILURE() << "accepted";
+    } catch (const util::FatalError& e) {
+      EXPECT_EQ(e.subsystem(), "util");
+      EXPECT_NE(std::string(e.what()).find("OPALSIM_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ThreadPool, MalformedEnvBuildsNoPool) {
+  // The default size is read before the pool is built, so a refused value
+  // throws without starting a thread.
+  ::setenv("OPALSIM_THREADS", "4294967297", 1);
+  EXPECT_THROW(util::ThreadPool::default_threads(), util::FatalError);
+  EXPECT_THROW(util::ThreadPool pool, util::FatalError);
+  ::unsetenv("OPALSIM_THREADS");
+}
+
+/// Shared state of the run_assisted tests: helpers count themselves in and
+/// spin until main is done.
+struct AssistProbe {
+  std::atomic<int> helpers{0};
+  std::atomic<bool> main_done{false};
+  int main_runs = 0;
+  static void help(void* ctx) {
+    auto& pr = *static_cast<AssistProbe*>(ctx);
+    pr.helpers.fetch_add(1);
+    while (!pr.main_done.load()) std::this_thread::yield();
+  }
+  /// Waits (boundedly) for one helper, then finishes.
+  static void main_waits_for_a_helper(void* ctx) {
+    auto& pr = *static_cast<AssistProbe*>(ctx);
+    ++pr.main_runs;
+    for (long spin = 0; spin < 1'000'000 && pr.helpers.load() == 0;
+         ++spin) {
+      std::this_thread::yield();
+    }
+    pr.main_done.store(true);
+  }
+  static void main_alone(void* ctx) {
+    auto& pr = *static_cast<AssistProbe*>(ctx);
+    ++pr.main_runs;
+    pr.main_done.store(true);
+  }
+};
+
+TEST(RunAssisted, HelpersRunBesideMainAndAreJoined) {
+  util::ThreadPool pool(4);
+  const auto before = pool.dispatch_stats().assists;
+  AssistProbe pr;
+  pool.run_assisted(2, AssistProbe::help,
+                    AssistProbe::main_waits_for_a_helper, &pr);
+  // Returned only after every helper that started left: none is still
+  // spinning on the probe, and no more than two started.
+  EXPECT_EQ(pr.main_runs, 1);
+  EXPECT_GE(pr.helpers.load(), 1);
+  EXPECT_LE(pr.helpers.load(), 2);
+  EXPECT_EQ(pool.dispatch_stats().assists, before + 1);
+}
+
+TEST(RunAssisted, HelpersCappedAtPoolSize) {
+  util::ThreadPool pool(2);
+  for (int round = 0; round < 3; ++round) {
+    AssistProbe pr;
+    pool.run_assisted(8, AssistProbe::help,
+                      AssistProbe::main_waits_for_a_helper, &pr);
+    ASSERT_LE(pr.helpers.load(), 2) << "round " << round;
+  }
+}
+
+TEST(RunAssisted, LateHelperBacksOffTheNextCalls) {
+  // A helper still inside well after main returned counts as late: the
+  // next 8 calls run main alone, and the one after offers helpers again.
+  util::ThreadPool pool(2);
+  struct Slow {
+    std::atomic<int> started{0};
+    static void help(void* ctx) {
+      static_cast<Slow*>(ctx)->started.fetch_add(1);
+      for (int k = 0; k < 200'000; ++k) std::this_thread::yield();
+    }
+    static void wait_for_helper(void* ctx) {
+      auto& sl = *static_cast<Slow*>(ctx);
+      for (long spin = 0; spin < 1'000'000 && sl.started.load() == 0;
+           ++spin) {
+        std::this_thread::yield();
+      }
+    }
+  } slow;
+  pool.run_assisted(1, Slow::help, Slow::wait_for_helper, &slow);
+  ASSERT_EQ(slow.started.load(), 1) << "no helper started; nothing to test";
+  EXPECT_EQ(pool.dispatch_stats().assists, 1u);
+
+  for (int call = 0; call < 8; ++call) {
+    AssistProbe skipped;
+    pool.run_assisted(2, AssistProbe::help, AssistProbe::main_alone,
+                      &skipped);
+    EXPECT_EQ(skipped.main_runs, 1);
+    EXPECT_EQ(skipped.helpers.load(), 0) << "call " << call;
+  }
+  EXPECT_EQ(pool.dispatch_stats().assists, 1u);
+
+  AssistProbe offered;
+  pool.run_assisted(2, AssistProbe::help, AssistProbe::main_alone, &offered);
+  EXPECT_EQ(offered.main_runs, 1);
+  EXPECT_EQ(pool.dispatch_stats().assists, 2u);
+}
+
+TEST(RunAssisted, MainRunsAloneInsideADispatch) {
+  util::ThreadPool outer(3), pool(3);
+  std::atomic<int> helpers{0};
+  util::parallel_for_indexed(outer, 6, [&](std::size_t) {
+    AssistProbe pr;
+    pool.run_assisted(2, AssistProbe::help, AssistProbe::main_alone, &pr);
+    EXPECT_EQ(pr.main_runs, 1);
+    helpers.fetch_add(pr.helpers.load());
+  });
+  EXPECT_EQ(helpers.load(), 0);
+  EXPECT_EQ(pool.dispatch_stats().assists, 0u);
+}
+
+TEST(RunAssisted, BusyPoolRunsMainAlone) {
+  // While one thread's assisted call holds the pool, another thread's call
+  // runs its main alone instead of queueing.
+  util::ThreadPool pool(3);
+  struct First {
+    std::atomic<bool> in_main{false};
+    std::atomic<bool> release{false};
+  } first;
+  std::thread holder([&] {
+    pool.run_assisted(
+        1, [](void*) {},
+        [](void* ctx) {
+          auto& f = *static_cast<First*>(ctx);
+          f.in_main.store(true);
+          while (!f.release.load()) std::this_thread::yield();
+        },
+        &first);
+  });
+  while (!first.in_main.load()) std::this_thread::yield();
+  AssistProbe pr;
+  pool.run_assisted(2, AssistProbe::help, AssistProbe::main_alone, &pr);
+  EXPECT_EQ(pr.main_runs, 1);
+  EXPECT_EQ(pr.helpers.load(), 0);
+  first.release.store(true);
+  holder.join();
+  EXPECT_EQ(pool.dispatch_stats().assists, 1u);
 }
 
 TEST(ParallelForIndexed, CommitsEveryIndexExactlyOnce) {
