@@ -44,14 +44,14 @@ void BM_UpdateSweep(benchmark::State& state) {
                                      opal::DistributionStrategy::Folded, 1);
   opal::ServerDomain dom(std::move(domains[0]));
   const auto path = state.range(0) == 0 ? opal::PairUpdatePath::Brute
-                                        : opal::PairUpdatePath::CellList;
+                                        : opal::PairUpdatePath::Auto;
   for (auto _ : state) {
     benchmark::DoNotOptimize(dom.update(mc, 10.0, path));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dom.domain_size()));
 }
-BENCHMARK(BM_UpdateSweep)->Arg(0)->Arg(1);  // 0 = brute force, 1 = cell list
+BENCHMARK(BM_UpdateSweep)->Arg(0)->Arg(1);  // 0 = brute force, 1 = list
 
 /// The two kernel shapes.  Arg 0: a cut-off 10 A active list of the full
 /// triangle (rows of ~12 pairs, the list-served workloads' shape).  Arg 1:
@@ -103,24 +103,6 @@ void BM_NonbondedBatchSoAPooled(benchmark::State& state) {
   run_nonbonded_batch(state, util::ThreadPool::shared());
 }
 BENCHMARK(BM_NonbondedBatchSoAPooled)->Arg(0)->Arg(1)->UseRealTime();
-
-void BM_CellGridBuild(benchmark::State& state) {
-  const auto& mc = bench_complex();
-  const auto n = mc.n();
-  std::vector<double> x(n), y(n), z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = mc.centers[i].position.x;
-    y[i] = mc.centers[i].position.y;
-    z[i] = mc.centers[i].position.z;
-  }
-  opal::CellGrid grid;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.build(x, y, z, 10.0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_CellGridBuild);
 
 void BM_BondedTerms(benchmark::State& state) {
   const auto& mc = bench_complex();

@@ -7,11 +7,7 @@
 
 namespace opalsim::mach {
 
-namespace {
-
-/// Rejects a platform spec whose rates or times would carry zero, negative
-/// or non-finite values into virtual time and the analytic model.
-void validate(const PlatformSpec& spec, int nodes) {
+void validate(const PlatformSpec& spec) {
   const auto fail = [&](const std::string& what) {
     throw util::ConfigError("mach", "platform '" + spec.name + "': " + what);
   };
@@ -19,7 +15,6 @@ void validate(const PlatformSpec& spec, int nodes) {
   const auto non_negative = [](double v) {
     return std::isfinite(v) && v >= 0.0;
   };
-  if (nodes <= 0) fail("nodes must be > 0, got " + std::to_string(nodes));
   if (!positive(spec.net.observed_MBps)) {
     fail("net.observed_MBps must be finite and > 0");
   }
@@ -37,11 +32,14 @@ void validate(const PlatformSpec& spec, int nodes) {
   }
 }
 
-}  // namespace
-
 Machine::Machine(sim::Engine& engine, const PlatformSpec& spec, int nodes)
     : engine_(&engine), spec_(spec), fault_(spec.fault) {
-  validate(spec, nodes);
+  if (nodes <= 0) {
+    throw util::ConfigError("mach", "platform '" + spec.name +
+                                        "': nodes must be > 0, got " +
+                                        std::to_string(nodes));
+  }
+  validate(spec);
   cpus_.reserve(nodes);
   for (int i = 0; i < nodes; ++i)
     cpus_.push_back(std::make_unique<Cpu>(engine, spec.cpu));

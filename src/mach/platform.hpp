@@ -38,12 +38,16 @@ inline PlatformSpec with_faults(PlatformSpec p, sim::FaultSpec fault) {
   return p;
 }
 
+/// Throws util::ConfigError("mach", ...) when the spec carries a rate or
+/// time that would corrupt virtual time or the analytic model: a bandwidth
+/// or adjusted MFlop rate that is not finite and > 0, a latency or sync time
+/// that is not finite and >= 0, or a scalar fraction outside (0, 1].
+void validate(const PlatformSpec& spec);
+
 class Machine {
  public:
-  /// Throws util::ConfigError("mach", ...) when `nodes` <= 0 or the spec
-  /// carries a rate or time that would corrupt virtual time: a bandwidth or
-  /// adjusted MFlop rate that is not finite and > 0, a latency or sync time
-  /// that is not finite and >= 0, or a scalar fraction outside (0, 1].
+  /// Throws util::ConfigError("mach", ...) when `nodes` <= 0 or
+  /// validate(spec) refuses the spec.
   Machine(sim::Engine& engine, const PlatformSpec& spec, int nodes);
 
   const PlatformSpec& spec() const noexcept { return spec_; }

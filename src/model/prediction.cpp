@@ -35,6 +35,8 @@ AppParams app_params_for(const opal::MolecularComplex& mc,
 ModelParams derive_platform_params(const ModelParams& reference_fit,
                                    const mach::PlatformSpec& reference,
                                    const mach::PlatformSpec& target) {
+  mach::validate(reference);
+  mach::validate(target);
   ModelParams m = reference_fit;
   const double scale =
       reference.cpu.adjusted_mflops / target.cpu.adjusted_mflops;
@@ -49,6 +51,7 @@ ModelParams derive_platform_params(const ModelParams& reference_fit,
 
 ModelParams theoretical_params(const mach::PlatformSpec& spec,
                                double a4_flops_per_center) {
+  mach::validate(spec);
   const auto& canon = hpm::canonical_cost_table();
   const double rate = spec.cpu.adjusted_mflops * 1e6;
   ModelParams m;

@@ -25,7 +25,8 @@ AppParams app_params_for(const opal::MolecularComplex& mc,
 /// Derives a target platform's model parameters from a reference
 /// calibration (the paper keeps application parameters at their J90-fitted
 /// level and scales the computation constants by the platforms' adjusted
-/// rates; communication constants come from Table 2).
+/// rates; communication constants come from Table 2).  Throws
+/// util::ConfigError("mach") unless mach::validate accepts both specs.
 ModelParams derive_platform_params(const ModelParams& reference_fit,
                                    const mach::PlatformSpec& reference,
                                    const mach::PlatformSpec& target);
@@ -34,6 +35,7 @@ ModelParams derive_platform_params(const ModelParams& reference_fit,
 /// calibration run needed): computation constants from the kernel operation
 /// mixes and the adjusted rate, communication from the network spec.
 /// `a4_flops_per_center` is the canonical per-center sequential work.
+/// Throws util::ConfigError("mach") unless mach::validate accepts the spec.
 ModelParams theoretical_params(const mach::PlatformSpec& spec,
                                double a4_flops_per_center = 60.0);
 

@@ -28,7 +28,7 @@ struct SimulationConfig {
   /// Pair-to-server distribution strategy.
   DistributionStrategy strategy = DistributionStrategy::PseudoRandomHistorical;
   /// Host execution path for list updates (virtual time is identical on
-  /// every path; Auto picks the fastest).  See DESIGN.md.
+  /// every path; Auto is the Verlet list, Brute the oracle).  See DESIGN.md.
   PairUpdatePath pair_path = PairUpdatePath::Auto;
   /// Leapfrog timestep (arbitrary units; small keeps dynamics tame).
   double dt = 1e-3;

@@ -1,9 +1,6 @@
 #include "opal/pairs.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include "opal/forcefield.hpp"
@@ -15,38 +12,6 @@ namespace opalsim::opal {
 
 namespace {
 
-bool lex_less(const PairIdx& a, const PairIdx& b) noexcept {
-  return a.i < b.i || (a.i == b.i && a.j < b.j);
-}
-
-/// True when `domain` is the full pair triangle over n centers in lex
-/// order: strictly increasing distinct pairs, as many as exist.  This is the
-/// serial engine's domain, whose Verlet list is built row by row.
-bool is_lex_triangle(const std::vector<PairIdx>& domain,
-                     std::uint32_t n) noexcept {
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (domain.size() != total) return false;
-  return std::adjacent_find(domain.begin(), domain.end(),
-                            [](const PairIdx& a, const PairIdx& b) {
-                              return !lex_less(a, b);
-                            }) == domain.end();
-}
-
-/// Below this many assigned pairs the brute sweep is already cheap and any
-/// list bookkeeping would dominate.
-constexpr std::size_t kMinPairsForCells = 1024;
-
-/// Default Auto-path crossover in centers.  The bench_host_speed crossover
-/// sweep (synthetic complex, production cut-off 10 A) measures brute/cells
-/// parity up to the size where the skin-padded grid first fits the box
-/// (~1.1k centers at that density) and a >10x cells win from there up — so
-/// the binding constraint at realistic sizes is the grid estimate below,
-/// and this floor only guards the small-n regime where list bookkeeping
-/// costs more than the whole O(n^2) sweep.  See DESIGN.md.
-constexpr std::uint32_t kDefaultCellCrossover = 256;
-
-std::atomic<std::uint32_t> g_cell_crossover{0};  // 0 = default
-
 /// Verlet-list skin as a fraction of the cut-off.  Larger skins pad the
 /// candidate list (more distance checks per update) but survive more
 /// motion before a rebuild; 0.3 balances the two for the step sizes the
@@ -57,15 +22,6 @@ constexpr double kVerletSkinFactor = 0.3;
 constexpr std::size_t kStage = 2048;
 
 }  // namespace
-
-std::uint32_t cell_crossover_centers() {
-  const std::uint32_t v = g_cell_crossover.load(std::memory_order_relaxed);
-  return v == 0 ? kDefaultCellCrossover : v;
-}
-
-void set_cell_crossover_centers(std::uint32_t n) {
-  g_cell_crossover.store(n, std::memory_order_relaxed);
-}
 
 std::string to_string(DistributionStrategy s) {
   switch (s) {
@@ -192,7 +148,6 @@ std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
 
 std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
                                    PairUpdatePath path) {
-  used_cells_ = false;
   if (cutoff <= 0.0) {
     materialized_ = false;
     active_.clear();
@@ -202,67 +157,16 @@ std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
   materialized_ = true;
   ++stats_.updates;
   const double c2 = cutoff * cutoff;
-  bool try_cells = false;
-  switch (path) {
-    case PairUpdatePath::Brute:
-      break;
-    case PairUpdatePath::CellList:
-      try_cells = true;
-      break;
-    case PairUpdatePath::Auto:
-      try_cells =
-          domain_.size() >= kMinPairsForCells && cells_profitable(mc, cutoff);
-      break;
-  }
-  if (try_cells && update_cells(mc, c2, cutoff)) {
-    ++stats_.cell_updates;
-    used_cells_ = true;
-  } else {
+  if (path == PairUpdatePath::Brute) {
     active_.clear();
     for (const PairIdx& pr : domain_) {
       if (within_cutoff(mc, pr.i, pr.j, c2)) active_.push_back(pr);
     }
+  } else {
+    update_list(mc, c2, cutoff);
+    ++stats_.cell_updates;
   }
   return domain_.size();
-}
-
-bool ServerDomain::cells_profitable(const MolecularComplex& mc,
-                                    double cutoff) const {
-  const auto n = static_cast<std::uint32_t>(mc.n());
-  if (n < cell_crossover_centers()) return false;
-  // Estimate the grid a build with the skin-padded edge would produce from
-  // the bounding box (O(n), negligible next to the O(n^2/p) sweep being
-  // decided on).  The estimate mirrors CellGrid::build: floor(span/edge)
-  // cells per axis, product capped near 8n (past that the grid is sparse
-  // and build() shrinks it).  At least 8 cells means the box spans two
-  // padded cut-offs on every axis, so the padded list prunes the domain
-  // for either list shape — and the full-triangle build will not
-  // degenerate (a model that predicts a buildable grid which then
-  // degenerates buys a doomed build attempt every update).
-  const double edge = cutoff * (1.0 + kVerletSkinFactor);
-  double lo[3], hi[3];
-  const Vec3& r0 = mc.centers[0].position;
-  lo[0] = hi[0] = r0.x;
-  lo[1] = hi[1] = r0.y;
-  lo[2] = hi[2] = r0.z;
-  for (std::uint32_t i = 1; i < n; ++i) {
-    const Vec3& r = mc.centers[i].position;
-    lo[0] = std::min(lo[0], r.x);
-    hi[0] = std::max(hi[0], r.x);
-    lo[1] = std::min(lo[1], r.y);
-    hi[1] = std::max(hi[1], r.y);
-    lo[2] = std::min(lo[2], r.z);
-    hi[2] = std::max(hi[2], r.z);
-  }
-  double ncells = 1.0;
-  for (int a = 0; a < 3; ++a) {
-    const double span = hi[a] - lo[a];
-    if (!std::isfinite(span)) return false;
-    const double d = std::floor(span / edge);
-    ncells *= d < 1.0 ? 1.0 : d;
-  }
-  ncells = std::min(ncells, 8.0 * n + 64.0);
-  return ncells >= 8.0;
 }
 
 bool ServerDomain::verlet_fresh(double cutoff, double skin) const noexcept {
@@ -313,8 +217,8 @@ std::uint16_t ServerDomain::run_offset(std::uint32_t i, std::uint32_t j,
   return static_cast<std::uint16_t>(j - vruns_.back().j_base);
 }
 
-bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
-                                double cutoff) {
+void ServerDomain::update_list(const MolecularComplex& mc, double c2,
+                               double cutoff) {
   const auto n = static_cast<std::uint32_t>(mc.n());
   sx_.resize(n);
   sy_.resize(n);
@@ -335,16 +239,14 @@ bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
   const double skin = kVerletSkinFactor * cutoff;
   const double padded2 = (cutoff + skin) * (cutoff + skin);
   if (!verlet_fresh(cutoff, skin)) {
-    const bool triangle = is_lex_triangle(domain_, n);
-    if (triangle && !rebuild_triangle(cutoff + skin)) return false;
-    if (!triangle) rebuild_subset(padded2, c2);
+    rebuild_subset(padded2, c2);  // emits active_ on the way
     ++stats_.verlet_rebuilds;
     rx_ = sx_;
     ry_ = sy_;
     rz_ = sz_;
     verlet_cutoff_ = cutoff;
     verlet_ready_ = true;
-    if (!triangle) return true;  // the sweep emitted active_ already
+    return;
   }
 
   // Exact filter of the padded list against the *current* positions: the
@@ -377,39 +279,6 @@ bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
     }
   }
   active_.insert(active_.end(), stage, stage + cnt);
-  return true;
-}
-
-bool ServerDomain::rebuild_triangle(double padded) {
-  if (!grid_.build(sx_, sy_, sz_, padded)) return false;
-  const double padded2 = padded * padded;
-  const auto n = static_cast<std::uint32_t>(sx_.size());
-  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-  marks_.assign(words, 0);
-  vitems_.clear();
-  vruns_.clear();
-  // Per-row bitset over j (a few hundred bytes, L1-resident): the sweep
-  // both orders the row ascending and clears the bits it consumes.
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    grid_.for_each_near_above(i, sx_[i], sy_[i], sz_[i], padded2,
-                              [&](std::uint32_t j) {
-                                marks_[j >> 6] |= 1ull << (j & 63);
-                              });
-    for (std::size_t w = static_cast<std::size_t>(i + 1) >> 6; w < words;
-         ++w) {
-      std::uint64_t word = marks_[w];
-      if (word == 0) continue;
-      marks_[w] = 0;
-      do {
-        const auto j =
-            static_cast<std::uint32_t>((w << 6) + std::countr_zero(word));
-        word &= word - 1;
-        vitems_.push_back(
-            run_offset(i, j, static_cast<std::uint32_t>(vitems_.size())));
-      } while (word != 0);
-    }
-  }
-  return true;
 }
 
 void ServerDomain::rebuild_subset(double padded2, double c2) {

@@ -6,14 +6,16 @@
 // the *active* list on each server is rebuilt in the update phase by
 // distance-checking the assigned pairs against the cut-off.
 //
-// Two host execution paths rebuild the active list (DESIGN.md, "Host
-// execution engine"): the brute-force sweep over the assigned pairs (the
-// paper's algorithm, O(n^2/p) distance checks) and a skin-padded Verlet
-// list over the static domain that is exact-filtered per update and
-// rebuilt only when some center has moved more than half the skin.  Both
-// produce the identical active list (same pairs, same order); only host
-// wall time differs.  Virtual-time accounting is unchanged: update() always
-// reports domain_size() pairs checked, the paper's O(n^2) model.
+// The production update keeps a skin-padded Verlet list over the static
+// domain (DESIGN.md, "Verlet-list pair updates"): one sweep of the domain
+// builds it, every domain alike (the serial full triangle, a p > 1 subset,
+// a post-failover domain), and each update exact-filters it against the
+// current positions until some center has moved more than half the skin.
+// The brute-force sweep over the assigned pairs (the paper's algorithm,
+// O(n^2/p) distance checks) stays as the in-process oracle.  Both produce
+// the identical active list (same pairs, same order); only host wall time
+// differs.  Virtual-time accounting is unchanged: update() always reports
+// domain_size() pairs checked, the paper's O(n^2) model.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "opal/cells.hpp"
 #include "opal/complex.hpp"
 
 namespace opalsim::opal {
@@ -53,21 +54,10 @@ enum class DistributionStrategy {
 std::string to_string(DistributionStrategy s);
 
 /// Host path used by ServerDomain::update to rebuild the active list.
-/// Auto picks the Verlet list when the crossover model says it pays off
-/// (cut-off set, enough centers/pairs, box wide enough for the padded
-/// cut-off to prune); Brute and CellList force a path (CellList still falls
-/// back when the full-triangle grid degenerates, e.g. the cut-off exceeds
-/// the bounding box).  Brute is the in-process oracle the tests compare
-/// against.
-enum class PairUpdatePath { Auto, Brute, CellList };
-
-/// Auto-path crossover: minimum center count before the Verlet list is
-/// considered.  Default from the bench_host_speed crossover sweep
-/// (DESIGN.md, "Host execution engine").
-std::uint32_t cell_crossover_centers();
-/// Overrides the crossover (tests steer the Auto heuristic in-process; 0
-/// restores the default).
-void set_cell_crossover_centers(std::uint32_t n);
+/// Auto is the production path: the Verlet list, for every domain and any
+/// cut-off.  Brute is the O(n^2/p) sweep, the in-process oracle that tests
+/// and bench_host_speed compare the list against.
+enum class PairUpdatePath { Auto, Brute };
 
 /// Host-path counters for one ServerDomain (bench/metrics introspection;
 /// not serialized — checkpointed runs omit the derived metrics keys).
@@ -128,9 +118,6 @@ class ServerDomain {
   std::size_t list_bytes() const noexcept {
     return active_size() * sizeof(PairIdx);
   }
-  /// True when the last update() was served by the Verlet list (bench and
-  /// test introspection).
-  bool last_update_used_cells() const noexcept { return used_cells_; }
   /// Cumulative host-path counters since construction/restore.
   const PairUpdateStats& stats() const noexcept { return stats_; }
 
@@ -138,8 +125,8 @@ class ServerDomain {
 
   // -- checkpoint/restart ----------------------------------------------------
   // The record holds only the result state: static domain, active list and
-  // materialization flag.  The grid and Verlet list are lazy caches rebuilt
-  // on demand, and both host paths produce the identical active list, so a
+  // materialization flag.  The Verlet list is a lazy cache rebuilt on
+  // demand, and both host paths produce the identical active list, so a
   // resumed server replays the golden run's lists exactly.
 
   struct Snapshot {
@@ -154,34 +141,26 @@ class ServerDomain {
   void restore(const Snapshot& s, std::uint32_t n);
 
  private:
-  bool update_cells(const MolecularComplex& mc, double c2, double cutoff);
-  /// Crossover model for the Auto path: does the Verlet list pay off here?
-  bool cells_profitable(const MolecularComplex& mc, double cutoff) const;
+  void update_list(const MolecularComplex& mc, double c2, double cutoff);
   /// Does the Verlet list built for `cutoff` still cover every pair within
   /// it?  True while no center of the current positions sx_/sy_/sz_ has
   /// moved more than skin/2 from its reference position.
   bool verlet_fresh(double cutoff, double skin) const noexcept;
-  /// Rebuilds the full-triangle list through a grid with edge `padded`;
-  /// false (list untouched) when the grid degenerates.
-  bool rebuild_triangle(double padded);
   /// Offset of j for list item number `count`, opening a run at (i, j)
   /// when the row changes or the offset would pass 65,535.
   std::uint16_t run_offset(std::uint32_t i, std::uint32_t j,
                            std::uint32_t count);
-  /// Rebuilds the list of any other domain by one sweep of domain_,
-  /// emitting the active list for the current positions on the way.
+  /// Rebuilds the list by one sweep of domain_, emitting the active list
+  /// for the current positions on the way.
   void rebuild_subset(double padded2, double c2);
 
   std::vector<PairIdx> domain_;
   std::vector<PairIdx> active_;
   bool materialized_ = false;
-  bool used_cells_ = false;
   PairUpdateStats stats_;
 
   // Per-update scratch, reused across calls.
-  CellGrid grid_;
   std::vector<double> sx_, sy_, sz_;
-  std::vector<std::uint64_t> marks_;
 
   // Verlet (skin-padded) list: every domain pair that lay within
   // cutoff + skin at the reference positions rx_/ry_/rz_, in domain order.

@@ -325,7 +325,8 @@ class PackBuffer {
     // length from a corrupted buffer), silently passing the check and
     // reading out of bounds.  Compare against the remaining bytes instead.
     if (n > size() - cursor_) throw UnpackError("PackBuffer: truncated item");
-    std::memcpy(p, bytes + cursor_, n);
+    // An empty array unpacks into a vector whose data() may be null.
+    if (n > 0) std::memcpy(p, bytes + cursor_, n);
     cursor_ += n;
   }
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "mach/platforms_db.hpp"
 #include "opal/complex.hpp"
+#include "util/fatal.hpp"
 
 namespace {
 
@@ -162,6 +168,78 @@ TEST(Prediction, LargerProblemPushesBreakdownOutward) {
     return predict_speedup(j90, a, 7.0);
   };
   EXPECT_GT(speed(6289), speed(4289));
+}
+
+/// Every field mach::validate checks, each with the values it refuses.
+struct BadField {
+  std::string name;
+  std::function<void(opalsim::mach::PlatformSpec&, double)> set;
+  std::vector<double> values;
+};
+
+std::vector<BadField> bad_fields() {
+  using Spec = opalsim::mach::PlatformSpec;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {
+      {"net.observed_MBps", [](Spec& s, double v) { s.net.observed_MBps = v; },
+       {0.0, -3.0, kNaN, kInf}},
+      {"net.latency_s", [](Spec& s, double v) { s.net.latency_s = v; },
+       {-1e-6, kNaN, kInf}},
+      {"sync_time_s", [](Spec& s, double v) { s.sync_time_s = v; },
+       {-1e-6, kNaN, kInf}},
+      {"cpu.adjusted_mflops",
+       [](Spec& s, double v) { s.cpu.adjusted_mflops = v; },
+       {0.0, -80.0, kNaN, kInf}},
+      {"cpu.scalar_fraction",
+       [](Spec& s, double v) { s.cpu.scalar_fraction = v; },
+       {0.0, 1.5, kNaN}},
+  };
+}
+
+/// Requires `call` to end in a ConfigError from "mach" naming `field`.
+void expect_mach_error(const std::function<void()>& call,
+                       const std::string& field) {
+  try {
+    call();
+    ADD_FAILURE() << field << ": spec accepted";
+  } catch (const opalsim::util::ConfigError& e) {
+    EXPECT_EQ(e.subsystem(), "mach");
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ModelEntryPoints, RefuseEveryBadSpecField) {
+  // A zero or non-finite field would otherwise become an infinite or NaN
+  // prediction with no error.  derive_platform_params checks both specs.
+  const ModelParams ref = j90_fit();
+  for (const BadField& f : bad_fields()) {
+    for (const double v : f.values) {
+      SCOPED_TRACE(f.name + " = " + std::to_string(v));
+      auto bad = fast_cops();
+      f.set(bad, v);
+      expect_mach_error([&] { theoretical_params(bad); }, f.name);
+      expect_mach_error(
+          [&] { derive_platform_params(ref, cray_j90(), bad); }, f.name);
+      expect_mach_error(
+          [&] { derive_platform_params(ref, bad, cray_j90()); }, f.name);
+    }
+  }
+}
+
+TEST(ModelEntryPoints, AcceptEveryPaperPlatform) {
+  const ModelParams ref = j90_fit();
+  std::vector<opalsim::mach::PlatformSpec> specs =
+      opalsim::mach::prediction_platforms();
+  specs.push_back(opalsim::mach::pentium200());
+  specs.push_back(opalsim::mach::hippi_j90_cluster());
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    EXPECT_NO_THROW(theoretical_params(spec));
+    EXPECT_NO_THROW(derive_platform_params(ref, cray_j90(), spec));
+    EXPECT_NO_THROW(derive_platform_params(ref, spec, cray_j90()));
+  }
 }
 
 }  // namespace

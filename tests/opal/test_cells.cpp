@@ -1,8 +1,8 @@
-// Verlet-list update path: the linked-cell grid and the equivalence
-// guarantee that ServerDomain::update produces the *identical* active list
-// (same pairs, same order) on both host paths, across distribution
-// strategies, server counts, post-failover domains, moving positions and
-// degenerate geometries.
+// Verlet-list update path: the guarantee that ServerDomain::update produces
+// the *identical* active list (same pairs, same order) on the list and on
+// the brute-force oracle, across distribution strategies, server counts,
+// post-failover domains, moving positions and degenerate or non-finite
+// geometries.  The list serves every domain, including the full triangle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,14 +11,12 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "mach/platforms_db.hpp"
-#include "opal/cells.hpp"
 #include "opal/complex.hpp"
 #include "opal/forcefield.hpp"
 #include "opal/pairs.hpp"
@@ -43,100 +41,26 @@ std::vector<opal::PairIdx> snapshot(const opal::ServerDomain& dom) {
   return {dom.active().begin(), dom.active().end()};
 }
 
-struct Coords {
-  std::vector<double> x, y, z;
-};
-
-Coords coords(const opal::MolecularComplex& mc) {
-  Coords c;
-  for (const auto& m : mc.centers) {
-    c.x.push_back(m.position.x);
-    c.y.push_back(m.position.y);
-    c.z.push_back(m.position.z);
-  }
-  return c;
-}
-
-/// A cutoff guaranteed to give the grid >= 4 cells per axis for these
-/// positions (the synthetic boxes of small test complexes are only ~20 A
-/// across, so fixed cutoffs can degenerate the grid).
-double grid_friendly_cutoff(const opal::MolecularComplex& mc) {
-  const Coords c = coords(mc);
-  double span = std::numeric_limits<double>::max();
-  for (const auto* v : {&c.x, &c.y, &c.z}) {
-    const auto [lo, hi] = std::minmax_element(v->begin(), v->end());
-    span = std::min(span, *hi - *lo);
-  }
-  return span / 4.0;
-}
-
 /// Half the Verlet skin for `cutoff`, computed as the list does
 /// (kVerletSkinFactor = 0.3).
 double half_skin(double cutoff) { return 0.5 * (0.3 * cutoff); }
 
 /// Runs both paths on the same domain and requires element-for-element
 /// equality (order included — the FP accumulation order downstream depends
-/// on it).
+/// on it).  The Auto update must be served by the list.
 void expect_paths_identical(opal::ServerDomain& dom,
                             const opal::MolecularComplex& mc, double cutoff) {
   dom.update(mc, cutoff, opal::PairUpdatePath::Brute);
   const auto brute = snapshot(dom);
-  dom.update(mc, cutoff, opal::PairUpdatePath::CellList);
+  const std::uint64_t served = dom.stats().cell_updates;
+  dom.update(mc, cutoff, opal::PairUpdatePath::Auto);
+  ASSERT_EQ(dom.stats().cell_updates, served + 1);
   const auto cells = snapshot(dom);
   ASSERT_EQ(brute.size(), cells.size());
   for (std::size_t t = 0; t < brute.size(); ++t) {
     ASSERT_EQ(brute[t].i, cells[t].i) << "at position " << t;
     ASSERT_EQ(brute[t].j, cells[t].j) << "at position " << t;
   }
-}
-
-TEST(CellGrid, RejectsDegenerateGeometry) {
-  opal::CellGrid grid;
-  // Too few points.
-  std::vector<double> one{0.0};
-  EXPECT_FALSE(grid.build(one, one, one, 1.0));
-  // Cutoff exceeding the bounding box: fewer than 8 cells (no splittable
-  // axis), so the grid cannot prune anything.
-  const Coords c = coords(test_complex(50, 100, 7));
-  const auto& [x, y, z] = c;
-  EXPECT_FALSE(grid.build(x, y, z, 1e6));
-  // Non-positive cutoff.
-  EXPECT_FALSE(grid.build(x, y, z, 0.0));
-  // Non-finite coordinate.
-  auto bad = x;
-  bad[3] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(grid.build(bad, y, z, 3.0));
-}
-
-TEST(CellGrid, NearAboveMatchesCandidatesWithinCutoff) {
-  // Against the O(n^2) reference: every pair (i, j > i) within the cut-off,
-  // each exactly once, and nothing else.
-  const auto mc = test_complex(100, 200, 3);
-  const Coords c = coords(mc);
-  const auto& [x, y, z] = c;
-  const double cutoff = grid_friendly_cutoff(mc);
-  const double c2 = cutoff * cutoff;
-  opal::CellGrid grid;
-  ASSERT_TRUE(grid.build(x, y, z, cutoff));
-
-  const auto n = static_cast<std::uint32_t>(mc.n());
-  std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j) {
-      if (opal::within_cutoff(mc, i, j, c2)) expected.insert({i, j});
-    }
-  }
-  ASSERT_FALSE(expected.empty());
-
-  std::set<std::pair<std::uint32_t, std::uint32_t>> got;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    grid.for_each_near_above(i, x[i], y[i], z[i], c2, [&](std::uint32_t j) {
-      ASSERT_GT(j, i);
-      const bool inserted = got.insert({i, j}).second;
-      ASSERT_TRUE(inserted) << "pair (" << i << "," << j << ") emitted twice";
-    });
-  }
-  EXPECT_EQ(expected, got);
 }
 
 TEST(CellListEquivalence, AllStrategiesAllServerCounts) {
@@ -157,13 +81,10 @@ TEST(CellListEquivalence, AllStrategiesAllServerCounts) {
         opal::ServerDomain dom(std::move(domains[s]));
         SCOPED_TRACE(opal::to_string(strategy) + ", p=" + std::to_string(p) +
                      ", server " + std::to_string(s));
+        // Every domain takes the one list builder, the whole triangle too
+        // (p = 1, and the even-multiplier bug's server 0 at even p).
         expect_paths_identical(dom, mc, 8.0);
-        // Subset domains need no grid: the list always serves them.  (The
-        // even-multiplier bug hands one server the whole triangle, which
-        // takes the grid path and degenerates at this cut-off.)
-        if (dom.domain_size() < std::uint64_t{n} * (n - 1) / 2) {
-          EXPECT_TRUE(dom.last_update_used_cells());
-        }
+        EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
       }
     }
   }
@@ -192,8 +113,8 @@ TEST(CellListEquivalence, PostAdoptFailoverDomain) {
   // Server 0 adopts server 2's share (the failover path): its domain is now
   // two concatenated sorted runs, and the list must follow that order.
   opal::ServerDomain dom(std::move(domains[0]));
-  dom.update(mc, 8.0, opal::PairUpdatePath::CellList);
-  dom.update(mc, 8.0, opal::PairUpdatePath::CellList);
+  dom.update(mc, 8.0, opal::PairUpdatePath::Auto);
+  dom.update(mc, 8.0, opal::PairUpdatePath::Auto);
   EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);  // nothing moved
   dom.adopt(domains[2]);
   expect_paths_identical(dom, mc, 8.0);
@@ -202,7 +123,6 @@ TEST(CellListEquivalence, PostAdoptFailoverDomain) {
   dom.adopt(domains[1]);
   expect_paths_identical(dom, mc, 8.0);
   EXPECT_EQ(dom.stats().verlet_rebuilds, 3u);
-  EXPECT_TRUE(dom.last_update_used_cells());
 }
 
 TEST(CellListEquivalence, RowPastOffset65535SplitsItsRun) {
@@ -239,7 +159,6 @@ TEST(CellListEquivalence, RowPastOffset65535SplitsItsRun) {
 
   expect_paths_identical(dom, mc, cutoff);  // rebuild: sweeps the domain
   expect_paths_identical(dom, mc, cutoff);  // filter: reads the runs
-  ASSERT_TRUE(dom.last_update_used_cells());
   const auto active = snapshot(dom);
   EXPECT_NE(std::find(active.begin(), active.end(), opal::PairIdx{0, 65537}),
             active.end());
@@ -249,7 +168,6 @@ TEST(CellListEquivalence, RowPastOffset65535SplitsItsRun) {
   // serves, and the filter must now emit (0, 2) as well.
   mc.centers[2].position.y = 4.9;
   expect_paths_identical(dom, mc, cutoff);
-  EXPECT_TRUE(dom.last_update_used_cells());
   EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
   EXPECT_EQ(dom.active_size(), active.size() + 1);
 }
@@ -263,15 +181,13 @@ TEST(CellListEquivalence, MovingPositionsRevalidateVerletList) {
     SCOPED_TRACE("p=" + std::to_string(p));
     auto mc = test_complex(120, 240, 8);
     const auto n = static_cast<std::uint32_t>(mc.n());
-    // Small enough that the padded full-triangle grid does not degenerate.
-    const double cutoff = grid_friendly_cutoff(mc) / 1.3;
+    const double cutoff = 4.0;
     const double h = half_skin(cutoff);
     auto domains =
         opal::build_domains(n, p, opal::DistributionStrategy::RowCyclic, 1);
     opal::ServerDomain dom(std::move(domains[0]));
     util::Xoshiro256 rng(123);
     expect_paths_identical(dom, mc, cutoff);
-    ASSERT_TRUE(dom.last_update_used_cells());
     ASSERT_EQ(dom.stats().verlet_rebuilds, 1u);
     for (int round = 0; round < 6; ++round) {
       // Rounds alternate small jitter (|move| <= sqrt(3)/4 * skin/2, the
@@ -286,26 +202,26 @@ TEST(CellListEquivalence, MovingPositionsRevalidateVerletList) {
       SCOPED_TRACE("round " + std::to_string(round));
       const std::uint64_t before = dom.stats().verlet_rebuilds;
       expect_paths_identical(dom, mc, cutoff);
-      EXPECT_TRUE(dom.last_update_used_cells());
       EXPECT_EQ(dom.stats().verlet_rebuilds, before + (kick ? 1u : 0u));
     }
   }
 }
 
 TEST(CellListEquivalence, EdgeCases) {
-  // Cutoff larger than the bounding box: the grid degenerates, CellList
-  // falls back to brute force, results still identical.
+  // Cutoff larger than the bounding box: the list holds every pair, and
+  // the second update is its filter.
   {
     const auto mc = test_complex(100, 200, 13);
     auto domains =
         opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
                             opal::DistributionStrategy::RowCyclic, 1);
     opal::ServerDomain dom(std::move(domains[0]));
-    dom.update(mc, 1e6, opal::PairUpdatePath::CellList);
-    EXPECT_FALSE(dom.last_update_used_cells());
     expect_paths_identical(dom, mc, 1e6);
+    expect_paths_identical(dom, mc, 1e6);
+    EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
+    EXPECT_EQ(dom.active_size(), dom.domain_size());
   }
-  // Tiny complex (n = 2): one pair, brute fallback.
+  // Tiny complex (n = 2): a domain of one pair.
   {
     const auto mc = test_complex(2, 0, 21);
     opal::ServerDomain dom(
@@ -313,6 +229,8 @@ TEST(CellListEquivalence, EdgeCases) {
                                       opal::DistributionStrategy::RowCyclic,
                                       1)[0]));
     expect_paths_identical(dom, mc, 5.0);
+    expect_paths_identical(dom, mc, 5.0);
+    EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
   }
   // No cut-off: the list is not materialized on either path.
   {
@@ -321,17 +239,17 @@ TEST(CellListEquivalence, EdgeCases) {
         std::move(opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
                                       opal::DistributionStrategy::Folded,
                                       1)[0]));
-    const auto checked = dom.update(mc, -1.0, opal::PairUpdatePath::CellList);
+    const auto checked = dom.update(mc, -1.0, opal::PairUpdatePath::Auto);
     EXPECT_EQ(checked, dom.domain_size());
-    EXPECT_FALSE(dom.last_update_used_cells());
+    EXPECT_EQ(dom.stats().updates, 0u);
+    EXPECT_EQ(dom.stats().verlet_rebuilds, 0u);
     EXPECT_EQ(dom.active().size(), dom.domain_size());
   }
 }
 
 TEST(CellListEquivalence, AllCentersInOneCell) {
-  // Every center inside one cut-off sphere: the grid collapses to a single
-  // cell, build() refuses, the forced path falls back — and the lists must
-  // still match (everything is within the cut-off).
+  // Every center inside one cut-off sphere: the list holds the whole
+  // triangle, the filter keeps all of it, and both match brute force.
   auto mc = test_complex(40, 80, 17);
   for (auto& c : mc.centers) {
     c.position.x *= 0.05;
@@ -341,15 +259,15 @@ TEST(CellListEquivalence, AllCentersInOneCell) {
   auto domains = opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
                                      opal::DistributionStrategy::RowCyclic, 1);
   opal::ServerDomain dom(std::move(domains[0]));
-  dom.update(mc, 8.0, opal::PairUpdatePath::CellList);
-  EXPECT_FALSE(dom.last_update_used_cells());
+  expect_paths_identical(dom, mc, 8.0);
   EXPECT_EQ(dom.active_size(), dom.domain_size());  // all pairs in range
   expect_paths_identical(dom, mc, 8.0);
+  EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
 }
 
 TEST(CellListEquivalence, ZeroAndOneCenterDomains) {
   // Degenerate complexes: no pairs exist, both paths must produce an empty
-  // (or unmaterialized-empty) active list without touching the grid.
+  // active list, and the list (built once, empty) serves the Auto updates.
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}}) {
     opal::MolecularComplex mc;
     mc.name = "degenerate";
@@ -361,14 +279,14 @@ TEST(CellListEquivalence, ZeroAndOneCenterDomains) {
     }
     opal::ServerDomain dom;  // empty domain — no pairs to assign
     SCOPED_TRACE("n = " + std::to_string(n));
-    for (auto path : {opal::PairUpdatePath::Brute,
-                      opal::PairUpdatePath::CellList,
+    for (auto path : {opal::PairUpdatePath::Brute, opal::PairUpdatePath::Auto,
                       opal::PairUpdatePath::Auto}) {
       const auto checked = dom.update(mc, 5.0, path);
       EXPECT_EQ(checked, 0u);
       EXPECT_EQ(dom.active_size(), 0u);
-      EXPECT_FALSE(dom.last_update_used_cells());
     }
+    EXPECT_EQ(dom.stats().cell_updates, 2u);
+    EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
   }
 }
 
@@ -381,7 +299,7 @@ TEST(CellListEquivalence, ExactSkinBoundaryDisplacement) {
   for (int p : {1, 3}) {
     SCOPED_TRACE("p=" + std::to_string(p));
     auto mc = test_complex(110, 220, 23);
-    const double cutoff = grid_friendly_cutoff(mc) / 1.3;
+    const double cutoff = 4.0;
     const double h = half_skin(cutoff);
     auto domains =
         opal::build_domains(static_cast<std::uint32_t>(mc.n()), p,
@@ -390,7 +308,6 @@ TEST(CellListEquivalence, ExactSkinBoundaryDisplacement) {
     // Reference x = 0 makes the boundary displacement exactly h.
     mc.centers[5].position.x = 0.0;
     expect_paths_identical(dom, mc, cutoff);  // builds the reference list
-    ASSERT_TRUE(dom.last_update_used_cells());
     ASSERT_EQ(dom.stats().verlet_rebuilds, 1u);
 
     mc.centers[5].position.x = h;  // exactly at the boundary
@@ -409,40 +326,34 @@ TEST(CellListEquivalence, ExactSkinBoundaryDisplacement) {
   }
 }
 
-TEST(CellListEquivalence, CrossoverOverrideKnobSteersAutoPath) {
-  // A huge crossover forces Auto to brute force; a tiny one re-enables the
-  // Verlet list where the padded grid fits.  Results are identical either
-  // way — the crossover trades host time only.
-  const auto mc = test_complex(400, 800, 31);
-  const auto n = static_cast<std::uint32_t>(mc.n());
-  // A cut-off small enough that even the skin-padded grid has >= 2 cells
-  // per axis on the synthetic box.
-  const double cutoff = grid_friendly_cutoff(mc) / 1.3;
-
-  auto domains = opal::build_domains(n, 1,
-                                     opal::DistributionStrategy::RowCyclic, 1);
-  opal::ServerDomain dom(std::move(domains[0]));
-
-  opal::set_cell_crossover_centers(n + 1);  // out of reach: Auto -> brute
-  dom.update(mc, cutoff, opal::PairUpdatePath::Auto);
-  EXPECT_FALSE(dom.last_update_used_cells());
-  const auto brute = snapshot(dom);
-
-  opal::set_cell_crossover_centers(2);  // everything crosses: Auto -> cells
-  dom.update(mc, cutoff, opal::PairUpdatePath::Auto);
-  EXPECT_TRUE(dom.last_update_used_cells());
-  const auto cells = snapshot(dom);
-  ASSERT_EQ(brute.size(), cells.size());
-  EXPECT_TRUE(std::equal(brute.begin(), brute.end(), cells.begin()));
-
-  opal::set_cell_crossover_centers(0);  // restore the default
-  EXPECT_GT(opal::cell_crossover_centers(), 0u);
+TEST(CellListEquivalence, NonFiniteCoordinatesRebuildEveryUpdate) {
+  // A NaN or infinite position fails every distance test it enters, on both
+  // paths alike, and counts as moved past the skin: the list must rebuild
+  // on each update and still match brute force, for the full triangle and
+  // for subset domains.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    auto mc = test_complex(100, 200, 29);
+    mc.centers[3].position.x = bad;
+    mc.centers[200].position.z = -bad;
+    const auto n = static_cast<std::uint32_t>(mc.n());
+    for (int p : {1, 7}) {
+      auto domains = opal::build_domains(
+          n, p, opal::DistributionStrategy::PseudoRandomHistorical, 1);
+      for (int s = 0; s < p; ++s) {
+        SCOPED_TRACE("bad=" + std::to_string(bad) + ", p=" +
+                     std::to_string(p) + ", server " + std::to_string(s));
+        opal::ServerDomain dom(std::move(domains[s]));
+        expect_paths_identical(dom, mc, 8.0);
+        expect_paths_identical(dom, mc, 8.0);
+        EXPECT_EQ(dom.stats().verlet_rebuilds, 2u);
+      }
+    }
+  }
 }
 
 TEST(CellListEquivalence, UpdateStatsCountPathsTaken) {
   const auto mc = test_complex(150, 300, 41);
-  // Small enough that the skin-padded grid has >= 3 cells per axis on the
-  // synthetic box (the forced cell path must actually engage).
   const double cutoff = 5.0;
   auto domains = opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
                                      opal::DistributionStrategy::RowCyclic, 1);
@@ -453,7 +364,7 @@ TEST(CellListEquivalence, UpdateStatsCountPathsTaken) {
   EXPECT_EQ(dom.stats().updates, 1u);
   EXPECT_EQ(dom.stats().cell_updates, 0u);
 
-  dom.update(mc, cutoff, opal::PairUpdatePath::CellList);
+  dom.update(mc, cutoff, opal::PairUpdatePath::Auto);
   EXPECT_EQ(dom.stats().updates, 2u);
   EXPECT_EQ(dom.stats().cell_updates, 1u);
   EXPECT_GE(dom.stats().verlet_rebuilds, 1u);
@@ -468,7 +379,7 @@ TEST(CellListEquivalence, UpdateStatsCountPathsTaken) {
   EXPECT_EQ(dom.stats().updates, 0u);
   EXPECT_EQ(dom.stats().cell_updates, 0u);
   EXPECT_EQ(dom.stats().verlet_rebuilds, 0u);
-  dom.update(mc, cutoff, opal::PairUpdatePath::CellList);
+  dom.update(mc, cutoff, opal::PairUpdatePath::Auto);
   EXPECT_EQ(dom.stats().cell_updates, 1u);
   EXPECT_EQ(dom.stats().verlet_rebuilds, 1u);
 }
@@ -481,8 +392,7 @@ TEST(CellListEquivalence, VirtualTimeAccountingUnchanged) {
                                      opal::DistributionStrategy::Folded, 3);
   opal::ServerDomain dom(std::move(domains[0]));
   const auto brute_charge = dom.update(mc, 8.0, opal::PairUpdatePath::Brute);
-  const auto cells_charge =
-      dom.update(mc, 8.0, opal::PairUpdatePath::CellList);
+  const auto cells_charge = dom.update(mc, 8.0, opal::PairUpdatePath::Auto);
   EXPECT_EQ(brute_charge, dom.domain_size());
   EXPECT_EQ(cells_charge, dom.domain_size());
 }
@@ -493,8 +403,7 @@ TEST(CellListEquivalence, SerialEngineBitIdenticalAcrossPaths) {
   // active lists, so any divergence would compound).
   opal::SimResult results[2];
   int idx = 0;
-  for (auto path :
-       {opal::PairUpdatePath::Brute, opal::PairUpdatePath::CellList}) {
+  for (auto path : {opal::PairUpdatePath::Brute, opal::PairUpdatePath::Auto}) {
     opal::SimulationConfig cfg;
     cfg.steps = 10;
     cfg.cutoff = 8.0;
@@ -525,7 +434,7 @@ TEST(CellListEquivalence, DistributedRunBitIdenticalAcrossPaths) {
   // domain-subset Verlet list under Auto, and the run's physics and
   // virtual-time metrics are bit-identical to the brute-force oracle's.
   const auto mc = test_complex(150, 300, 61);
-  const double cutoff = grid_friendly_cutoff(mc) / 1.3;
+  const double cutoff = 4.0;
   const auto dir = std::filesystem::temp_directory_path();
   opal::ParallelRunResult results[2];
   std::string metrics[2];

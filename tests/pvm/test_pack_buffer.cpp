@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -342,6 +345,202 @@ TEST(PackBuffer, InlineGrowthCrossesCapMidItem) {
   EXPECT_FALSE(b.is_inline());
   for (std::uint64_t i = 0; i < 12; ++i) EXPECT_EQ(b.unpack_u64(), i);
   EXPECT_TRUE(b.fully_consumed());
+}
+
+// -- mutation tier: typed unpack of truncated or mistyped payloads ----------
+//
+// A received message, or a mailbox item restored from a checkpoint image,
+// reaches the typed unpack calls with whatever bytes it carries.  Each
+// fixture holds every item type; each mutation is a truncation to every
+// length, or every other value of one tag byte or one length-field byte.
+// Unpacking in packing order must end in values or in UnpackError: an
+// escaped exception fails the test, and an out-of-bounds read stops it
+// under ASan.
+
+enum class Item { I32, U64, F64, Str, F64Arr, U32Arr };
+
+/// A packed buffer and its items in packing order, with each string's or
+/// array's body size in bytes (0 for scalars).
+struct Fixture {
+  std::string name;
+  PackBuffer buf;
+  std::vector<std::pair<Item, std::size_t>> items;
+
+  void i32(std::int32_t v) {
+    buf.pack_i32(v);
+    items.emplace_back(Item::I32, 0);
+  }
+  void u64(std::uint64_t v) {
+    buf.pack_u64(v);
+    items.emplace_back(Item::U64, 0);
+  }
+  void f64(double v) {
+    buf.pack_f64(v);
+    items.emplace_back(Item::F64, 0);
+  }
+  void str(const std::string& v) {
+    buf.pack_string(v);
+    items.emplace_back(Item::Str, v.size());
+  }
+  void f64s(const std::vector<double>& v) {
+    buf.pack_f64_array(v);
+    items.emplace_back(Item::F64Arr, v.size() * sizeof(double));
+  }
+  void u32s(const std::vector<std::uint32_t>& v) {
+    buf.pack_u32_array(v);
+    items.emplace_back(Item::U32Arr, v.size() * sizeof(std::uint32_t));
+  }
+};
+
+/// 58 encoded bytes, inline; the f64 array is empty.
+Fixture inline_fixture() {
+  Fixture f{"inline", {}, {}};
+  f.i32(-7);
+  f.u64(0x0123456789abcdefull);
+  f.f64(2.5);
+  f.str("a");
+  f.f64s({});
+  f.u32s({7});
+  return f;
+}
+
+/// Heap-backed; the string and both arrays have several elements.
+Fixture heap_fixture() {
+  Fixture f{"heap", {}, {}};
+  f.i32(42);
+  f.u64(1ull << 40);
+  f.f64(-1e300);
+  f.str("update_lists");
+  f.f64s({1.0, -2.0, 3.5, 0.0, 1e-300, 6.0});
+  f.u32s({1, 2, 3, 65536, 0xffffffffu});
+  return f;
+}
+
+/// Offsets of every tag byte and every length-field byte of `f`'s
+/// encoding: an item is one tag byte and its payload, and a string or
+/// array is a u64 count item followed by one tagged body.
+struct Layout {
+  std::vector<std::size_t> tags, lengths;
+  std::size_t end = 0;
+};
+
+Layout layout_of(const Fixture& f) {
+  Layout l;
+  for (const auto& [item, body] : f.items) {
+    l.tags.push_back(l.end);
+    switch (item) {
+      case Item::I32:
+        l.end += 1 + 4;
+        break;
+      case Item::U64:
+      case Item::F64:
+        l.end += 1 + 8;
+        break;
+      case Item::Str:
+      case Item::F64Arr:
+      case Item::U32Arr:
+        for (std::size_t k = 1; k <= 8; ++k) l.lengths.push_back(l.end + k);
+        l.end += 1 + 8;
+        l.tags.push_back(l.end);
+        l.end += 1 + body;
+        break;
+    }
+  }
+  return l;
+}
+
+/// Unpacks `b` in `f`'s packing order.  Returns what escaped other than
+/// UnpackError, or "" when every item unpacked or UnpackError ended it.
+std::string unpack_in_order(PackBuffer b, const Fixture& f) {
+  try {
+    for (const auto& entry : f.items) {
+      switch (entry.first) {
+        case Item::I32:
+          b.unpack_i32();
+          break;
+        case Item::U64:
+          b.unpack_u64();
+          break;
+        case Item::F64:
+          b.unpack_f64();
+          break;
+        case Item::Str:
+          b.unpack_string();
+          break;
+        case Item::F64Arr:
+          b.unpack_f64_array();
+          break;
+        case Item::U32Arr:
+          b.unpack_u32_array();
+          break;
+      }
+    }
+  } catch (const opalsim::pvm::UnpackError&) {
+    return "";
+  } catch (const std::exception& e) {
+    return std::string("escaped: ") + e.what();
+  }
+  return "";
+}
+
+std::vector<Fixture> mutation_fixtures() {
+  std::vector<Fixture> fs;
+  fs.push_back(inline_fixture());
+  fs.push_back(heap_fixture());
+  return fs;
+}
+
+TEST(PackBufferMutation, FixturesCoverBothStoragesAndTheLayout) {
+  for (const Fixture& f : mutation_fixtures()) {
+    SCOPED_TRACE(f.name);
+    const Layout l = layout_of(f);
+    EXPECT_EQ(l.end, f.buf.raw_size());
+    EXPECT_EQ(l.tags.size(), 9u);      // six items, three count items
+    EXPECT_EQ(l.lengths.size(), 24u);  // three 8-byte counts
+    EXPECT_EQ(f.buf.is_inline(), f.name == "inline");
+    PackBuffer b = f.buf;
+    EXPECT_EQ(unpack_in_order(b, f), "");
+    for (std::size_t at : l.tags) {
+      EXPECT_LE(f.buf.raw_bytes()[at], 5) << "offset " << at;
+    }
+  }
+}
+
+TEST(PackBufferMutation, EveryTruncationEndsInValuesOrUnpackError) {
+  for (const Fixture& f : mutation_fixtures()) {
+    const std::span<const std::uint8_t> raw = f.buf.raw_bytes();
+    for (std::size_t len = 0; len < raw.size(); ++len) {
+      const PackBuffer b =
+          PackBuffer::from_raw(raw.first(len), f.buf.byte_size());
+      EXPECT_EQ(unpack_in_order(b, f), "")
+          << "fixture " << f.name << ": truncated to " << len << " of "
+          << raw.size() << " bytes";
+    }
+  }
+}
+
+TEST(PackBufferMutation, EveryTagAndLengthByteChangeEndsInValuesOrError) {
+  int mutations = 0;
+  for (const Fixture& f : mutation_fixtures()) {
+    const Layout l = layout_of(f);
+    std::vector<std::size_t> offsets = l.tags;
+    offsets.insert(offsets.end(), l.lengths.begin(), l.lengths.end());
+    const std::span<const std::uint8_t> raw = f.buf.raw_bytes();
+    for (const std::size_t at : offsets) {
+      for (int v = 0; v < 256; ++v) {
+        if (v == raw[at]) continue;
+        std::vector<std::uint8_t> bytes(raw.begin(), raw.end());
+        bytes[at] = static_cast<std::uint8_t>(v);
+        ++mutations;
+        EXPECT_EQ(unpack_in_order(
+                      PackBuffer::from_raw(bytes, f.buf.byte_size()), f),
+                  "")
+            << "fixture " << f.name << ": byte " << at << " "
+            << static_cast<int>(raw[at]) << " := " << v;
+      }
+    }
+  }
+  EXPECT_EQ(mutations, 2 * 33 * 255);
 }
 
 }  // namespace
