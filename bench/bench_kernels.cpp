@@ -1,8 +1,9 @@
 // Host-side kernel throughput (google-benchmark): the real execution speed
 // of this implementation's dominant loops — nonbonded pair evaluation, the
-// update distance sweep, bonded terms and pair-domain construction.  These
-// are supporting numbers (the paper's figures use *virtual* time); they
-// document the cost of running the simulator itself.
+// update distance sweep and Verlet-list rebuild, bonded terms and
+// pair-domain construction.  These are supporting numbers (the paper's
+// figures use *virtual* time); they document the cost of running the
+// simulator itself.
 #include <benchmark/benchmark.h>
 
 #include "opal/complex.hpp"
@@ -116,20 +117,54 @@ void BM_BondedTerms(benchmark::State& state) {
 BENCHMARK(BM_BondedTerms);
 
 /// The workloads' strategy (PseudoRandomHistorical) at p = 1, which skips
-/// hashing, and p = 7, which hashes every pair twice.
-void BM_BuildDomains(benchmark::State& state) {
+/// hashing, and p = 7, which hashes every pair twice, built on `pool`.
+void run_build_domains(benchmark::State& state, util::ThreadPool& pool) {
   const auto n = static_cast<std::uint32_t>(bench_complex().n());
   const int p = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto d = opal::build_domains(
-        n, p, opal::DistributionStrategy::PseudoRandomHistorical, 1);
+        n, p, opal::DistributionStrategy::PseudoRandomHistorical, 1, pool);
     benchmark::DoNotOptimize(d.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n) * (n - 1) / 2);
 }
+
+/// One block on the calling thread, as a sweep's runs build.
+void BM_BuildDomains(benchmark::State& state) {
+  util::ThreadPool one(1);
+  run_build_domains(state, one);
+}
 BENCHMARK(BM_BuildDomains)->Arg(1)->Arg(7);
+
+/// Row blocks on the process-wide pool, as single runs build.
+void BM_BuildDomainsPooled(benchmark::State& state) {
+  run_build_domains(state, util::ThreadPool::shared());
+}
+BENCHMARK(BM_BuildDomainsPooled)->Arg(1)->Arg(7)->UseRealTime();
+
+/// One Verlet-list rebuild per iteration (the cut-off alternates by
+/// 1e-9 A, which invalidates the list) of the full triangle (Arg 1) or
+/// server 0's hashed p = 7 domain (Arg 7) at cut-off 10 A.
+void BM_VerletRebuild(benchmark::State& state) {
+  const auto& mc = bench_complex();
+  auto domains = opal::build_domains(
+      static_cast<std::uint32_t>(mc.n()), static_cast<int>(state.range(0)),
+      opal::DistributionStrategy::PseudoRandomHistorical, 1);
+  opal::ServerDomain dom(std::move(domains[0]));
+  bool nudge = false;
+  for (auto _ : state) {
+    nudge = !nudge;
+    benchmark::DoNotOptimize(dom.update(mc, nudge ? 10.0 + 1e-9 : 10.0));
+  }
+  if (dom.stats().verlet_rebuilds != dom.stats().updates) {
+    state.SkipWithError("an update did not rebuild the list");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(dom.domain_size()));
+}
+BENCHMARK(BM_VerletRebuild)->Arg(1)->Arg(7);
 
 void BM_SerialStep(benchmark::State& state) {
   for (auto _ : state) {

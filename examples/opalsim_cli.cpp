@@ -126,22 +126,13 @@ int run_cli(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  // Molecule.
-  opal::MolecularComplex mc;
+  // Molecule: --solute picks a synthetic complex, else --size.
   const std::string size = args.get_or("size", "medium");
-  if (args.has("solute")) {
-    opal::SyntheticSpec s;
-    s.n_solute = size_arg(args, "solute", 200);
-    s.n_water = size_arg(args, "water", 400);
-    s.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
-    mc = opal::make_synthetic_complex(s);
-  } else if (size == "small") {
-    mc = opal::make_small_complex();
-  } else if (size == "large") {
-    mc = opal::make_large_complex();
-  } else {
-    mc = opal::make_medium_complex();
-  }
+  const bool synthetic = args.has("solute");
+  opal::SyntheticSpec spec;
+  spec.n_solute = size_arg(args, "solute", 200);
+  spec.n_water = size_arg(args, "water", 400);
+  spec.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
 
   // Configuration.
   opal::SimulationConfig cfg;
@@ -193,6 +184,25 @@ int run_cli(int argc, char** argv) {
       static_cast<int>(args.get_long("checkpoint-at-step", -1));
   cfg.resume_from = args.get_or("resume", "");
   const std::string csv_out = args.get_or("csv-out", "");
+  const bool gantt = args.get_flag("trace");
+  const bool predict = args.get_flag("predict");
+  sciddle::Options mw;
+  mw.barrier_mode = !args.get_flag("overlap");
+  mw.retry.enabled = args.get_flag("retry") || loss_rate > 0.0 ||
+                     corrupt_rate > 0.0 || dup_rate > 0.0 ||
+                     cfg.kill_server >= 0;
+
+  // Every flag has been read: whatever is left is unknown.
+  const auto unknown = args.unused();
+  for (const auto& k : unknown) {
+    std::cerr << "error: unknown option --" << k << "\n";
+  }
+  if (!unknown.empty()) return 2;
+  if (args.has("water") && !synthetic) {
+    std::cerr << "error: --water needs --solute\n";
+    return 2;
+  }
+
   if (method != opal::Method::ReplicatedData &&
       (!cfg.checkpoint_out.empty() || !cfg.resume_from.empty() ||
        cfg.checkpoint_every_steps > 0 || cfg.checkpoint_at_step >= 0)) {
@@ -200,7 +210,6 @@ int run_cli(int argc, char** argv) {
                  "replicated-data method (--method rd)\n";
     return 2;
   }
-  const bool gantt = args.get_flag("trace");
   if (gantt &&
       (!cfg.trace_out.empty() || !obs::trace_path_from_env().empty())) {
     std::cerr << "error: --trace cannot be combined with --trace-out or "
@@ -208,15 +217,11 @@ int run_cli(int argc, char** argv) {
     return 2;
   }
 
-  sciddle::Options mw;
-  mw.barrier_mode = !args.get_flag("overlap");
-  mw.retry.enabled = args.get_flag("retry") || loss_rate > 0.0 ||
-                     corrupt_rate > 0.0 || dup_rate > 0.0 ||
-                     cfg.kill_server >= 0;
-
-  for (const auto& k : args.unused()) {
-    std::cerr << "warning: unknown option --" << k << "\n";
-  }
+  const opal::MolecularComplex mc =
+      synthetic         ? opal::make_synthetic_complex(spec)
+      : size == "small" ? opal::make_small_complex()
+      : size == "large" ? opal::make_large_complex()
+                        : opal::make_medium_complex();
 
   std::cout << "platform: " << plat.name << ", method "
             << opal::to_string(method) << ", p = " << servers
@@ -277,7 +282,7 @@ int run_cli(int argc, char** argv) {
     ft.print(std::cout);
   }
 
-  if (args.get_flag("predict")) {
+  if (predict) {
     const auto params = model::theoretical_params(*platform);
     const auto app = model::app_params_for(mc, cfg, servers);
     std::cout << "\nanalytic model prediction: "

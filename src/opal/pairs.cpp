@@ -1,12 +1,14 @@
 #include "opal/pairs.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <cmath>
+#include <utility>
 
 #include "opal/forcefield.hpp"
 #include "util/fastmod.hpp"
 #include "util/fatal.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opalsim::opal {
 
@@ -105,45 +107,171 @@ void with_owner(DistributionStrategy strategy, std::uint32_t n,
   }
 }
 
+/// Every pair's owner at p = 1.
+struct SoleOwner {
+  std::uint32_t operator()(std::uint64_t, std::uint32_t) const noexcept {
+    return 0;
+  }
+};
+
+/// Pairs below which the shared-pool build_domains runs inline as one
+/// block.  Such a build takes a few ms serially, about what a participant
+/// that loses its CPU mid-block stalls a pooled one on a busy host, so
+/// pooling it would gain little and add that variance.
+constexpr std::uint64_t kPooledPairs = std::uint64_t{1} << 20;
+
+/// Row blocks per pool participant, so a participant that loses its CPU
+/// mid-build holds up one block while the others steal the rest.
+constexpr std::size_t kBlocksPerParticipant = 4;
+
+/// Bound on blocks x servers, the entries of the cursor table (2 MiB).
+constexpr std::uint64_t kMaxCursors = std::uint64_t{1} << 18;
+
+/// Pair number of (i, i + 1), the first pair of row i: i·n − i(i+1)/2.
+std::uint64_t row_start(std::uint64_t i, std::uint64_t n) noexcept {
+  return i * (n - 1) - i * (i - 1) / 2;
+}
+
+/// The first row that starts at pair number k or later (n - 1, one past
+/// the last row, when k is the size of the triangle).
+std::uint32_t row_at(std::uint64_t k, std::uint32_t n) noexcept {
+  // Row i starts at i(2n − 1 − i)/2: invert that in double, then settle
+  // the guess exactly.
+  const double b = 2.0 * n - 1.0;
+  const double disc = b * b - 8.0 * static_cast<double>(k);
+  const double guess = 0.5 * (b - std::sqrt(std::max(0.0, disc)));
+  auto i = static_cast<std::uint32_t>(
+      std::clamp(guess, 0.0, static_cast<double>(n - 1)));
+  while (i > 0 && row_start(i - 1, n) >= k) --i;
+  while (i < n - 1 && row_start(i, n) < k) ++i;
+  return i;
+}
+
+/// Pass 1 over rows [r0, r1): counts[s] += the block's pairs owned by s.
+template <class Owner>
+void count_block(const Owner& owner, std::uint32_t n, std::uint32_t r0,
+                 std::uint32_t r1, std::uint64_t* counts) {
+  std::uint64_t k = row_start(r0, n);
+  for (std::uint32_t i = r0; i < r1; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j, ++k) ++counts[owner(k, i)];
+  }
+}
+
+/// Pass 2 over rows [r0, r1): writes each pair at its server's cursor.
+template <class Owner>
+void fill_block(const Owner& owner, std::uint32_t n, std::uint32_t r0,
+                std::uint32_t r1, PairIdx* const* dst,
+                std::uint64_t* cursor) {
+  std::uint64_t k = row_start(r0, n);
+  for (std::uint32_t i = r0; i < r1; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
+      const std::uint32_t s = owner(k, i);
+      dst[s][cursor[s]++] = PairIdx{i, j};
+    }
+  }
+}
+
+/// Both passes over `blocks` row blocks of near-equal pair counts, on
+/// `pool` when there is more than one block.  Block b's cursor for server
+/// s starts where blocks 0 .. b-1 leave off, so every domain comes out in
+/// lex order whatever block runs where.  The second pass evaluates every
+/// owner again rather than reading a per-pair memo, whose freshly touched
+/// bytes cost more to fault in than the owner costs to recompute.
+template <class Owner>
+std::vector<std::vector<PairIdx>> build_blocked(const Owner& owner,
+                                                std::uint32_t n,
+                                                std::uint32_t p,
+                                                util::ThreadPool* pool,
+                                                std::size_t blocks) {
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  std::vector<std::uint32_t> rows(blocks + 1);
+  for (std::size_t b = 0; b <= blocks; ++b) {  // floor(total·b / blocks)
+    rows[b] = row_at(total / blocks * b + total % blocks * b / blocks, n);
+  }
+  const auto each_block = [&](auto&& f) {
+    if (blocks == 1) {
+      f(std::size_t{0});
+    } else {
+      util::parallel_for_indexed(*pool, blocks, f);
+    }
+  };
+  std::vector<std::uint64_t> cursor(blocks * p, 0);
+  std::vector<std::vector<PairIdx>> domains(p);
+  if (p == 1) {  // a block's cursor is its first pair number
+    for (std::size_t b = 0; b < blocks; ++b) cursor[b] = row_start(rows[b], n);
+    domains[0].resize(total);
+  } else {
+    each_block([&](std::size_t b) {
+      count_block(owner, n, rows[b], rows[b + 1], &cursor[b * p]);
+    });
+    // Exclusive prefix sums over the blocks turn counts into cursors.  The
+    // resize writes nothing (PairIdx's default constructor is empty).
+    for (std::uint32_t s = 0; s < p; ++s) {
+      std::uint64_t at = 0;
+      for (std::size_t b = 0; b < blocks; ++b) {
+        at += std::exchange(cursor[b * p + s], at);
+      }
+      domains[s].resize(at);
+    }
+  }
+  std::vector<PairIdx*> dst(p);
+  for (std::uint32_t s = 0; s < p; ++s) dst[s] = domains[s].data();
+  each_block([&](std::size_t b) {
+    fill_block(owner, n, rows[b], rows[b + 1], dst.data(), &cursor[b * p]);
+  });
+  return domains;
+}
+
+void check_build_args(std::uint32_t n, int p) {
+  if (p <= 0) throw util::ConfigError("opal", "build_domains: p must be > 0");
+  if (n < 2) {
+    throw util::ConfigError("opal", "build_domains: need >= 2 centers");
+  }
+}
+
+std::vector<std::vector<PairIdx>> build(std::uint32_t n, int p,
+                                        DistributionStrategy strategy,
+                                        std::uint64_t seed,
+                                        util::ThreadPool* pool) {
+  const auto servers = static_cast<std::uint32_t>(p);
+  std::size_t blocks = 1;
+  if (pool != nullptr && pool->size() > 1 &&
+      !util::ThreadPool::in_dispatch()) {
+    blocks = static_cast<std::size_t>(std::min<std::uint64_t>(
+        kBlocksPerParticipant * (pool->size() + 1),
+        std::max<std::uint64_t>(1, kMaxCursors / servers)));
+  }
+  if (servers == 1) {  // every strategy's owner is 0
+    return build_blocked(SoleOwner{}, n, servers, pool, blocks);
+  }
+  std::vector<std::vector<PairIdx>> domains;
+  with_owner(strategy, n, servers, seed, [&](const auto& owner) {
+    domains = build_blocked(owner, n, servers, pool, blocks);
+  });
+  return domains;
+}
+
 }  // namespace
 
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed) {
-  if (p <= 0) throw std::invalid_argument("build_domains: p must be > 0");
-  if (n < 2) throw std::invalid_argument("build_domains: need >= 2 centers");
-  std::vector<std::vector<PairIdx>> domains(p);
+  check_build_args(n, p);
+  // The shared pool is built only once a triangle is large enough to use
+  // it, so small runs never start its threads.
   const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (p == 1) {  // every strategy's owner is 0
-    domains[0].reserve(total);
-    for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      for (std::uint32_t j = i + 1; j < n; ++j) domains[0].push_back({i, j});
-    }
-    return domains;
-  }
-  // Two exact passes over the triangle: count each server's pairs, then
-  // evaluate every owner again and write into domains sized exactly.  An
-  // owner memo would save the second evaluation but cost 2 bytes per pair
-  // of freshly touched memory (39.5 MB on the large complex), which is
-  // slower to fault in than the owner is to recompute.
-  with_owner(strategy, n, static_cast<std::uint32_t>(p), seed,
-             [&](const auto& owner) {
-               std::vector<std::uint64_t> counts(p, 0);
-               std::uint64_t k = 0;
-               for (std::uint32_t i = 0; i + 1 < n; ++i) {
-                 for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-                   ++counts[owner(k, i)];
-                 }
-               }
-               for (int s = 0; s < p; ++s) domains[s].reserve(counts[s]);
-               k = 0;
-               for (std::uint32_t i = 0; i + 1 < n; ++i) {
-                 for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-                   domains[owner(k, i)].push_back(PairIdx{i, j});
-                 }
-               }
-             });
-  return domains;
+  const bool pooled =
+      total >= kPooledPairs && !util::ThreadPool::in_dispatch();
+  return build(n, p, strategy, seed,
+               pooled ? &util::ThreadPool::shared() : nullptr);
+}
+
+std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
+                                                DistributionStrategy strategy,
+                                                std::uint64_t seed,
+                                                util::ThreadPool& pool) {
+  check_build_args(n, p);
+  return build(n, p, strategy, seed, &pool);
 }
 
 std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
@@ -205,16 +333,6 @@ void ServerDomain::restore(const Snapshot& s, std::uint32_t n) {
   *this = ServerDomain(s.domain);  // counters zero, caches cold
   active_ = s.active;
   materialized_ = s.materialized;
-}
-
-std::uint16_t ServerDomain::run_offset(std::uint32_t i, std::uint32_t j,
-                                       std::uint32_t count) {
-  if (vruns_.empty() || vruns_.back().i != i ||
-      j - vruns_.back().j_base > 0xFFFFu) {  // j below the base wraps too
-    if (vruns_.empty() || vruns_.back().begin != count) vruns_.emplace_back();
-    vruns_.back() = VerletRun{i, j, count};  // replaces a run left empty
-  }
-  return static_cast<std::uint16_t>(j - vruns_.back().j_base);
 }
 
 void ServerDomain::update_list(const MolecularComplex& mc, double c2,
@@ -286,9 +404,16 @@ void ServerDomain::rebuild_subset(double padded2, double c2) {
   vruns_.clear();
   vruns_.reserve(sx_.size());  // a sorted domain opens one run per row
   active_.clear();
+  if (domain_.empty()) return;
   // Branchless like the filter (both tests hit 20–50% of the domain): runs
-  // open at listed and unlisted pairs alike, so only the row test branches,
-  // and a chunk of kStage domain pairs cannot overflow a stage.
+  // open at listed and unlisted pairs alike, so only the run test branches,
+  // and a chunk of kStage domain pairs cannot overflow a stage.  The open
+  // run and row i's coordinates live in locals; the run is stored when the
+  // next one opens, unless it was left empty, and the last run always is.
+  // A run opens where the row changes or j - j_base would pass 65,535 (a j
+  // below the base wraps past it too, as in an adopted segment).
+  std::uint32_t ri = domain_.front().i, rj = domain_.front().j, rbegin = 0;
+  double xi = sx_[ri], yi = sy_[ri], zi = sz_[ri];
   std::uint16_t listed[kStage];
   PairIdx stage[kStage];
   for (std::size_t t0 = 0; t0 < domain_.size(); t0 += kStage) {
@@ -297,11 +422,20 @@ void ServerDomain::rebuild_subset(double padded2, double c2) {
     std::uint32_t nl = 0, na = 0;
     for (std::size_t t = t0; t < t1; ++t) {
       const PairIdx pr = domain_[t];
-      const double dx = sx_[pr.i] - sx_[pr.j];
-      const double dy = sy_[pr.i] - sy_[pr.j];
-      const double dz = sz_[pr.i] - sz_[pr.j];
+      if (pr.i != ri || pr.j - rj > 0xFFFFu) {
+        if (rbegin != base + nl) vruns_.push_back({ri, rj, rbegin});
+        ri = pr.i;
+        rj = pr.j;
+        rbegin = base + nl;
+        xi = sx_[ri];
+        yi = sy_[ri];
+        zi = sz_[ri];
+      }
+      const double dx = xi - sx_[pr.j];
+      const double dy = yi - sy_[pr.j];
+      const double dz = zi - sz_[pr.j];
       const double d2 = dx * dx + dy * dy + dz * dz;
-      listed[nl] = run_offset(pr.i, pr.j, base + nl);
+      listed[nl] = static_cast<std::uint16_t>(pr.j - rj);
       nl += d2 <= padded2 ? 1 : 0;
       stage[na] = pr;
       na += d2 <= c2 ? 1 : 0;
@@ -309,6 +443,7 @@ void ServerDomain::rebuild_subset(double padded2, double c2) {
     vitems_.insert(vitems_.end(), listed, listed + nl);
     active_.insert(active_.end(), stage, stage + na);
   }
+  vruns_.push_back({ri, rj, rbegin});
 }
 
 }  // namespace opalsim::opal

@@ -25,10 +25,19 @@
 
 #include "opal/complex.hpp"
 
+namespace opalsim::util {
+class ThreadPool;
+}  // namespace opalsim::util
+
 namespace opalsim::opal {
 
 struct PairIdx {
   std::uint32_t i, j;
+  /// Leaves i and j unset, so sizing a vector of pairs writes nothing: the
+  /// thread that fills a page of a domain is the one that faults it in.
+  PairIdx() noexcept {}
+  constexpr PairIdx(std::uint32_t row, std::uint32_t col) noexcept
+      : i(row), j(col) {}
   friend bool operator==(const PairIdx&, const PairIdx&) = default;
 };
 
@@ -70,11 +79,23 @@ struct PairUpdateStats {
 /// Builds each server's static domain: every pair (i, j), i < j < n, goes
 /// to the one server the strategy names, and each domain lists its pairs in
 /// lex order.  Deterministic in (n, p, strategy, seed).  Two passes over
-/// the triangle (count, then fill domains sized exactly) with no per-pair
-/// memo; at p = 1 the single domain is the triangle itself.
+/// row blocks of the triangle (count, then fill domains sized exactly) with
+/// no per-pair memo; at p = 1 the single domain is the triangle itself.  A
+/// triangle of 2^20 pairs or more is built on util::ThreadPool::shared(),
+/// built at the first such call; a smaller one, or a call inside a
+/// dispatch, runs inline.
+/// Throws util::ConfigError("opal") unless p > 0 and n >= 2.
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed);
+
+/// The same, with both passes spread over `pool` at any size; a pool of one
+/// thread, or a call inside a dispatch, runs inline.  Same domains as the
+/// overload above for every pool.
+std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
+                                                DistributionStrategy strategy,
+                                                std::uint64_t seed,
+                                                util::ThreadPool& pool);
 
 /// True when every pair is (i, j) with i < j < n.
 bool pairs_in_range(std::span<const PairIdx> pairs, std::uint32_t n) noexcept;
@@ -123,6 +144,11 @@ class ServerDomain {
 
   const std::vector<PairIdx>& domain() const noexcept { return domain_; }
 
+  /// Shape of the Verlet list as last built: listed pairs and runs
+  /// (introspection for tests; zero before the first list-served update).
+  std::size_t verlet_items() const noexcept { return vitems_.size(); }
+  std::size_t verlet_runs() const noexcept { return vruns_.size(); }
+
   // -- checkpoint/restart ----------------------------------------------------
   // The record holds only the result state: static domain, active list and
   // materialization flag.  The Verlet list is a lazy cache rebuilt on
@@ -146,10 +172,6 @@ class ServerDomain {
   /// it?  True while no center of the current positions sx_/sy_/sz_ has
   /// moved more than skin/2 from its reference position.
   bool verlet_fresh(double cutoff, double skin) const noexcept;
-  /// Offset of j for list item number `count`, opening a run at (i, j)
-  /// when the row changes or the offset would pass 65,535.
-  std::uint16_t run_offset(std::uint32_t i, std::uint32_t j,
-                           std::uint32_t count);
   /// Rebuilds the list by one sweep of domain_, emitting the active list
   /// for the current positions on the way.
   void rebuild_subset(double padded2, double c2);

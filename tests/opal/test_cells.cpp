@@ -125,6 +125,99 @@ TEST(CellListEquivalence, PostAdoptFailoverDomain) {
   EXPECT_EQ(dom.stats().verlet_rebuilds, 3u);
 }
 
+/// Shape of the Verlet list for cut-off `cutoff` at mc's positions, by the
+/// reference builder: every domain pair in turn opens a run at (i, j) when
+/// the row changes or j - j_base would pass 65,535 (unsigned, so a j below
+/// the base opens one too), replacing the previous run if it is still
+/// empty, and is listed when within the padded cut-off.
+struct ListShape {
+  std::size_t items = 0, runs = 0;
+};
+ListShape reference_shape(const std::vector<opal::PairIdx>& domain,
+                          const opal::MolecularComplex& mc, double cutoff) {
+  struct Run {
+    std::uint32_t i, j_base;
+    std::size_t begin;
+  };
+  const double skin = 0.3 * cutoff;
+  const double padded2 = (cutoff + skin) * (cutoff + skin);
+  std::vector<Run> runs;
+  std::size_t items = 0;
+  for (const opal::PairIdx& pr : domain) {
+    if (runs.empty() || runs.back().i != pr.i ||
+        pr.j - runs.back().j_base > 0xFFFFu) {
+      if (runs.empty() || runs.back().begin != items) runs.emplace_back();
+      runs.back() = Run{pr.i, pr.j, items};
+    }
+    const opal::Vec3& a = mc.centers[pr.i].position;
+    const opal::Vec3& b = mc.centers[pr.j].position;
+    const double dx = a.x - b.x, dy = a.y - b.y, dz = a.z - b.z;
+    if (dx * dx + dy * dy + dz * dz <= padded2) ++items;
+  }
+  return {items, runs.size()};
+}
+
+void expect_reference_shape(const opal::ServerDomain& dom,
+                            const opal::MolecularComplex& mc, double cutoff) {
+  const ListShape want = reference_shape(dom.domain(), mc, cutoff);
+  EXPECT_EQ(dom.verlet_items(), want.items);
+  EXPECT_EQ(dom.verlet_runs(), want.runs);
+}
+
+TEST(CellListEquivalence, AdoptedSegmentReopensTheOpenRow) {
+  // The domain ends inside row 1, whose run is based at j = 3; the adopted
+  // segment starts in that same row at j = 2, so j - j_base wraps and must
+  // open a run of its own rather than extend the open one.  Centers on a
+  // line 1 A apart, cut-off 2.5 (padded 3.25): near pairs are active, the
+  // rest not.
+  opal::MolecularComplex mc;
+  mc.name = "line";
+  mc.centers.resize(12);
+  for (std::size_t k = 0; k < mc.n(); ++k) {
+    mc.centers[k].position = {static_cast<double>(k), 0.0, 0.0};
+  }
+  const double cutoff = 2.5;
+  opal::ServerDomain dom(std::vector<opal::PairIdx>{
+      {0, 1}, {0, 3}, {0, 6}, {1, 3}, {1, 7}, {1, 9}});
+  expect_paths_identical(dom, mc, cutoff);
+  dom.adopt(std::vector<opal::PairIdx>{{1, 2}, {1, 4}, {1, 11}, {2, 4},
+                                       {5, 6}});
+  expect_paths_identical(dom, mc, cutoff);  // rebuild
+  expect_paths_identical(dom, mc, cutoff);  // filter over the runs
+  EXPECT_EQ(dom.stats().verlet_rebuilds, 2u);
+  const auto active = snapshot(dom);
+  const std::vector<opal::PairIdx> want{{0, 1}, {1, 3}, {1, 2}, {2, 4},
+                                        {5, 6}};
+  EXPECT_EQ(active, want);
+  // Listed: those and (0, 3), (1, 4), in runs (0, 1), (1, 3) and the
+  // adopted (1, 2), (2, 4), (5, 6).
+  EXPECT_EQ(dom.verlet_runs(), 5u);
+  EXPECT_EQ(dom.verlet_items(), 7u);
+  expect_reference_shape(dom, mc, cutoff);
+}
+
+TEST(CellListEquivalence, ListShapeMatchesReferenceBuilder) {
+  // Hashed p = 7 domains as the workloads build them, before and after an
+  // adoption: the rebuilt list holds as many items and runs as the
+  // reference builder makes.
+  const auto mc = test_complex(150, 300, 42);
+  const double cutoff = 8.0;
+  auto domains =
+      opal::build_domains(static_cast<std::uint32_t>(mc.n()), 7,
+                          opal::DistributionStrategy::PseudoRandomHistorical,
+                          1);
+  for (int s = 0; s < 7; ++s) {
+    SCOPED_TRACE("server " + std::to_string(s));
+    opal::ServerDomain dom(domains[s]);
+    expect_paths_identical(dom, mc, cutoff);
+    EXPECT_GT(dom.verlet_runs(), 1u);
+    expect_reference_shape(dom, mc, cutoff);
+    dom.adopt(domains[(s + 3) % 7]);
+    expect_paths_identical(dom, mc, cutoff);
+    expect_reference_shape(dom, mc, cutoff);
+  }
+}
+
 TEST(CellListEquivalence, RowPastOffset65535SplitsItsRun) {
   // The list stores j as a 16-bit offset from its run's base, so a row
   // whose listed j's span more than 65,535 must be split into runs.  Far

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "domain_oracle.hpp"
 #include "opal/complex.hpp"
 #include "util/fastmod.hpp"
 #include "util/rng.hpp"
@@ -17,6 +18,7 @@ namespace {
 using opalsim::opal::build_domains;
 using opalsim::opal::DistributionStrategy;
 using opalsim::opal::make_synthetic_complex;
+using opalsim::opal::oracle_domains;
 using opalsim::opal::PairIdx;
 using opalsim::opal::ServerDomain;
 using opalsim::opal::SyntheticSpec;
@@ -154,30 +156,6 @@ TEST(Distribution, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-/// Oracle: the owner of pair number k = (i, j) by each strategy's formula
-/// with the plain `%`, evaluated per pair.
-std::uint64_t oracle_owner(DistributionStrategy strategy, std::uint64_t k,
-                           std::uint32_t i, std::uint32_t n, std::uint64_t p,
-                           std::uint64_t seed) {
-  switch (strategy) {
-    case DistributionStrategy::PseudoRandomHistorical: {
-      const std::uint64_t h = opalsim::util::splitmix64_hash(k ^ seed);
-      std::uint64_t server = h % p;
-      if (p % 2 == 0 && ((h >> 32) & 7u) == 0) server &= ~std::uint64_t{1};
-      return server;
-    }
-    case DistributionStrategy::PseudoRandomUniform:
-      return opalsim::util::splitmix64_hash(k ^ seed) % p;
-    case DistributionStrategy::RowCyclic:
-      return i % p;
-    case DistributionStrategy::Folded:
-      return std::min(i, n - 2 - i) % p;
-    case DistributionStrategy::EvenMultiplierBug:
-      return (k * 2654435762ull) % p;
-  }
-  return p;
-}
-
 TEST(Distribution, BuildMatchesPerPairOracle) {
   // Every strategy, p from one server to past 65,535 (the old owner memo
   // stopped at u16), tiny to mid-size triangles, three seeds: each domain
@@ -195,16 +173,7 @@ TEST(Distribution, BuildMatchesPerPairOracle) {
           SCOPED_TRACE(to_string(strategy) + " p=" + std::to_string(p) +
                        " n=" + std::to_string(n) +
                        " seed=" + std::to_string(seed));
-          std::vector<std::vector<PairIdx>> want(p);
-          std::uint64_t k = 0;
-          for (std::uint32_t i = 0; i + 1 < n; ++i) {
-            for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-              const std::uint64_t owner = oracle_owner(
-                  strategy, k, i, n, static_cast<std::uint64_t>(p), seed);
-              ASSERT_LT(owner, static_cast<std::uint64_t>(p));
-              want[owner].push_back({i, j});
-            }
-          }
+          const auto want = oracle_domains(n, p, strategy, seed);
           const auto got = build_domains(n, p, strategy, seed);
           ASSERT_EQ(got.size(), want.size());
           for (int s = 0; s < p; ++s) {
