@@ -39,7 +39,9 @@ void BM_NonbondedPairKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_NonbondedPairKernel)->Arg(100000)->Arg(1000000);
 
-void BM_UpdateSweep(benchmark::State& state) {
+/// Steady-state updates of the full triangle at cut-off 10 A on `pool`:
+/// brute force (Arg 0) or the Verlet list's filter (Arg 1).
+void run_update_sweep(benchmark::State& state, util::ThreadPool& pool) {
   const auto& mc = bench_complex();
   auto domains = opal::build_domains(static_cast<std::uint32_t>(mc.n()), 1,
                                      opal::DistributionStrategy::Folded, 1);
@@ -47,12 +49,24 @@ void BM_UpdateSweep(benchmark::State& state) {
   const auto path = state.range(0) == 0 ? opal::PairUpdatePath::Brute
                                         : opal::PairUpdatePath::Auto;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dom.update(mc, 10.0, path));
+    benchmark::DoNotOptimize(dom.update(mc, 10.0, path, pool));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dom.domain_size()));
 }
+
+/// One block on the calling thread, as a sweep's runs update.
+void BM_UpdateSweep(benchmark::State& state) {
+  util::ThreadPool one(1);
+  run_update_sweep(state, one);
+}
 BENCHMARK(BM_UpdateSweep)->Arg(0)->Arg(1);  // 0 = brute force, 1 = list
+
+/// The list's filter in run blocks on the process-wide pool.
+void BM_UpdateSweepPooled(benchmark::State& state) {
+  run_update_sweep(state, util::ThreadPool::shared());
+}
+BENCHMARK(BM_UpdateSweepPooled)->Arg(1)->UseRealTime();
 
 /// The two kernel shapes.  Arg 0: a cut-off 10 A active list of the full
 /// triangle (rows of ~12 pairs, the list-served workloads' shape).  Arg 1:
@@ -146,8 +160,8 @@ BENCHMARK(BM_BuildDomainsPooled)->Arg(1)->Arg(7)->UseRealTime();
 
 /// One Verlet-list rebuild per iteration (the cut-off alternates by
 /// 1e-9 A, which invalidates the list) of the full triangle (Arg 1) or
-/// server 0's hashed p = 7 domain (Arg 7) at cut-off 10 A.
-void BM_VerletRebuild(benchmark::State& state) {
+/// server 0's hashed p = 7 domain (Arg 7) at cut-off 10 A, on `pool`.
+void run_verlet_rebuild(benchmark::State& state, util::ThreadPool& pool) {
   const auto& mc = bench_complex();
   auto domains = opal::build_domains(
       static_cast<std::uint32_t>(mc.n()), static_cast<int>(state.range(0)),
@@ -156,7 +170,8 @@ void BM_VerletRebuild(benchmark::State& state) {
   bool nudge = false;
   for (auto _ : state) {
     nudge = !nudge;
-    benchmark::DoNotOptimize(dom.update(mc, nudge ? 10.0 + 1e-9 : 10.0));
+    benchmark::DoNotOptimize(dom.update(mc, nudge ? 10.0 + 1e-9 : 10.0,
+                                        opal::PairUpdatePath::Auto, pool));
   }
   if (dom.stats().verlet_rebuilds != dom.stats().updates) {
     state.SkipWithError("an update did not rebuild the list");
@@ -164,7 +179,19 @@ void BM_VerletRebuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dom.domain_size()));
 }
+
+/// One sweep on the calling thread, as a sweep's runs rebuild.
+void BM_VerletRebuild(benchmark::State& state) {
+  util::ThreadPool one(1);
+  run_verlet_rebuild(state, one);
+}
 BENCHMARK(BM_VerletRebuild)->Arg(1)->Arg(7);
+
+/// Row blocks of the domain on the process-wide pool.
+void BM_VerletRebuildPooled(benchmark::State& state) {
+  run_verlet_rebuild(state, util::ThreadPool::shared());
+}
+BENCHMARK(BM_VerletRebuildPooled)->Arg(1)->Arg(7)->UseRealTime();
 
 void BM_SerialStep(benchmark::State& state) {
   for (auto _ : state) {

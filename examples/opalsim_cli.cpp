@@ -14,6 +14,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "mach/platforms_db.hpp"
 #include "model/prediction.hpp"
@@ -50,7 +53,8 @@ int usage(const char* prog) {
          "quiescent step boundaries; --resume restarts from such an image\n"
          "and reproduces the uninterrupted run byte for byte.  --csv-out\n"
          "writes a one-row full-precision results CSV (the crash-harness\n"
-         "oracle).\n"
+         "oracle).  Fault, trace-out, metrics-out and checkpoint flags are\n"
+         "implemented for --method rd only; sd and fd refuse them.\n"
          "platforms: t3e j90 slow-cops smp-cops fast-cops hippi-j90\n";
   return 2;
 }
@@ -116,6 +120,24 @@ std::optional<mach::PlatformSpec> platform_by_name(const std::string& name) {
   return std::nullopt;
 }
 
+std::optional<opal::DistributionStrategy> strategy_by_name(
+    const std::string& name) {
+  if (name == "historical") {
+    return opal::DistributionStrategy::PseudoRandomHistorical;
+  }
+  if (name == "uniform") return opal::DistributionStrategy::PseudoRandomUniform;
+  if (name == "rowcyclic") return opal::DistributionStrategy::RowCyclic;
+  if (name == "folded") return opal::DistributionStrategy::Folded;
+  return std::nullopt;
+}
+
+std::optional<opal::Method> method_by_name(const std::string& name) {
+  if (name == "rd") return opal::Method::ReplicatedData;
+  if (name == "sd") return opal::Method::SpaceDecomposition;
+  if (name == "fd") return opal::Method::ForceDecomposition;
+  return std::nullopt;
+}
+
 int run_cli(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   if (args.get_flag("help")) return usage(argv[0]);
@@ -142,17 +164,13 @@ int run_cli(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   if (args.get_flag("minimize")) cfg.mode = opal::RunMode::Minimization;
   const std::string strat = args.get_or("strategy", "historical");
-  cfg.strategy =
-      strat == "uniform" ? opal::DistributionStrategy::PseudoRandomUniform
-      : strat == "rowcyclic" ? opal::DistributionStrategy::RowCyclic
-      : strat == "folded" ? opal::DistributionStrategy::Folded
-                          : opal::DistributionStrategy::PseudoRandomHistorical;
+  const auto strategy = strategy_by_name(strat);
+  if (strategy) cfg.strategy = *strategy;
 
   const std::string method_name = args.get_or("method", "rd");
+  const auto method_or = method_by_name(method_name);
   const opal::Method method =
-      method_name == "sd" ? opal::Method::SpaceDecomposition
-      : method_name == "fd" ? opal::Method::ForceDecomposition
-                            : opal::Method::ReplicatedData;
+      method_or.value_or(opal::Method::ReplicatedData);
 
   const int servers = static_cast<int>(args.get_long("servers", 4));
 
@@ -193,11 +211,24 @@ int run_cli(int argc, char** argv) {
                      cfg.kill_server >= 0;
 
   // Every flag has been read: whatever is left is unknown.
-  const auto unknown = args.unused();
-  for (const auto& k : unknown) {
-    std::cerr << "error: unknown option --" << k << "\n";
+  std::vector<std::string> errors;
+  for (const auto& k : args.unused()) errors.push_back("unknown option --" + k);
+  for (const auto& a : args.positional()) {
+    errors.push_back("unexpected argument '" + a + "'");
   }
-  if (!unknown.empty()) return 2;
+  if (!method_or) {
+    errors.push_back("unknown --method '" + method_name +
+                     "' (rd, sd or fd)");
+  }
+  if (!strategy) {
+    errors.push_back("unknown --strategy '" + strat +
+                     "' (historical, uniform, rowcyclic or folded)");
+  }
+  if (size != "small" && size != "medium" && size != "large") {
+    errors.push_back("unknown --size '" + size + "' (small, medium or large)");
+  }
+  for (const auto& e : errors) std::cerr << "error: " << e << "\n";
+  if (!errors.empty()) return 2;
   if (args.has("water") && !synthetic) {
     std::cerr << "error: --water needs --solute\n";
     return 2;
@@ -209,6 +240,21 @@ int run_cli(int argc, char** argv) {
     std::cerr << "error: checkpoint/restart is only implemented for the "
                  "replicated-data method (--method rd)\n";
     return 2;
+  }
+  if (method != opal::Method::ReplicatedData) {
+    // Flags that only the replicated-data driver implements: SD and FD
+    // would run without them and exit as if they had applied.
+    bool refused = false;
+    for (const char* flag : {"metrics-out", "trace-out", "loss-rate",
+                             "corrupt-rate", "dup-rate", "kill-server",
+                             "kill-step"}) {
+      if (!args.has(flag)) continue;
+      std::cerr << "error: --" << flag
+                << " is only implemented for the replicated-data method "
+                   "(--method rd)\n";
+      refused = true;
+    }
+    if (refused) return 2;
   }
   if (gantt &&
       (!cfg.trace_out.empty() || !obs::trace_path_from_env().empty())) {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "opal/forcefield.hpp"
 #include "opal/serial.hpp"
 #include "opal/soa.hpp"
 #include "pvm/pvm_system.hpp"
 #include "sim/engine.hpp"
+#include "util/fatal.hpp"
 
 namespace opalsim::opal {
 
@@ -25,7 +25,7 @@ std::string to_string(Method m) {
 }
 
 std::pair<int, int> fd_grid(int p) {
-  if (p <= 0) throw std::invalid_argument("fd_grid: p must be > 0");
+  if (p <= 0) throw util::ConfigError("opal", "fd_grid: p must be > 0");
   int a = static_cast<int>(std::sqrt(static_cast<double>(p)));
   while (a > 1 && p % a != 0) --a;
   return {a, p / a};
@@ -184,7 +184,8 @@ ParallelRunResult run_decomposed(Method method,
                                  sciddle::Options middleware) {
   cfg.validate();
   if (num_servers <= 0)
-    throw std::invalid_argument("run_decomposed: need at least one server");
+    throw util::ConfigError("opal",
+                            "run_decomposed: need at least one server");
 
   sim::Engine engine;
   mach::Machine machine(engine, platform, num_servers + 1);

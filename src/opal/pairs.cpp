@@ -276,6 +276,18 @@ std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
 
 std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
                                    PairUpdatePath path) {
+  return update_on(mc, cutoff, path, nullptr);
+}
+
+std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
+                                   PairUpdatePath path,
+                                   util::ThreadPool& pool) {
+  return update_on(mc, cutoff, path, &pool);
+}
+
+std::uint64_t ServerDomain::update_on(const MolecularComplex& mc,
+                                      double cutoff, PairUpdatePath path,
+                                      util::ThreadPool* pool) {
   if (cutoff <= 0.0) {
     materialized_ = false;
     active_.clear();
@@ -291,7 +303,7 @@ std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
       if (within_cutoff(mc, pr.i, pr.j, c2)) active_.push_back(pr);
     }
   } else {
-    update_list(mc, c2, cutoff);
+    update_list(mc, c2, cutoff, pool);
     ++stats_.cell_updates;
   }
   return domain_.size();
@@ -336,7 +348,7 @@ void ServerDomain::restore(const Snapshot& s, std::uint32_t n) {
 }
 
 void ServerDomain::update_list(const MolecularComplex& mc, double c2,
-                               double cutoff) {
+                               double cutoff, util::ThreadPool* pool) {
   const auto n = static_cast<std::uint32_t>(mc.n());
   sx_.resize(n);
   sy_.resize(n);
@@ -357,7 +369,7 @@ void ServerDomain::update_list(const MolecularComplex& mc, double c2,
   const double skin = kVerletSkinFactor * cutoff;
   const double padded2 = (cutoff + skin) * (cutoff + skin);
   if (!verlet_fresh(cutoff, skin)) {
-    rebuild_subset(padded2, c2);  // emits active_ on the way
+    rebuild_subset(padded2, c2, pool);  // emits active_ on the way
     ++stats_.verlet_rebuilds;
     rx_ = sx_;
     ry_ = sy_;
@@ -366,23 +378,112 @@ void ServerDomain::update_list(const MolecularComplex& mc, double c2,
     verlet_ready_ = true;
     return;
   }
+  filter_list(c2, pool);
+}
 
-  // Exact filter of the padded list against the *current* positions: the
-  // same squared-distance expression within_cutoff evaluates, in domain
-  // order, loading x_i once per run.  The writes are branchless (store every
-  // candidate, advance only on accept: at the ~40% accept rate a branch
-  // mispredicts constantly) into a stage flushed when under half is free.
+struct ServerDomain::ListPart {
+  std::vector<PairIdx> active;
+  std::vector<std::uint16_t> items;
+  std::vector<VerletRun> runs;
+};
+
+std::vector<ServerDomain::ListPart>& ServerDomain::thread_parts(
+    std::size_t blocks) {
+  thread_local std::vector<ListPart> parts;
+  if (parts.size() < blocks) parts.resize(blocks);
+  return parts;
+}
+
+namespace {
+
+/// Listed pairs from which the shared-pool update filters in blocks.  On
+/// two workers and the caller a filter of ~29 k items times the same
+/// pooled as inline (~46 µs) and one of ~52 k items 0.68× (DESIGN.md,
+/// "Verlet-list pair updates").
+constexpr std::size_t kPooledFilterItems = std::size_t{1} << 15;
+
+/// Domain pairs from which the shared-pool update rebuilds in blocks: a
+/// rebuild of ~26 k pairs times 1.08× pooled, one of ~57 k pairs 0.63×.
+/// Both thresholds keep a 10%-scale run's lists (at most ~28 k pairs)
+/// inline.
+constexpr std::size_t kPooledRebuildPairs = std::size_t{1} << 16;
+
+/// How many blocks a list pass over `units` runs in, and on which pool.
+/// A null `pool` means the shared pool from `threshold` units up.  Inside
+/// a dispatch, on a pool of one thread or below the threshold, one block
+/// runs inline.
+struct Fanout {
+  util::ThreadPool* pool = nullptr;
+  std::size_t blocks = 1;
+};
+Fanout fanout(util::ThreadPool* pool, std::size_t units,
+              std::size_t threshold) {
+  if (util::ThreadPool::in_dispatch()) return {};
+  if (pool == nullptr) {
+    if (units < threshold) return {};
+    pool = &util::ThreadPool::shared();
+  }
+  if (pool->size() <= 1) return {};
+  return {pool, std::min<std::size_t>(
+                    kBlocksPerParticipant * (pool->size() + 1), units)};
+}
+
+}  // namespace
+
+void ServerDomain::filter_list(double c2, util::ThreadPool* pool) {
+  const Fanout f = fanout(pool, vitems_.size(), kPooledFilterItems);
   active_.clear();
+  if (f.blocks <= 1) {
+    filter_runs(0, vruns_.size(), c2, active_);
+    return;
+  }
+  // Block b takes the runs from the first one that begins at or past item
+  // floor(b·items / blocks): near-equal item counts, whole runs each.
+  std::vector<std::size_t> cut(f.blocks + 1, vruns_.size());
+  cut[0] = 0;
+  for (std::size_t b = 1; b < f.blocks; ++b) {
+    const std::size_t item = vitems_.size() * b / f.blocks;
+    const auto first = std::partition_point(
+        vruns_.begin(), vruns_.end(),
+        [item](const VerletRun& r) { return r.begin < item; });
+    cut[b] = static_cast<std::size_t>(first - vruns_.begin());
+  }
+  std::vector<ListPart>& parts = thread_parts(f.blocks);
+  util::parallel_for_indexed(*f.pool, f.blocks, [&](std::size_t b) {
+    parts[b].active.clear();
+    filter_runs(cut[b], cut[b + 1], c2, parts[b].active);
+  });
+  // Join the parts in block order, each participant copying whole parts.
+  // The resize writes nothing (PairIdx's default constructor is empty) and
+  // sizes the list exactly, never past what staged appends would leave.
+  std::vector<std::size_t> at(f.blocks + 1, 0);
+  for (std::size_t b = 0; b < f.blocks; ++b) {
+    at[b + 1] = at[b] + parts[b].active.size();
+  }
+  active_.resize(at[f.blocks]);
+  util::parallel_for_indexed(*f.pool, f.blocks, [&](std::size_t b) {
+    std::copy(parts[b].active.begin(), parts[b].active.end(),
+              active_.begin() + static_cast<std::ptrdiff_t>(at[b]));
+  });
+}
+
+void ServerDomain::filter_runs(std::size_t r0, std::size_t r1, double c2,
+                               std::vector<PairIdx>& out) const {
+  // The same squared-distance expression within_cutoff evaluates, in domain
+  // order, loading x_i once per run.  The writes are branchless (store
+  // every candidate, advance only on accept: at the ~40% accept rate a
+  // branch mispredicts constantly) into a stage flushed when under half is
+  // free.
   PairIdx stage[kStage];
   std::size_t cnt = 0;
-  for (std::size_t r = 0; r < vruns_.size(); ++r) {
+  for (std::size_t r = r0; r < r1; ++r) {
     const VerletRun run = vruns_[r];
     const std::size_t end =
         r + 1 < vruns_.size() ? vruns_[r + 1].begin : vitems_.size();
     const double xi = sx_[run.i], yi = sy_[run.i], zi = sz_[run.i];
     for (std::size_t t = run.begin; t < end;) {
       if (cnt > kStage / 2) {
-        active_.insert(active_.end(), stage, stage + cnt);
+        out.insert(out.end(), stage, stage + cnt);
         cnt = 0;
       }
       for (const std::size_t stop = std::min(end, t + kStage - cnt); t < stop;
@@ -396,34 +497,98 @@ void ServerDomain::update_list(const MolecularComplex& mc, double c2,
       }
     }
   }
-  active_.insert(active_.end(), stage, stage + cnt);
+  out.insert(out.end(), stage, stage + cnt);
 }
 
-void ServerDomain::rebuild_subset(double padded2, double c2) {
+void ServerDomain::rebuild_subset(double padded2, double c2,
+                                  util::ThreadPool* pool) {
   vitems_.clear();
   vruns_.clear();
   vruns_.reserve(sx_.size());  // a sorted domain opens one run per row
   active_.clear();
-  if (domain_.empty()) return;
+  const std::size_t size = domain_.size();
+  const Fanout f = fanout(pool, size, kPooledRebuildPairs);
+  if (f.blocks <= 1) {
+    rebuild_block(0, size, padded2, c2, vitems_, vruns_, active_);
+    return;
+  }
+  // Block b starts at the first row change at or past pair
+  // floor(b·size / blocks): the serial sweep opens a run there, so each
+  // block's runs are the serial sweep's.  A row longer than a block leaves
+  // the blocks it spans empty.
+  std::vector<std::size_t> cut(f.blocks + 1, size);
+  cut[0] = 0;
+  for (std::size_t b = 1; b < f.blocks; ++b) {
+    std::size_t t = std::max(size * b / f.blocks, cut[b - 1]);
+    while (t > 0 && t < size && domain_[t].i == domain_[t - 1].i) ++t;
+    cut[b] = t;
+  }
+  std::vector<ListPart>& parts = thread_parts(f.blocks);
+  util::parallel_for_indexed(*f.pool, f.blocks, [&](std::size_t b) {
+    ListPart& part = parts[b];
+    part.items.clear();
+    part.runs.clear();
+    part.active.clear();
+    rebuild_block(cut[b], cut[b + 1], padded2, c2, part.items, part.runs,
+                  part.active);
+  });
+  // Join the parts in block order, each participant copying whole parts:
+  // block b's items, runs and pairs go where blocks 0 .. b-1 leave off.
+  struct Offsets {
+    std::size_t items = 0, runs = 0, active = 0;
+  };
+  std::vector<Offsets> at(f.blocks + 1);
+  for (std::size_t b = 0; b < f.blocks; ++b) {
+    at[b + 1] = {at[b].items + parts[b].items.size(),
+                 at[b].runs + parts[b].runs.size(),
+                 at[b].active + parts[b].active.size()};
+  }
+  vitems_.resize(at[f.blocks].items);
+  vruns_.resize(at[f.blocks].runs);
+  active_.resize(at[f.blocks].active);
+  util::parallel_for_indexed(*f.pool, f.blocks, [&](std::size_t b) {
+    const ListPart& part = parts[b];
+    const auto base = static_cast<std::uint32_t>(at[b].items);
+    std::copy(part.items.begin(), part.items.end(),
+              vitems_.begin() + static_cast<std::ptrdiff_t>(at[b].items));
+    std::transform(part.runs.begin(), part.runs.end(),
+                   vruns_.begin() + static_cast<std::ptrdiff_t>(at[b].runs),
+                   [base](VerletRun r) {
+                     r.begin += base;
+                     return r;
+                   });
+    std::copy(part.active.begin(), part.active.end(),
+              active_.begin() + static_cast<std::ptrdiff_t>(at[b].active));
+  });
+}
+
+void ServerDomain::rebuild_block(std::size_t t0, std::size_t t1,
+                                 double padded2, double c2,
+                                 std::vector<std::uint16_t>& items,
+                                 std::vector<VerletRun>& runs,
+                                 std::vector<PairIdx>& active) const {
+  if (t0 == t1) return;
   // Branchless like the filter (both tests hit 20–50% of the domain): runs
   // open at listed and unlisted pairs alike, so only the run test branches,
   // and a chunk of kStage domain pairs cannot overflow a stage.  The open
   // run and row i's coordinates live in locals; the run is stored when the
-  // next one opens, unless it was left empty, and the last run always is.
-  // A run opens where the row changes or j - j_base would pass 65,535 (a j
-  // below the base wraps past it too, as in an adopted segment).
-  std::uint32_t ri = domain_.front().i, rj = domain_.front().j, rbegin = 0;
+  // next one opens, unless it was left empty, and the domain's last run
+  // always is.  A run opens where the row changes or j - j_base would pass
+  // 65,535 (a j below the base wraps past it too, as in an adopted
+  // segment).
+  std::uint32_t ri = domain_[t0].i, rj = domain_[t0].j;
+  auto rbegin = static_cast<std::uint32_t>(items.size());
   double xi = sx_[ri], yi = sy_[ri], zi = sz_[ri];
   std::uint16_t listed[kStage];
   PairIdx stage[kStage];
-  for (std::size_t t0 = 0; t0 < domain_.size(); t0 += kStage) {
-    const std::size_t t1 = std::min(domain_.size(), t0 + kStage);
-    const auto base = static_cast<std::uint32_t>(vitems_.size());
+  for (std::size_t c0 = t0; c0 < t1; c0 += kStage) {
+    const std::size_t c1 = std::min(t1, c0 + kStage);
+    const auto base = static_cast<std::uint32_t>(items.size());
     std::uint32_t nl = 0, na = 0;
-    for (std::size_t t = t0; t < t1; ++t) {
+    for (std::size_t t = c0; t < c1; ++t) {
       const PairIdx pr = domain_[t];
       if (pr.i != ri || pr.j - rj > 0xFFFFu) {
-        if (rbegin != base + nl) vruns_.push_back({ri, rj, rbegin});
+        if (rbegin != base + nl) runs.push_back({ri, rj, rbegin});
         ri = pr.i;
         rj = pr.j;
         rbegin = base + nl;
@@ -440,10 +605,12 @@ void ServerDomain::rebuild_subset(double padded2, double c2) {
       stage[na] = pr;
       na += d2 <= c2 ? 1 : 0;
     }
-    vitems_.insert(vitems_.end(), listed, listed + nl);
-    active_.insert(active_.end(), stage, stage + na);
+    items.insert(items.end(), listed, listed + nl);
+    active.insert(active.end(), stage, stage + na);
   }
-  vruns_.push_back({ri, rj, rbegin});
+  if (t1 == domain_.size() || rbegin != items.size()) {
+    runs.push_back({ri, rj, rbegin});
+  }
 }
 
 }  // namespace opalsim::opal

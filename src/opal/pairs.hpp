@@ -16,6 +16,13 @@
 // the identical active list (same pairs, same order); only host wall time
 // differs.  Virtual-time accounting is unchanged: update() always reports
 // domain_size() pairs checked, the paper's O(n^2) model.
+//
+// Both halves of a list update, the filter and the rebuild sweep, are cut
+// into blocks that the host pool's participants run side by side: the
+// filter at run boundaries, the rebuild where the domain's row changes,
+// where the serial sweep opens a run anyway.  Blocks stage their output on
+// the calling thread's scratch and are joined in block order, so the list
+// and the active list are those of the inline sweep, bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -112,9 +119,18 @@ class ServerDomain {
   /// non-positive cutoff means no cut-off (all pairs active, list not
   /// materialized).  Returns the number of pairs checked for virtual-time
   /// accounting (== domain size; the model charges the full sweep
-  /// regardless of the host path).
+  /// regardless of the host path).  A list filter of 2^15 listed pairs or
+  /// more, or a rebuild over a domain of 2^16 pairs or more, runs in
+  /// blocks on util::ThreadPool::shared(), built at the first such call; a
+  /// smaller one, or a call inside a dispatch, runs inline.
   std::uint64_t update(const MolecularComplex& mc, double cutoff,
                        PairUpdatePath path = PairUpdatePath::Auto);
+
+  /// The same, with the list's filter and rebuild spread over `pool` at
+  /// any size; a pool of one thread, or a call inside a dispatch, runs
+  /// inline.  Same lists as the overload above for every pool.
+  std::uint64_t update(const MolecularComplex& mc, double cutoff,
+                       PairUpdatePath path, util::ThreadPool& pool);
 
   /// Pairs the energy evaluation must process.
   std::span<const PairIdx> active() const noexcept {
@@ -167,23 +183,6 @@ class ServerDomain {
   void restore(const Snapshot& s, std::uint32_t n);
 
  private:
-  void update_list(const MolecularComplex& mc, double c2, double cutoff);
-  /// Does the Verlet list built for `cutoff` still cover every pair within
-  /// it?  True while no center of the current positions sx_/sy_/sz_ has
-  /// moved more than skin/2 from its reference position.
-  bool verlet_fresh(double cutoff, double skin) const noexcept;
-  /// Rebuilds the list by one sweep of domain_, emitting the active list
-  /// for the current positions on the way.
-  void rebuild_subset(double padded2, double c2);
-
-  std::vector<PairIdx> domain_;
-  std::vector<PairIdx> active_;
-  bool materialized_ = false;
-  PairUpdateStats stats_;
-
-  // Per-update scratch, reused across calls.
-  std::vector<double> sx_, sy_, sz_;
-
   // Verlet (skin-padded) list: every domain pair that lay within
   // cutoff + skin at the reference positions rx_/ry_/rz_, in domain order.
   // One shape for every domain (DESIGN.md, "Verlet-list pair updates"): run
@@ -193,6 +192,46 @@ class ServerDomain {
   struct VerletRun {
     std::uint32_t i, j_base, begin;
   };
+  /// One block's output in a pooled update (pairs.cpp).
+  struct ListPart;
+  /// The calling thread's parts, at least `blocks` of them: one scratch
+  /// per thread, shared by every domain that thread updates.
+  static std::vector<ListPart>& thread_parts(std::size_t blocks);
+
+  /// `pool` null: the shared pool past the size thresholds.
+  std::uint64_t update_on(const MolecularComplex& mc, double cutoff,
+                          PairUpdatePath path, util::ThreadPool* pool);
+  void update_list(const MolecularComplex& mc, double c2, double cutoff,
+                   util::ThreadPool* pool);
+  /// Does the Verlet list built for `cutoff` still cover every pair within
+  /// it?  True while no center of the current positions sx_/sy_/sz_ has
+  /// moved more than skin/2 from its reference position.
+  bool verlet_fresh(double cutoff, double skin) const noexcept;
+  /// Exact filter of the list against the current positions.
+  void filter_list(double c2, util::ThreadPool* pool);
+  /// Appends to `out` the pairs of runs [r0, r1) within the cut-off.
+  void filter_runs(std::size_t r0, std::size_t r1, double c2,
+                   std::vector<PairIdx>& out) const;
+  /// Rebuilds the list by one sweep of domain_, emitting the active list
+  /// for the current positions on the way.
+  void rebuild_subset(double padded2, double c2, util::ThreadPool* pool);
+  /// Sweeps domain_[t0, t1), which starts a row, appending its listed
+  /// offsets, its runs (begins counted from the items' size on entry) and
+  /// its active pairs.  The last run is kept when it holds items or the
+  /// block ends the domain.
+  void rebuild_block(std::size_t t0, std::size_t t1, double padded2,
+                     double c2, std::vector<std::uint16_t>& items,
+                     std::vector<VerletRun>& runs,
+                     std::vector<PairIdx>& active) const;
+
+  std::vector<PairIdx> domain_;
+  std::vector<PairIdx> active_;
+  bool materialized_ = false;
+  PairUpdateStats stats_;
+
+  // Per-update scratch, reused across calls.
+  std::vector<double> sx_, sy_, sz_;
+
   bool verlet_ready_ = false;
   double verlet_cutoff_ = -1.0;
   std::vector<VerletRun> vruns_;

@@ -251,12 +251,13 @@ ParallelOpal::ParallelOpal(mach::PlatformSpec platform, MolecularComplex mc,
       middleware_(middleware) {
   cfg_.validate();
   if (num_servers <= 0)
-    throw std::invalid_argument("ParallelOpal: need at least one server");
+    throw util::ConfigError("opal", "ParallelOpal: need at least one server");
   if (cfg_.kill_server >= num_servers)
-    throw std::invalid_argument("ParallelOpal: kill_server out of range");
+    throw util::ConfigError("opal", "ParallelOpal: kill_server out of range");
   if (cfg_.kill_server >= 0 && cfg_.kill_at_step >= 0 &&
       !middleware_.retry.enabled)
-    throw std::invalid_argument(
+    throw util::ConfigError(
+        "opal",
         "ParallelOpal: killing a server requires fault-tolerant middleware "
         "(Options::retry.enabled)");
 }

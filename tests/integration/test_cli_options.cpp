@@ -56,6 +56,61 @@ TEST(CliOptions, ExitStatusAndMessages) {
        {"--water needs --solute"},
        {"platform:", "unknown option"}},
       {"--help prints usage", {"--help"}, 2, {"usage:"}, {"unknown option"}},
+      {"a positional argument is refused",
+       {"stray", "--size", "small"},
+       2,
+       {"unexpected argument 'stray'"},
+       {"platform:"}},
+      {"unknown --method value",
+       {"--size", "small", "--method", "xd"},
+       2,
+       {"unknown --method 'xd'"},
+       {"platform:"}},
+      {"unknown --strategy value",
+       {"--size", "small", "--strategy", "random"},
+       2,
+       {"unknown --strategy 'random'"},
+       {"platform:"}},
+      {"unknown --size value",
+       {"--size", "huge"},
+       2,
+       {"unknown --size 'huge'"},
+       {"platform:"}},
+      {"every bad value is named",
+       {"--size", "tiny", "--method", "md", "--strategy", "x"},
+       2,
+       {"unknown --size 'tiny'", "unknown --method 'md'",
+        "unknown --strategy 'x'"},
+       {"platform:"}},
+      {"sd refuses --metrics-out",
+       {"--size", "small", "--method", "sd", "--metrics-out", "m.json"},
+       2,
+       {"--metrics-out is only implemented"},
+       {"platform:"}},
+      {"fd refuses --trace-out",
+       {"--size", "small", "--method", "fd", "--trace-out", "t.json"},
+       2,
+       {"--trace-out is only implemented"},
+       {"platform:"}},
+      {"sd refuses every fault rate",
+       {"--size", "small", "--method", "sd", "--loss-rate", "0.1",
+        "--corrupt-rate", "0.01", "--dup-rate", "0.01"},
+       2,
+       {"--loss-rate is only implemented", "--corrupt-rate is only implemented",
+        "--dup-rate is only implemented"},
+       {"platform:"}},
+      {"fd refuses a server kill",
+       {"--size", "small", "--method", "fd", "--kill-server", "1",
+        "--kill-step", "2"},
+       2,
+       {"--kill-server is only implemented", "--kill-step is only implemented"},
+       {"platform:"}},
+      {"sd runs with its own flags",
+       {"--size", "small", "--method", "sd", "--servers", "2", "--steps", "1",
+        "--cutoff", "10", "--strategy", "folded"},
+       0,
+       {"platform:"},
+       {"error:"}},
   };
   for (const CliCase& c : cases) {
     SCOPED_TRACE(c.name);

@@ -6,6 +6,7 @@
 
 #include "mach/platforms_db.hpp"
 #include "opal/serial.hpp"
+#include "util/fatal.hpp"
 
 namespace {
 
@@ -191,6 +192,26 @@ TEST(Decomp, RejectsZeroServers) {
   EXPECT_THROW(run_with_method(Method::SpaceDecomposition,
                                opalsim::mach::fast_cops(), mc_of(20), 0, cfg),
                std::invalid_argument);
+}
+
+TEST(Decomp, ServerCountErrorsAreOpalConfigErrors) {
+  SimulationConfig cfg;
+  cfg.steps = 1;
+  for (const Method m :
+       {Method::SpaceDecomposition, Method::ForceDecomposition}) {
+    try {
+      run_with_method(m, opalsim::mach::fast_cops(), mc_of(20), 0, cfg);
+      ADD_FAILURE() << "no error for " << opalsim::opal::to_string(m);
+    } catch (const opalsim::util::ConfigError& e) {
+      EXPECT_EQ(e.subsystem(), "opal") << e.what();
+    }
+  }
+  try {
+    fd_grid(-1);
+    ADD_FAILURE() << "no error for fd_grid(-1)";
+  } catch (const opalsim::util::ConfigError& e) {
+    EXPECT_EQ(e.subsystem(), "opal") << e.what();
+  }
 }
 
 TEST(Decomp, ToStringNamesAllMethods) {

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "mach/platforms_db.hpp"
 #include "opal/serial.hpp"
+#include "util/fatal.hpp"
 
 namespace {
 
@@ -234,6 +236,27 @@ TEST(ParallelOpal, RejectsBadConfig) {
   cfg.steps = 0;
   EXPECT_THROW(ParallelOpal(opalsim::mach::fast_cops(), tiny_mc(), 2, cfg),
                std::invalid_argument);
+}
+
+TEST(ParallelOpal, ConstructorErrorsAreOpalConfigErrors) {
+  // No servers, a kill target past the last server, and a kill without
+  // fault-tolerant middleware: each names the opal subsystem.
+  SimulationConfig no_servers;
+  SimulationConfig kill_past_end;
+  kill_past_end.kill_server = 2;
+  SimulationConfig kill_without_retry;
+  kill_without_retry.kill_server = 1;
+  kill_without_retry.kill_at_step = 1;
+  const std::pair<int, SimulationConfig> cases[] = {
+      {0, no_servers}, {2, kill_past_end}, {2, kill_without_retry}};
+  for (const auto& [servers, cfg] : cases) {
+    try {
+      ParallelOpal(opalsim::mach::fast_cops(), tiny_mc(), servers, cfg);
+      ADD_FAILURE() << "no error for " << servers << " servers";
+    } catch (const opalsim::util::ConfigError& e) {
+      EXPECT_EQ(e.subsystem(), "opal") << e.what();
+    }
+  }
 }
 
 TEST(ParallelOpal, RunTwiceThrows) {
