@@ -7,6 +7,7 @@
 #include "bench_common.hpp"
 #include "mach/platforms_db.hpp"
 #include "opal/decomp.hpp"
+#include "opal/parallel.hpp"
 
 namespace {
 using namespace opalsim;
@@ -44,8 +45,10 @@ int main() {
         cfg.cutoff = sc.cutoff;
         cfg.update_every = 10;
         cfg.strategy = opal::DistributionStrategy::PseudoRandomUniform;
-        const auto r = opal::run_with_method(method, sc.platform,
-                                             bench::medium_complex(), p, cfg);
+        cfg.method = method;
+        const auto r =
+            opal::ParallelOpal(sc.platform, bench::medium_complex(), p, cfg)
+                .run();
         t.row()
             .add(opal::to_string(method))
             .add(p)

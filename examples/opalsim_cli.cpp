@@ -22,6 +22,7 @@
 #include "model/prediction.hpp"
 #include "obs/trace.hpp"
 #include "opal/decomp.hpp"
+#include "opal/parallel.hpp"
 #include "sim/fault.hpp"
 #include "util/cli.hpp"
 #include "util/fatal.hpp"
@@ -53,8 +54,8 @@ int usage(const char* prog) {
          "quiescent step boundaries; --resume restarts from such an image\n"
          "and reproduces the uninterrupted run byte for byte.  --csv-out\n"
          "writes a one-row full-precision results CSV (the crash-harness\n"
-         "oracle).  Fault, trace-out, metrics-out and checkpoint flags are\n"
-         "implemented for --method rd only; sd and fd refuse them.\n"
+         "oracle).  Server kills and checkpoints are implemented for\n"
+         "--method rd only; sd and fd refuse them.\n"
          "platforms: t3e j90 slow-cops smp-cops fast-cops hippi-j90\n";
   return 2;
 }
@@ -169,8 +170,7 @@ int run_cli(int argc, char** argv) {
 
   const std::string method_name = args.get_or("method", "rd");
   const auto method_or = method_by_name(method_name);
-  const opal::Method method =
-      method_or.value_or(opal::Method::ReplicatedData);
+  cfg.method = method_or.value_or(opal::Method::ReplicatedData);
 
   const int servers = static_cast<int>(args.get_long("servers", 4));
 
@@ -234,28 +234,6 @@ int run_cli(int argc, char** argv) {
     return 2;
   }
 
-  if (method != opal::Method::ReplicatedData &&
-      (!cfg.checkpoint_out.empty() || !cfg.resume_from.empty() ||
-       cfg.checkpoint_every_steps > 0 || cfg.checkpoint_at_step >= 0)) {
-    std::cerr << "error: checkpoint/restart is only implemented for the "
-                 "replicated-data method (--method rd)\n";
-    return 2;
-  }
-  if (method != opal::Method::ReplicatedData) {
-    // Flags that only the replicated-data driver implements: SD and FD
-    // would run without them and exit as if they had applied.
-    bool refused = false;
-    for (const char* flag : {"metrics-out", "trace-out", "loss-rate",
-                             "corrupt-rate", "dup-rate", "kill-server",
-                             "kill-step"}) {
-      if (!args.has(flag)) continue;
-      std::cerr << "error: --" << flag
-                << " is only implemented for the replicated-data method "
-                   "(--method rd)\n";
-      refused = true;
-    }
-    if (refused) return 2;
-  }
   if (gantt &&
       (!cfg.trace_out.empty() || !obs::trace_path_from_env().empty())) {
     std::cerr << "error: --trace cannot be combined with --trace-out or "
@@ -270,22 +248,21 @@ int run_cli(int argc, char** argv) {
                         : opal::make_medium_complex();
 
   std::cout << "platform: " << plat.name << ", method "
-            << opal::to_string(method) << ", p = " << servers
+            << opal::to_string(cfg.method) << ", p = " << servers
             << ", n = " << mc.n() << ", steps = " << cfg.steps
             << (cfg.has_cutoff()
                     ? ", cut-off " + std::to_string(cfg.cutoff) + " A"
                     : ", no cut-off")
             << ", update every " << cfg.update_every << "\n\n";
 
+  // A refused configuration (util::ConfigError) ends in main with exit 2,
+  // any other failure of the run with exit 1.
   opal::ParallelRunResult r;
   obs::MemorySink sink;
-  try {
+  {
     std::optional<obs::ScopedSink> scope;
     if (gantt) scope.emplace(sink);
-    r = opal::run_with_method(method, plat, mc, servers, cfg, mw);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+    r = opal::ParallelOpal(plat, mc, servers, cfg, mw).run();
   }
 
   if (!csv_out.empty()) write_results_csv(csv_out, r);
@@ -345,7 +322,9 @@ int main(int argc, char** argv) {
   try {
     return run_cli(argc, argv);
   } catch (const util::ConfigError& e) {
-    // A malformed flag value ("--steps 1e3", "--solute -1").
+    // A malformed flag value ("--steps 1e3", "--solute -1") or a
+    // configuration the library refuses ("--cutoff nan", a server kill
+    // under --method sd).
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

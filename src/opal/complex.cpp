@@ -6,6 +6,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "util/fatal.hpp"
 #include "util/rng.hpp"
 
 namespace opalsim::opal {
@@ -71,12 +72,12 @@ double lj_c6(double eps, double sigma) {
 
 MolecularComplex make_synthetic_complex(const SyntheticSpec& spec) {
   if (spec.n_solute > SIZE_MAX - spec.n_water)
-    throw std::invalid_argument("make_synthetic_complex: size overflows");
+    throw util::ConfigError("opal", "make_synthetic_complex: size overflows");
   const std::size_t n_total = spec.n_solute + spec.n_water;
   if (n_total == 0)
-    throw std::invalid_argument("make_synthetic_complex: empty complex");
+    throw util::ConfigError("opal", "make_synthetic_complex: empty complex");
   if (spec.density <= 0.0)
-    throw std::invalid_argument("make_synthetic_complex: bad density");
+    throw util::ConfigError("opal", "make_synthetic_complex: bad density");
 
   MolecularComplex mc;
   mc.name = spec.name;

@@ -98,7 +98,9 @@ struct SyntheticSpec {
 
 /// Builds a protein-like chain of n_solute atoms (bonds, angles, dihedrals,
 /// impropers along the chain) plus n_water single-unit waters, placed on a
-/// jittered lattice so no two centers start closer than ~2 A.
+/// jittered lattice so no two centers start closer than ~2 A.  Throws
+/// util::ConfigError("opal") for an empty complex, sizes whose sum
+/// overflows, or a non-positive density.
 MolecularComplex make_synthetic_complex(const SyntheticSpec& spec);
 
 /// The paper's three calibration complexes (§2.4/§2.5):

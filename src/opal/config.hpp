@@ -17,6 +17,14 @@ class Trajectory;  // trajectory.hpp
 /// "energy minimization and molecular dynamics").
 enum class RunMode { Dynamics, Minimization };
 
+/// How the client splits each step among the servers (paper §2.1,
+/// "Parallelization Alternatives"; decomp.hpp).
+enum class Method {
+  ReplicatedData,
+  SpaceDecomposition,
+  ForceDecomposition,
+};
+
 struct SimulationConfig {
   /// Number of simulation steps s (the paper times 10-step runs).
   int steps = 10;
@@ -27,6 +35,9 @@ struct SimulationConfig {
   double cutoff = -1.0;
   /// Pair-to-server distribution strategy.
   DistributionStrategy strategy = DistributionStrategy::PseudoRandomHistorical;
+  /// Parallelization method of ParallelOpal.  SD and FD refuse server kills
+  /// and checkpoints: failover and the image cover replicated data only.
+  Method method = Method::ReplicatedData;
   /// Host execution path for list updates (virtual time is identical on
   /// every path; Auto is the Verlet list, Brute the oracle).  See DESIGN.md.
   PairUpdatePath pair_path = PairUpdatePath::Auto;

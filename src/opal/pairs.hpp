@@ -147,6 +147,13 @@ class ServerDomain {
     verlet_ready_ = false;
   }
 
+  /// Replaces the domain, as SD and FD do at every list update.  The active
+  /// list is stale until the next update(); the counters carry over.
+  void reassign(std::vector<PairIdx> domain) {
+    domain_ = std::move(domain);
+    verlet_ready_ = false;
+  }
+
   std::size_t domain_size() const noexcept { return domain_.size(); }
   std::size_t active_size() const noexcept {
     return materialized_ ? active_.size() : domain_.size();

@@ -13,6 +13,7 @@
 #include "ckpt/store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "opal/decomp.hpp"
 #include "opal/forcefield.hpp"
 #include "opal/soa.hpp"
 #include "opal/pairs.hpp"
@@ -28,7 +29,21 @@ namespace opalsim::opal {
 
 namespace {
 
-/// Per-server replicated state: the global data every server holds (paper
+/// Calls f(k, i) for the k-th center whose coordinates a server's requests
+/// carry and whose gradient its reply returns, center i, and returns how
+/// many there are: every center under RD, `local[k]` under SD and FD.
+template <class F>
+std::size_t for_each_center(Method method, std::size_t n,
+                            const std::vector<std::uint32_t>& local, F&& f) {
+  if (method == Method::ReplicatedData) {
+    for (std::size_t i = 0; i < n; ++i) f(i, i);
+    return n;
+  }
+  for (std::size_t k = 0; k < local.size(); ++k) f(k, local[k]);
+  return local.size();
+}
+
+/// Per-server state; under RD the global data every server holds (paper
 /// §2.6 — interaction parameters and coordinates are replicated; only the
 /// pair lists scale down with p).
 struct ServerState {
@@ -38,6 +53,8 @@ struct ServerState {
   /// SoA mirror of the replica for the nonbonded host kernel; parameters
   /// are refreshed once, positions after every coordinate message.
   CentersSoA soa;
+  /// SD and FD: the centers of the last update's assignment, own first.
+  std::vector<std::uint32_t> local;
   std::uint64_t pairs_checked = 0;
   std::uint64_t pairs_evaluated = 0;
   /// Highest failover epoch applied — makes the "adopt" handler idempotent
@@ -45,9 +62,22 @@ struct ServerState {
   /// same pairs twice).
   std::uint64_t adopt_epoch = 0;
 
-  std::size_t working_set_bytes() const {
-    return replica.n() * (sizeof(MassCenter) + sizeof(Vec3)) +
-           domain.list_bytes();
+  /// SD and FD also hold the candidate pairs their update enumerated.
+  std::size_t working_set_bytes(Method method) const {
+    const bool rd = method == Method::ReplicatedData;
+    const std::size_t shipped = rd ? 0 : domain.domain_size();
+    return (rd ? replica.n() : local.size()) *
+               (sizeof(MassCenter) + sizeof(Vec3)) +
+           domain.list_bytes() + shipped * sizeof(PairIdx);
+  }
+
+  /// Writes the coordinates a request carries into the replica.
+  void receive(Method method, const std::vector<double>& flat) {
+    for_each_center(method, replica.n(), local,
+                    [&](std::size_t k, std::size_t i) {
+                      replica.centers[i].position =
+                          Vec3{flat[3 * k], flat[3 * k + 1], flat[3 * k + 2]};
+                    });
   }
 
   ParallelOpal::ServerSnapshot snapshot() const {
@@ -284,6 +314,15 @@ ParallelRunResult ParallelOpal::run() {
   }
   const bool resuming = !cfg_.resume_from.empty();
   const bool ckpt_active = !ckpt_out.empty() || resuming;
+  const Method method = cfg_.method;
+  const bool replicated = method == Method::ReplicatedData;
+  if (!replicated && (ckpt_active || cfg_.checkpoint_every_steps > 0 ||
+                      cfg_.checkpoint_at_step >= 0 || cfg_.kill_server >= 0 ||
+                      cfg_.kill_at_step >= 0)) {
+    throw util::ConfigError("opal", to_string(method) +
+                                        ": server kills and checkpoints "
+                                        "cover replicated data only");
+  }
   const std::uint64_t fingerprint =
       ckpt_active
           ? run_fingerprint(platform_, mc_, num_servers_, cfg_, middleware_)
@@ -315,8 +354,11 @@ ParallelRunResult ParallelOpal::run() {
   // scheduled at the checkpoint's virtual time.
   if (resume_snap) engine.restore_clock(resume_snap->engine.now);
 
+  // SD and FD servers enumerate their pairs from each update request.
   const auto n = static_cast<std::uint32_t>(mc_.n());
-  auto domains = build_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
+  auto domains = replicated ? build_domains(n, num_servers_, cfg_.strategy,
+                                            cfg_.seed)
+                            : std::vector<std::vector<PairIdx>>(num_servers_);
   std::vector<ServerState> servers;
   servers.reserve(num_servers_);
   for (int s = 0; s < num_servers_; ++s) {
@@ -331,41 +373,46 @@ ParallelRunResult ParallelOpal::run() {
   // --- server stubs ---------------------------------------------------
   rpc.register_proc(
       "update",
-      [&servers, this](pvm::PackBuffer args, sciddle::ServerContext& ctx)
+      [&servers, method, replicated, this](pvm::PackBuffer args,
+                                          sciddle::ServerContext& ctx)
           -> sim::Task<pvm::PackBuffer> {
         ServerState& st = servers[ctx.server_index];
-        st.replica.set_flat_coordinates(args.unpack_f64_array());
+        if (!replicated) st.domain.reassign(unpack_candidates(args, st.local));
+        st.receive(method, args.unpack_f64_array());
         const std::uint64_t checked =
             st.domain.update(st.replica, cfg_.cutoff, cfg_.pair_path);
         st.pairs_checked += checked;
         co_await ctx.task.cpu().compute(OpMixes::update_pair * checked,
-                                        st.working_set_bytes());
+                                        st.working_set_bytes(method));
         co_return pvm::PackBuffer{};  // eq. (8): no data in the reply
       });
 
   rpc.register_proc(
       "nbint",
-      [&servers](pvm::PackBuffer args, sciddle::ServerContext& ctx)
+      [&servers, method](pvm::PackBuffer args, sciddle::ServerContext& ctx)
           -> sim::Task<pvm::PackBuffer> {
         ServerState& st = servers[ctx.server_index];
-        st.replica.set_flat_coordinates(args.unpack_f64_array());
+        st.receive(method, args.unpack_f64_array());
         st.soa.refresh_positions(st.replica);
-        std::fill(st.grad.begin(), st.grad.end(), Vec3{});
+        const std::size_t centers = for_each_center(
+            method, st.replica.n(), st.local,
+            [&](std::size_t, std::size_t i) { st.grad[i] = Vec3{}; });
         double evdw = 0.0, ecoul = 0.0;
         nonbonded_batch(st.soa, st.domain.active(), evdw, ecoul, st.grad);
         const std::uint64_t m = st.domain.active_size();
         st.pairs_evaluated += m;
         co_await ctx.task.cpu().compute(OpMixes::nbint_pair * m,
-                                        st.working_set_bytes());
+                                        st.working_set_bytes(method));
         pvm::PackBuffer out;  // eq. (9): energies + 3n gradient components
         out.pack_f64(evdw);
         out.pack_f64(ecoul);
-        std::vector<double> flat(3 * st.replica.n());
-        for (std::size_t i = 0; i < st.replica.n(); ++i) {
-          flat[3 * i] = st.grad[i].x;
-          flat[3 * i + 1] = st.grad[i].y;
-          flat[3 * i + 2] = st.grad[i].z;
-        }
+        std::vector<double> flat(3 * centers);
+        for_each_center(method, st.replica.n(), st.local,
+                        [&](std::size_t k, std::size_t i) {
+                          flat[3 * k] = st.grad[i].x;
+                          flat[3 * k + 1] = st.grad[i].y;
+                          flat[3 * k + 2] = st.grad[i].z;
+                        });
         out.pack_f64_array(flat);
         co_return out;
       });
@@ -420,6 +467,10 @@ ParallelRunResult ParallelOpal::run() {
     // during the handoff itself, in which case its (already enlarged) share
     // is what the next pass redistributes.
     auto heal = [&](pvm::PvmTask& cl) -> sim::Task<void> {
+      if (!replicated) {
+        util::fatal("opal", to_string(method) + ": a server failed; failover "
+                    "covers replicated data only", engine.now());
+      }
       if (client.assignment.empty()) {
         client.assignment.reserve(servers.size());
         for (const ServerState& st : servers) {
@@ -437,7 +488,7 @@ ParallelRunResult ParallelOpal::run() {
         }
         if (dead.empty()) co_return;
         if (survivors.empty())
-          throw std::runtime_error("ParallelOpal: all servers failed");
+          util::fatal("opal", "ParallelOpal: all servers failed", engine.now());
 
         std::vector<std::vector<PairIdx>> extra(num_servers_);
         for (int d : dead) {
@@ -479,6 +530,8 @@ ParallelRunResult ParallelOpal::run() {
     const int start_step = client.step;
 
     bool want_ckpt = false;  ///< a due checkpoint was deferred (not quiescent)
+    // SD and FD: each server's share since the last scheduled update.
+    std::vector<Assignment> shares(num_servers_);
     for (int& step = client.step; step < cfg_.steps; ++step) {
       // Checkpoint hook: top of the step loop is the quiescent boundary.
       // A resumed run skips the boundary it was restored at — that image is
@@ -526,14 +579,23 @@ ParallelRunResult ParallelOpal::run() {
       const std::vector<double> coords = mc_.flat_coordinates();
       const bool scheduled_update = step % cfg_.update_every == 0;
       if (scheduled_update) client.update_coords = coords;
-      auto coord_args = [&] {
+      if (scheduled_update && !replicated) {
+        shares = method == Method::SpaceDecomposition
+                     ? sd_assign(mc_, num_servers_, cfg_.cutoff)
+                     : fd_assign(n, num_servers_);
+      }
+      // RD ships every server the same coordinates, SD and FD each its own.
+      auto round_args = [&](bool update) {
         std::vector<pvm::PackBuffer> args(num_servers_);
-        for (auto& a : args) a.pack_f64_array(coords);
-        return args;
-      };
-      auto update_args = [&] {
-        std::vector<pvm::PackBuffer> args(num_servers_);
-        for (auto& a : args) a.pack_f64_array(client.update_coords);
+        for (int s = 0; s < num_servers_; ++s) {
+          if (replicated) {
+            args[s].pack_f64_array(update ? client.update_coords : coords);
+          } else if (update) {
+            pack_update(method, shares[s], mc_, args[s]);
+          } else {
+            args[s].pack_f64_array(coords_for(mc_, shares[s].local));
+          }
+        }
         return args;
       };
 
@@ -548,7 +610,7 @@ ParallelRunResult ParallelOpal::run() {
       for (bool step_done = false; !step_done;) {
         if (client.force_update || (scheduled_update && !update_done)) {
           const sciddle::CallAllStats st =
-              co_await rpc.call_all(task, "update", update_args(), nullptr);
+              co_await rpc.call_all(task, "update", round_args(true), nullptr);
           if (!st.failed_servers.empty()) {
             metrics.recovery += st.total();  // void round, redo after heal
             co_await heal(task);
@@ -574,7 +636,7 @@ ParallelRunResult ParallelOpal::run() {
 
         replies.clear();
         const sciddle::CallAllStats st =
-            co_await rpc.call_all(task, "nbint", coord_args(), &replies);
+            co_await rpc.call_all(task, "nbint", round_args(false), &replies);
         if (!st.failed_servers.empty()) {
           metrics.recovery += st.total();  // void round, redo after heal
           co_await heal(task);
@@ -597,14 +659,19 @@ ParallelRunResult ParallelOpal::run() {
       hpm::OpCounts seq_ops;
       double evdw = 0.0, ecoul = 0.0;
       std::fill(grad.begin(), grad.end(), Vec3{});
-      for (auto& r : replies) {
+      // A failover leaves RD with fewer replies than servers; under SD and
+      // FD a failure ends the run, so reply s is server s's.
+      for (std::size_t s = 0; s < replies.size(); ++s) {
+        pvm::PackBuffer& r = replies[s];
         evdw += r.unpack_f64();
         ecoul += r.unpack_f64();
         const std::vector<double> flat = r.unpack_f64_array();
-        for (std::size_t i = 0; i < mc_.n(); ++i) {
-          grad[i] += Vec3{flat[3 * i], flat[3 * i + 1], flat[3 * i + 2]};
-        }
-        seq_ops += OpMixes::reduce_center * mc_.n();
+        const std::size_t centers = for_each_center(
+            method, mc_.n(), shares[s].local,
+            [&](std::size_t k, std::size_t i) {
+              grad[i] += Vec3{flat[3 * k], flat[3 * k + 1], flat[3 * k + 2]};
+            });
+        seq_ops += OpMixes::reduce_center * centers;
       }
       finish_step(mc_, cfg_, step, evdw, ecoul, client.velocities, grad,
                   client.minimizer, client.result.physics, seq_ops);

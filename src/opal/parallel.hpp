@@ -11,6 +11,12 @@
 //   3. The client sums the partial results, evaluates the bonded terms,
 //      integrates, and updates the observables (the sequential part, eq. 5).
 //
+// That is the replicated-data (RD) method.  The same driver runs space and
+// force decomposition (SimulationConfig::method, decomp.hpp): their update
+// request also ships the server's share, from which it enumerates its
+// pairs, and their messages carry only the server's local centers.  Server
+// kills, failover and checkpoints cover RD only; SD and FD refuse them.
+//
 // The run executes real physics (identical to SerialOpal) while virtual
 // time advances per the platform's CPU and network models; the returned
 // RunMetrics is the measured breakdown the paper's Figures 1-2 plot.

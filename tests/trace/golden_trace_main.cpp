@@ -1,10 +1,13 @@
 // Golden-trace fixture: one fixed-seed barrier-mode run, traced end to end.
 // Writes the Chrome trace JSON (argv[1]) and the run's own PerfMonitor
-// bucket snapshot (argv[2]).  tools/trace/check_golden.py asserts that
-// tools/trace/summarize_trace.py recomputes the same five-way breakdown
-// from the trace alone (to 1e-9) and that the summary matches the committed
-// golden at tests/golden/trace_summary_medium.json.
+// bucket snapshot (argv[2]); argv[3], when given, picks the
+// parallelization method (rd, the default, sd or fd).
+// tools/trace/check_golden.py asserts that tools/trace/summarize_trace.py
+// recomputes the same five-way breakdown from the trace alone (to 1e-9)
+// and, for the RD run, that the summary matches the committed golden at
+// tests/golden/trace_summary_medium.json.
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "mach/platforms_db.hpp"
@@ -17,8 +20,11 @@
 
 int main(int argc, char** argv) {
   using namespace opalsim;
-  if (argc != 3) {
-    std::fprintf(stderr, "usage: %s <trace.json> <buckets.json>\n", argv[0]);
+  const std::string method = argc == 4 ? argv[3] : "rd";
+  if ((argc != 3 && argc != 4) ||
+      (method != "rd" && method != "sd" && method != "fd")) {
+    std::fprintf(stderr, "usage: %s <trace.json> <buckets.json> [rd|sd|fd]\n",
+                 argv[0]);
     return 2;
   }
 
@@ -36,6 +42,8 @@ int main(int argc, char** argv) {
   cfg.update_every = 2;
   cfg.cutoff = 10.0;
   cfg.trace_out = argv[1];
+  if (method == "sd") cfg.method = opal::Method::SpaceDecomposition;
+  if (method == "fd") cfg.method = opal::Method::ForceDecomposition;
   opal::ParallelOpal run(mach::cray_j90(), std::move(mc), 3, cfg);
   const opal::RunMetrics m = run.run().metrics;
 

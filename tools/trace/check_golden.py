@@ -8,6 +8,9 @@ invariants at --tolerance (default 1e-9):
      five-way breakdown the run accounted internally (PerfMonitor buckets);
   2. that breakdown matches the committed golden summary.
 
+Without --golden only invariant 1 is checked.  --method passes the
+fixture its parallelization method (rd, sd or fd).
+
 --update rewrites the golden from the current run (commit the diff when the
 change is an intended accounting/physics change, never to paper over an
 unexplained drift).
@@ -29,8 +32,11 @@ def main(argv):
                     help="path to the golden_trace_main executable")
     ap.add_argument("--summarizer", required=True,
                     help="path to summarize_trace.py")
-    ap.add_argument("--golden", required=True,
-                    help="committed golden summary JSON")
+    ap.add_argument("--golden",
+                    help="committed golden summary JSON (omit to check "
+                         "invariant 1 only)")
+    ap.add_argument("--method", default="rd", choices=("rd", "sd", "fd"),
+                    help="the fixture's parallelization method")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the golden from the current run")
     ap.add_argument("--tolerance", type=float, default=1e-9)
@@ -40,7 +46,8 @@ def main(argv):
         trace = os.path.join(tmp, "trace.json")
         buckets = os.path.join(tmp, "buckets.json")
         summary = os.path.join(tmp, "summary.json")
-        subprocess.run([args.binary, trace, buckets], check=True)
+        subprocess.run([args.binary, trace, buckets, args.method],
+                       check=True)
         r = subprocess.run([sys.executable, args.summarizer, trace,
                             "--out", summary, "--compare", buckets,
                             "--tolerance", str(args.tolerance)])
@@ -51,6 +58,11 @@ def main(argv):
         with open(summary, encoding="utf-8") as f:
             got = json.load(f)
 
+    if args.golden is None:
+        if args.update:
+            ap.error("--update needs --golden")
+        print("trace breakdown matches the run's own accounting")
+        return 0
     if args.update:
         with open(args.golden, "w", encoding="utf-8") as f:
             json.dump(got, f, indent=2, sort_keys=True)
