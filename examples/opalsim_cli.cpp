@@ -111,6 +111,18 @@ std::size_t size_arg(const util::CliArgs& args, const std::string& key,
   return static_cast<std::size_t>(v);
 }
 
+/// A message fault rate flag: a probability in [0, 1].  NaN and negative
+/// values are refused here, where they would otherwise switch the faults
+/// off without a word.
+double rate_arg(const util::CliArgs& args, const std::string& key) {
+  const double v = args.get_double(key, 0.0);
+  if (!(v >= 0.0 && v <= 1.0)) {
+    throw util::ConfigError("cli", "--" + key + " must be in [0, 1], got " +
+                                       args.get_or(key, ""));
+  }
+  return v;
+}
+
 std::optional<mach::PlatformSpec> platform_by_name(const std::string& name) {
   if (name == "t3e") return mach::cray_t3e900();
   if (name == "j90") return mach::cray_j90();
@@ -178,9 +190,13 @@ int run_cli(int argc, char** argv) {
   // switches on the fault-tolerant middleware: the legacy barrier protocol
   // deadlocks on the first lost message.
   mach::PlatformSpec plat = *platform;
-  const double loss_rate = args.get_double("loss-rate", 0.0);
-  const double corrupt_rate = args.get_double("corrupt-rate", 0.0);
-  const double dup_rate = args.get_double("dup-rate", 0.0);
+  const double loss_rate = rate_arg(args, "loss-rate");
+  const double corrupt_rate = rate_arg(args, "corrupt-rate");
+  const double dup_rate = rate_arg(args, "dup-rate");
+  if (!(loss_rate + corrupt_rate + dup_rate <= 1.0)) {
+    throw util::ConfigError(
+        "cli", "--loss-rate + --corrupt-rate + --dup-rate must be <= 1");
+  }
   const auto fault_seed =
       static_cast<std::uint64_t>(args.get_long("fault-seed", 1));
   if (loss_rate > 0.0 || corrupt_rate > 0.0 || dup_rate > 0.0) {

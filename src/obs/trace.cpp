@@ -1,11 +1,15 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "util/csv.hpp"
@@ -24,11 +28,36 @@ namespace {
 util::Mutex g_path_mutex;
 std::map<std::string, int>* g_path_counts GUARDED_BY(g_path_mutex) = nullptr;
 
-/// Shortest round-trippable decimal for a double (JSON/CSV cells).
-std::string fmt(double v) {
+/// Appends one export field: text as it is, an integer in decimal, a
+/// double as a round-trippable decimal (the digits of printf's "%.17g").
+void put(std::string& out, std::string_view text) { out += text; }
+void put(std::string& out, char c) { out += c; }
+
+void put(std::string& out, double v) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
+template <typename Int, std::enable_if_t<std::is_integral_v<Int>, int> = 0>
+void put(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+template <typename... Fields>
+void append(std::string& out, const Fields&... fields) {
+  (put(out, fields), ...);
+}
+
+/// Appends one CSV cell with RFC 4180 quoting (util::CsvWriter::escape).
+void put_cell(std::string& out, const char* cell) {
+  if (std::strpbrk(cell, ",\"\n\r") == nullptr) {
+    out += cell;
+  } else {
+    out += util::CsvWriter::escape(cell);
+  }
 }
 
 /// Export label of a node's process group (node -1 is the engine's).
@@ -50,80 +79,91 @@ const char* cat_name(Cat cat) noexcept {
   return "?";
 }
 
+std::vector<std::size_t> MemorySink::sorted_order() const {
+  std::vector<std::size_t> order(events_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const TraceEvent& x = events_[a];
+    const TraceEvent& y = events_[b];
+    if (x.t != y.t) return x.t < y.t;
+    return x.seq < y.seq;
+  });
+  return order;
+}
+
 std::vector<TraceEvent> MemorySink::sorted_events() const {
-  std::vector<TraceEvent> out = events_;
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.t != b.t) return a.t < b.t;
-              return a.seq < b.seq;
-            });
+  std::vector<TraceEvent> out;
+  out.reserve(events_.size());
+  for (const std::size_t k : sorted_order()) out.push_back(events_[k]);
   return out;
 }
 
 std::string MemorySink::to_chrome_json() const {
-  const std::vector<TraceEvent> sorted = sorted_events();
+  const std::vector<std::size_t> order = sorted_order();
 
   // Track inventory: pid = node + 1 (node -1, the engine's global track
   // group, becomes pid 0); tid = category index.
   std::map<int, std::map<int, const char*>> tracks;  // pid -> tid -> name
-  for (const TraceEvent& e : sorted) {
+  for (const TraceEvent& e : events_) {
     tracks[e.node + 1][static_cast<int>(e.cat)] = cat_name(e.cat);
   }
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  std::string out;
+  out.reserve(160 * (events_.size() + 8));
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   auto sep = [&] {
-    if (!first) os << ",\n";
+    if (!first) out += ",\n";
     first = false;
   };
   for (const auto& [pid, tids] : tracks) {
     sep();
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << node_label(pid - 1)
-       << "\"}}";
+    append(out, "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":", pid,
+           ",\"tid\":0,\"args\":{\"name\":\"", node_label(pid - 1), "\"}}");
     for (const auto& [tid, tname] : tids) {
       sep();
-      os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << pid
-         << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << tname
-         << "\"}}";
+      append(out, "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":", pid,
+             ",\"tid\":", tid, ",\"args\":{\"name\":\"", tname, "\"}}");
     }
   }
-  for (const TraceEvent& e : sorted) {
+  for (const std::size_t k : order) {
+    const TraceEvent& e = events_[k];
     sep();
-    os << "{\"name\":\"" << e.name << "\",\"cat\":\"" << cat_name(e.cat)
-       << "\",\"ph\":\"" << static_cast<char>(e.ph)
-       << "\",\"ts\":" << fmt(e.t * 1e6) << ",\"pid\":" << (e.node + 1)
-       << ",\"tid\":" << static_cast<int>(e.cat);
-    if (e.ph == Ph::kInstant) os << ",\"s\":\"t\"";
-    os << ",\"args\":{\"seq\":" << e.seq;
-    if (e.a0.name != nullptr) {
-      os << ",\"" << e.a0.name << "\":" << fmt(e.a0.value);
+    append(out, "{\"name\":\"", e.name, "\",\"cat\":\"", cat_name(e.cat),
+           "\",\"ph\":\"", static_cast<char>(e.ph), "\",\"ts\":", e.t * 1e6,
+           ",\"pid\":", e.node + 1, ",\"tid\":", static_cast<int>(e.cat));
+    if (e.ph == Ph::kInstant) out += ",\"s\":\"t\"";
+    append(out, ",\"args\":{\"seq\":", e.seq);
+    for (const Arg* a : {&e.a0, &e.a1}) {
+      if (a->name != nullptr) append(out, ",\"", a->name, "\":", a->value);
     }
-    if (e.a1.name != nullptr) {
-      os << ",\"" << e.a1.name << "\":" << fmt(e.a1.value);
-    }
-    os << "}}";
+    out += "}}";
   }
-  os << "\n]}\n";
-  return os.str();
+  out += "\n]}\n";
+  return out;
 }
 
 std::string MemorySink::to_csv() const {
-  std::ostringstream os;
-  util::CsvWriter writer(os);
-  writer.write_row({"t", "seq", "node", "cat", "ph", "name", "arg0", "val0",
-                    "arg1", "val1"});
-  for (const TraceEvent& e : sorted_events()) {
-    writer.write_row({fmt(e.t), std::to_string(e.seq),
-                      std::to_string(e.node), cat_name(e.cat),
-                      std::string(1, static_cast<char>(e.ph)), e.name,
-                      e.a0.name != nullptr ? e.a0.name : "",
-                      e.a0.name != nullptr ? fmt(e.a0.value) : "",
-                      e.a1.name != nullptr ? e.a1.name : "",
-                      e.a1.name != nullptr ? fmt(e.a1.value) : ""});
+  std::string out;
+  out.reserve(80 * (events_.size() + 1));
+  out += "t,seq,node,cat,ph,name,arg0,val0,arg1,val1\n";
+  for (const std::size_t k : sorted_order()) {
+    const TraceEvent& e = events_[k];
+    append(out, e.t, ',', e.seq, ',', e.node, ',', cat_name(e.cat), ',',
+           static_cast<char>(e.ph), ',');
+    put_cell(out, e.name);
+    for (const Arg* a : {&e.a0, &e.a1}) {
+      out += ',';
+      if (a->name == nullptr) {
+        out += ',';
+        continue;
+      }
+      put_cell(out, a->name);
+      append(out, ',', a->value);
+    }
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 std::string MemorySink::to_gantt(int columns) const {
@@ -138,7 +178,8 @@ std::string MemorySink::to_gantt(int columns) const {
   // window's start time, and so sort before it).
   std::vector<Span> spans;
   std::map<int, std::vector<std::size_t>> open;  // node -> open span indices
-  for (const TraceEvent& e : sorted_events()) {
+  for (const std::size_t k : sorted_order()) {
+    const TraceEvent& e = events_[k];
     if (e.cat != Cat::kRpc) continue;
     std::vector<std::size_t>& stack = open[e.node];
     if (e.ph == Ph::kBegin) {

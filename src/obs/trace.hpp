@@ -131,6 +131,9 @@ class MemorySink final : public TraceSink {
   std::string to_gantt(int columns = 72) const;
 
  private:
+  /// Indices into events_ in (t, seq) order.
+  std::vector<std::size_t> sorted_order() const;
+
   std::vector<TraceEvent> events_;
   std::uint64_t next_seq_ = 0;
 };

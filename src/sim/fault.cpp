@@ -1,8 +1,11 @@
 #include "sim/fault.hpp"
 
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
+#include "util/fatal.hpp"
 
 namespace opalsim::sim {
 
@@ -38,14 +41,27 @@ FaultModel::FaultModel(FaultSpec spec)
       message_rng_(stream_seed(spec_.seed, 1)),
       corrupt_rng_(stream_seed(spec_.seed, 2)),
       stall_rng_(stream_seed(spec_.seed, 3)) {
+  // Written as !(r >= 0) so that NaN, which compares false both ways and
+  // would otherwise leave the faults silently off, is refused too.
+  const auto refuse = [](const std::string& what, double r) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", r);
+    throw util::ConfigError("sim", "FaultSpec: " + what + ", got " + buf);
+  };
+  const auto non_negative = [&](const char* name, double r) {
+    if (!(r >= 0.0)) refuse(std::string(name) + " must be >= 0", r);
+  };
+  non_negative("drop_rate", spec_.drop_rate);
+  non_negative("duplicate_rate", spec_.duplicate_rate);
+  non_negative("corrupt_rate", spec_.corrupt_rate);
   const double total =
       spec_.drop_rate + spec_.duplicate_rate + spec_.corrupt_rate;
-  if (spec_.drop_rate < 0.0 || spec_.duplicate_rate < 0.0 ||
-      spec_.corrupt_rate < 0.0 || total > 1.0)
-    throw std::invalid_argument(
-        "FaultModel: message fault rates must be >= 0 and sum to <= 1");
-  if (spec_.daemon_stall_rate < 0.0 || spec_.daemon_stall_rate > 1.0)
-    throw std::invalid_argument("FaultModel: daemon_stall_rate out of [0,1]");
+  if (!(total <= 1.0)) {
+    refuse("drop_rate + duplicate_rate + corrupt_rate must be <= 1", total);
+  }
+  if (!(spec_.daemon_stall_rate >= 0.0 && spec_.daemon_stall_rate <= 1.0)) {
+    refuse("daemon_stall_rate must be in [0, 1]", spec_.daemon_stall_rate);
+  }
 }
 
 MessageFault FaultModel::next_message_fault(int /*src*/, int /*dst*/) {

@@ -43,9 +43,11 @@ struct NodeFault {
 struct FaultSpec {
   std::uint64_t seed = 0;
 
-  // Per-message fault rates, each in [0, 1].  Evaluated in the order
-  // drop -> duplicate -> corrupt from one uniform draw, so the three are
-  // mutually exclusive per message and rates simply partition [0, 1).
+  // Per-message fault rates, each >= 0 and summing to <= 1 (FaultModel
+  // refuses anything else, NaN included, with util::ConfigError("sim")).
+  // Evaluated in the order drop -> duplicate -> corrupt from one uniform
+  // draw, so the three are mutually exclusive per message and rates simply
+  // partition [0, 1).
   double drop_rate = 0.0;
   double duplicate_rate = 0.0;
   double corrupt_rate = 0.0;

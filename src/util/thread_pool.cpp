@@ -107,10 +107,6 @@ void ThreadPool::dispatch_indexed(std::size_t count,
   job.ctx = ctx;
   job.count = count;
   const auto nb = static_cast<unsigned>(blocks_.size());
-  // ~8 chunks per participant: coarse enough that the cursor fetch_add is
-  // noise, fine enough that stealing can even out skewed index costs.
-  job.chunk = std::max<std::size_t>(
-      1, count / (static_cast<std::size_t>(nb) * 8));
   {
     ScopedLock lk(mutex_);
     job.seq = ++dispatch_seq_;
@@ -147,20 +143,20 @@ void ThreadPool::run_blocks(IndexedJob& job, unsigned my_block) {
   const auto nb = static_cast<unsigned>(blocks_.size());
   std::uint64_t chunks = 0;
   std::uint64_t steals = 0;
-  // Own block first, then sweep the others as steal victims.
+  // Own block first, then sweep the others as steal victims.  One index
+  // per grab: every caller's index is a whole run or a block of rows, so
+  // the fetch_add is noise, and a late steal can never walk off with
+  // several of the heavy indices at a block's end.
   for (unsigned v = 0; v < nb; ++v) {
     Block& blk = blocks_[(my_block + v) % nb];
     for (;;) {
-      const std::size_t begin =
-          blk.next.fetch_add(job.chunk, std::memory_order_relaxed);
-      if (begin >= blk.end) break;
-      const std::size_t end = std::min(begin + job.chunk, blk.end);
+      const std::size_t i = blk.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= blk.end) break;
       ++chunks;
       if (v != 0) ++steals;
-      for (std::size_t i = begin; i < end; ++i) job.fn(job.ctx, i);
+      job.fn(job.ctx, i);
       const std::size_t done =
-          job.completed.fetch_add(end - begin, std::memory_order_acq_rel) +
-          (end - begin);
+          job.completed.fetch_add(1, std::memory_order_acq_rel) + 1;
       if (done == job.count) {
         // Lock before notifying: the dispatcher checks the predicate under
         // mutex_, so an unlocked notify could land between its check and

@@ -12,14 +12,17 @@
 // waits on a helper to make progress.  ThreadPool::shared() is the
 // process-wide pool those calls use, built at the first one.
 //
-// Index fan-out goes through dispatch_indexed: a chunked work-stealing
+// Index fan-out goes through dispatch_indexed: a work-stealing
 // distribution instead of one queued closure per index.  Each participant
 // (every worker plus the calling thread) owns a contiguous block of the
-// index range and grabs chunks from it with one relaxed fetch_add; when its
-// block runs dry it steals chunks from the other blocks.  The hot path
-// allocates nothing — the shared job descriptor lives on the dispatcher's
-// stack and the per-participant state is a cursor latch cached in the
-// worker loop.  See DESIGN.md, "Host execution engine".
+// index range and grabs one index at a time from it with a relaxed
+// fetch_add; when its block runs dry it steals single indices from the
+// other blocks.  Callers' indices are coarse (whole runs, blocks of rows),
+// so one per grab costs nothing measurable and keeps a late steal from
+// taking several heavy indices at once.  The hot path allocates nothing —
+// the shared job descriptor lives on the dispatcher's stack and the
+// per-participant state is a cursor latch cached in the worker loop.  See
+// DESIGN.md, "Parallel sweep runner".
 //
 // Lock discipline (statically proven under clang -Wthread-safety):
 //   mutex_          guards the stop flag, the active dispatch and assisted
@@ -56,14 +59,14 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// Cumulative counters of the chunked dispatch path (bench/metrics
-/// introspection).  `chunks` is deterministic in (count, pool size) per
-/// dispatch; `steals` depends on scheduling and must never feed anything
-/// that pins bytes.
+/// Cumulative counters of the indexed dispatch path (bench/metrics
+/// introspection).  A chunk is one grab of one index, so `chunks` grows by
+/// exactly `count` per dispatch; `steals` depends on scheduling and must
+/// never feed anything that pins bytes.
 struct DispatchStats {
   std::uint64_t dispatches = 0;  ///< dispatch_indexed fan-outs served
-  std::uint64_t chunks = 0;      ///< index chunks handed out
-  std::uint64_t steals = 0;      ///< chunks taken from another block
+  std::uint64_t chunks = 0;      ///< index grabs (one index each)
+  std::uint64_t steals = 0;      ///< grabs from another block
   std::uint64_t assists = 0;     ///< run_assisted calls offered helpers
 };
 
@@ -137,7 +140,6 @@ class ThreadPool {
     void (*fn)(void*, std::size_t) = nullptr;
     void* ctx = nullptr;
     std::size_t count = 0;
-    std::size_t chunk = 1;
     std::uint64_t seq = 0;                  ///< latch against re-entry
     std::atomic<std::size_t> completed{0};  ///< indices fully run
     int participants = 0;  ///< workers inside; guarded by the pool's mutex_
@@ -202,7 +204,7 @@ HOST_ONLY void parallel_for_indexed(ThreadPool& pool, std::size_t count,
   // runs pooled or serial): a DES engine created inside fn(i) is tagged to
   // that index and must not be driven by any other index or the caller.
   // The tag is one relaxed fetch_add per index — the per-index setup the
-  // chunked dispatch cannot cache away without breaking run isolation.
+  // dispatch cannot cache away without breaking run isolation.
   if (pool.size() <= 1 || count == 1 || ThreadPool::in_dispatch()) {
     for (std::size_t i = 0; i < count; ++i) {
       RunTagScope run_scope;

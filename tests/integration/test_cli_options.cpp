@@ -135,6 +135,39 @@ TEST(CliOptions, ExitStatusAndMessages) {
        2,
        {"[opal]", "make_synthetic_complex: empty complex"},
        {"platform:"}},
+      // A fault rate is a probability: anything outside [0, 1], NaN
+      // included, is refused by name before the run instead of running
+      // fault-free or failing inside it.
+      {"a fault rate above 1 is refused",
+       {"--size", "small", "--loss-rate", "1.5"},
+       2,
+       {"--loss-rate must be in [0, 1], got 1.5"},
+       {"platform:"}},
+      {"a negative fault rate is refused",
+       {"--size", "small", "--loss-rate", "-0.1"},
+       2,
+       {"--loss-rate must be in [0, 1], got -0.1"},
+       {"platform:"}},
+      {"a NaN fault rate is refused",
+       {"--size", "small", "--loss-rate", "nan"},
+       2,
+       {"--loss-rate must be in [0, 1], got nan"},
+       {"platform:"}},
+      {"a NaN --dup-rate is refused",
+       {"--size", "small", "--dup-rate", "nan"},
+       2,
+       {"--dup-rate must be in [0, 1], got nan"},
+       {"platform:"}},
+      {"a negative --corrupt-rate is refused",
+       {"--size", "small", "--corrupt-rate", "-1"},
+       2,
+       {"--corrupt-rate must be in [0, 1], got -1"},
+       {"platform:"}},
+      {"fault rates summing past 1 are refused",
+       {"--size", "small", "--loss-rate", "0.6", "--dup-rate", "0.5"},
+       2,
+       {"--loss-rate + --corrupt-rate + --dup-rate must be <= 1"},
+       {"platform:"}},
       {"sd runs with its own flags",
        {"--size", "small", "--method", "sd", "--servers", "2", "--steps", "1",
         "--cutoff", "10", "--strategy", "folded"},

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
+
+#include "util/fatal.hpp"
 
 namespace {
 
@@ -51,6 +55,47 @@ TEST(FaultModel, RejectsInvalidRates) {
   spec = FaultSpec{};
   spec.daemon_stall_rate = 1.5;
   EXPECT_THROW(FaultModel{spec}, std::invalid_argument);
+}
+
+TEST(FaultModel, RefusesNanAndOutOfRangeRatesAsConfigErrors) {
+  // NaN compares false both ways, so a check written as r < 0 would let it
+  // through and leave the faults silently off.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double FaultSpec::*rate;
+    double value;
+    const char* named;
+  };
+  const Case cases[] = {
+      {&FaultSpec::drop_rate, nan, "drop_rate must be >= 0"},
+      {&FaultSpec::duplicate_rate, -0.1, "duplicate_rate must be >= 0"},
+      {&FaultSpec::corrupt_rate, nan, "corrupt_rate must be >= 0"},
+      {&FaultSpec::drop_rate, 1.5, "must be <= 1"},
+      {&FaultSpec::corrupt_rate, inf, "must be <= 1"},
+      {&FaultSpec::daemon_stall_rate, nan, "daemon_stall_rate"},
+      {&FaultSpec::daemon_stall_rate, -1.0, "daemon_stall_rate"},
+  };
+  for (const Case& c : cases) {
+    FaultSpec spec;
+    spec.*c.rate = c.value;
+    SCOPED_TRACE(c.named);
+    try {
+      FaultModel model(spec);
+      ADD_FAILURE() << "accepted " << c.value;
+    } catch (const opalsim::util::ConfigError& e) {
+      EXPECT_EQ(e.subsystem(), "sim");
+      EXPECT_NE(std::string(e.what()).find(c.named), std::string::npos)
+          << e.what();
+    }
+  }
+  // The edges stay valid: every rate at 0, and rates summing to exactly 1.
+  FaultSpec edge;
+  edge.drop_rate = 0.5;
+  edge.duplicate_rate = 0.25;
+  edge.corrupt_rate = 0.25;
+  edge.daemon_stall_rate = 1.0;
+  EXPECT_NO_THROW(FaultModel{edge});
 }
 
 TEST(FaultModel, SameSeedReplaysIdenticalDecisions) {

@@ -269,11 +269,40 @@ TEST(ParallelForIndexed, DispatchStatsCountChunksAndDispatches) {
   const util::DispatchStats after = pool.dispatch_stats();
   EXPECT_EQ(ran.load(), kCount);
   EXPECT_EQ(after.dispatches, before.dispatches + 1);
-  // 1000 indices over 5 blocks (4 workers + caller) at chunk size
-  // 1000/(5*8) = 25: every index is handed out in some chunk, so the chunk
-  // count is at least count/chunk and each chunk is nonempty.
-  EXPECT_GE(after.chunks, before.chunks + kCount / 25);
+  // One index per grab: the grab count is exactly the index count,
+  // whatever the scheduling.
+  EXPECT_EQ(after.chunks, before.chunks + kCount);
   EXPECT_GE(after.steals, before.steals);  // steals are scheduling-dependent
+  EXPECT_LE(after.steals - before.steals, kCount);
+}
+
+TEST(ParallelForIndexed, HeavyIndicesAtABlockEndAreGrabbedOneByOne) {
+  // A sweep whose costliest runs sit together at the end of one
+  // participant's block: a thief must take them one at a time, never
+  // several in one grab, so they spread over whoever is idle.  96 indices
+  // over 3 blocks (2 workers + caller) put the heavy ones, 28..31, at the
+  // end of block 0; a grab of count/(participants·8) = 4 indices would
+  // take all four at once.
+  util::ThreadPool pool(2);
+  constexpr std::size_t kCount = 96;
+  constexpr std::size_t kHeavyBegin = 28, kHeavyEnd = 32;
+  const util::DispatchStats before = pool.dispatch_stats();
+  std::vector<std::atomic<int>> hits(kCount);
+  util::parallel_for_indexed(pool, kCount, [&](std::size_t i) {
+    if (i >= kHeavyBegin && i < kHeavyEnd) {
+      volatile double x = 1.0;
+      for (int k = 0; k < 300'000; ++k) x = x * 1.0000001 + 0.5;
+    }
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  const util::DispatchStats after = pool.dispatch_stats();
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(after.dispatches, before.dispatches + 1);
+  // Every grab hands out at least one index, so as many grabs as indices
+  // means no grab took more than one.
+  EXPECT_EQ(after.chunks, before.chunks + kCount);
 }
 
 TEST(ParallelForIndexed, StealingDrainsSkewedWork) {

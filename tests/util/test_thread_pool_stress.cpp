@@ -1,4 +1,4 @@
-// Stress tests for the ThreadPool chunked-dispatch path, written for the
+// Stress tests for the ThreadPool indexed-dispatch path, written for the
 // TSan CI leg: several host threads hammer dispatch_indexed on one shared
 // pool while the per-index exactly-once contract and the DispatchStats
 // invariants are checked exactly.  Under -fsanitize=thread any racing
@@ -26,7 +26,7 @@ TEST(ThreadPoolStress, ConcurrentDispatchersEachIndexRunsExactlyOnce) {
   constexpr std::size_t kCount = 10'000;
 
   // One counter array per dispatcher: fn(i) increments slot i exactly once
-  // if the chunked hand-out neither drops nor duplicates indices, even
+  // if the hand-out neither drops nor duplicates indices, even
   // while other dispatchers keep the steal paths hot.
   std::vector<std::vector<std::atomic<int>>> hits(kDispatchers);
   for (auto& h : hits) {
@@ -87,8 +87,9 @@ TEST(ThreadPoolStress, DispatchStatsStayConsistentUnderContention) {
   // size > 1, count > 1, never nested), exactly once each.
   EXPECT_EQ(dispatches,
             static_cast<std::uint64_t>(kDispatchers) * kRounds);
-  // At least one chunk per dispatch; a steal is always a chunk.
-  EXPECT_GE(chunks, dispatches);
+  // One index per grab, so exactly kCount grabs per dispatch; a steal is
+  // always a grab.
+  EXPECT_EQ(chunks, dispatches * kCount);
   EXPECT_LE(steals, chunks);
 }
 
